@@ -325,6 +325,30 @@ def _classifier_from_dict(obj) -> pipeline.SoftmaxClassifier:
         np.asarray(obj["bias"], dtype=np.float64))
 
 
+def _compact_json_pieces(obj):
+    """Yield json.dumps(obj, sort_keys=True, separators=(",", ":")) in pieces.
+
+    Objects and lists of containers are laid out here; each flat list or
+    scalar is one json.dumps call, which runs the C encoder (json.dump
+    streams through the pure-Python one). Piece by piece, no string grows to
+    the size of the file, so writing a checkpoint does not raise peak memory.
+    Keys must be strings.
+    """
+    if isinstance(obj, dict):
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "") + json.dumps(key) + ":"
+            yield from _compact_json_pieces(obj[key])
+        yield "}"
+    elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
+        for i, item in enumerate(obj):
+            yield "," if i else "["
+            yield from _compact_json_pieces(item)
+        yield "]"
+    else:
+        yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def save_checkpoint(path, model: TrainedModel) -> None:
     obj = {
         "format_version": CHECKPOINT_VERSION,
@@ -340,7 +364,7 @@ def save_checkpoint(path, model: TrainedModel) -> None:
                  "c": model.gate.c},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+        fh.writelines(_compact_json_pieces(obj))
         fh.write("\n")
 
 
@@ -366,9 +390,9 @@ def load_checkpoint(path) -> TrainedModel:
 
 
 def write_loss_log(path, loss_log: list[dict], hash_: str) -> None:
+    text = json.dumps({"config_hash": hash_, "epochs": loss_log}, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"config_hash": hash_, "epochs": loss_log}, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---- transform self-tests ----

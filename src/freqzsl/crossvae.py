@@ -168,10 +168,13 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
     z_s = mu_s + np.exp(0.5 * lv_s) * eps_s
     z_t = mu_t + np.exp(0.5 * lv_t) * eps_t
 
-    xhat_s, cache_dec_s_rec = numkit.mlp_forward(params.skel_decoder, z_s)
-    xhat_t, cache_dec_t_rec = numkit.mlp_forward(params.text_decoder, z_t)
-    g_s_t, cache_dec_t_cross = numkit.mlp_forward(params.text_decoder, mu_s)
-    g_t_s, cache_dec_s_cross = numkit.mlp_forward(params.skel_decoder, mu_t)
+    # one pass per decoder over [self-reconstruction latents; cross latents]
+    dec_s, cache_dec_s = numkit.mlp_forward(params.skel_decoder,
+                                            np.concatenate([z_s, mu_t]))
+    dec_t, cache_dec_t = numkit.mlp_forward(params.text_decoder,
+                                            np.concatenate([z_t, mu_s]))
+    xhat_s, g_t_s = dec_s[:b], dec_s[b:]
+    xhat_t, g_s_t = dec_t[:b], dec_t[b:]
 
     elbo_s = losses.elbo(f_s, xhat_s, mu_s, lv_s, cfg.kl_weight)
     elbo_t = losses.elbo(f_t, xhat_t, mu_t, lv_t, cfg.kl_weight)
@@ -185,17 +188,15 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
     d_f_s = elbo_s.grads["x"] + a * align.grads["f_s"]
     d_f_t = elbo_t.grads["x"] + a * align.grads["f_t"]
 
-    # decoders: self-reconstruction path (from z) and cross path (from mu)
-    g_dec_s, dz_s = numkit.mlp_backward(params.skel_decoder, cache_dec_s_rec,
-                                        elbo_s.grads["recon"])
-    g_dec_s2, d_mu_t_cross = numkit.mlp_backward(params.skel_decoder, cache_dec_s_cross,
-                                                 a * align.grads["g_t_s"])
-    numkit.add_grads(g_dec_s, g_dec_s2)
-    g_dec_t, dz_t = numkit.mlp_backward(params.text_decoder, cache_dec_t_rec,
-                                        elbo_t.grads["recon"])
-    g_dec_t2, d_mu_s_cross = numkit.mlp_backward(params.text_decoder, cache_dec_t_cross,
-                                                 a * align.grads["g_s_t"])
-    numkit.add_grads(g_dec_t, g_dec_t2)
+    # decoders: the self-reconstruction rows came from z, the cross rows from mu
+    g_dec_s, d_dec_s = numkit.mlp_backward(
+        params.skel_decoder, cache_dec_s,
+        np.concatenate([elbo_s.grads["recon"], a * align.grads["g_t_s"]]))
+    g_dec_t, d_dec_t = numkit.mlp_backward(
+        params.text_decoder, cache_dec_t,
+        np.concatenate([elbo_t.grads["recon"], a * align.grads["g_s_t"]]))
+    dz_s, d_mu_t_cross = d_dec_s[:b], d_dec_s[b:]
+    dz_t, d_mu_s_cross = d_dec_t[:b], d_dec_t[b:]
 
     # reparameterization: dz/dmu = 1, dz/dlog_var = (z - mu) / 2
     d_mu_s = elbo_s.grads["mu"] + dz_s + d_mu_s_cross
@@ -219,26 +220,6 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
         "align": align.value,
     }
     return breakdown, param_grads, d_f_s, d_f_t
-
-
-def train_step(params: VaeParams, opt: numkit.AdamState, f_s: Array, f_t: Array,
-               labels: Array, cfg: losses.LossConfig, rng: np.random.Generator,
-               align_loss: str = "calibrated"):
-    """Sample negatives and noise, take one Adam step, return the breakdown.
-
-    Mutates params (in place through its arrays) and opt. The rng is drawn
-    in a fixed order (negatives, skeleton noise, text noise) so a seed pins
-    the whole trajectory.
-    """
-    b = np.shape(f_s)[0]
-    negatives = losses.sample_negatives(labels, rng)
-    eps_s = rng.standard_normal((b, params.latent_dim))
-    eps_t = rng.standard_normal((b, params.latent_dim))
-    breakdown, grads, d_f_s, _ = stage2_loss(
-        params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg, align_loss)
-    numkit.adam_step(opt, params.param_arrays(), grads)
-    breakdown["grad_f_s"] = d_f_s
-    return breakdown
 
 
 def sample_class_latents(params: VaeParams, fused_text: Array, n: int,

@@ -104,9 +104,9 @@ class EnhancementConfig:
             raise ValueError("split_points must strictly increase (gap/overlap)")
         if len(self.weights) != len(pts) - 1:
             raise ValueError("need exactly one weight per band")
-        for w in self.weights:
-            if not (0.0 <= w <= 1.0) or not np.isfinite(w):
-                raise ValueError("weights must lie in [0, 1]")
+        w = np.asarray(self.weights, dtype=np.float64)
+        if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails both comparisons
+            raise ValueError("weights must lie in [0, 1]")
         if not (0 <= self.low_cutoff < pts[-1]):
             raise ValueError("low_cutoff must lie in [0, F)")
         if not (self.ramp > 0 and np.isfinite(self.ramp)):

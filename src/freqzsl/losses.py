@@ -100,16 +100,22 @@ class AlignmentBatch:
 
 
 def sample_negatives(labels: Array, rng: np.random.Generator) -> Array:
-    """One uniform different-label index per item; raises on a single-class batch."""
+    """One uniform different-label index per item; raises on a single-class batch.
+
+    Item i draws r from [0, count of different-label items) and takes the
+    r-th such index in increasing order. The draws are one vectorized call
+    over the per-item counts, which consumes the generator exactly as one
+    scalar draw per item in item order would.
+    """
     labels = np.asarray(labels)
-    b = labels.shape[0]
-    out = np.empty(b, dtype=np.int64)
-    for i in range(b):
-        cand = np.flatnonzero(labels != labels[i])
-        if cand.size == 0:
-            raise ValueError("single-class batch: no valid negative exists")
-        out[i] = cand[rng.integers(cand.size)]
-    return out
+    differs = labels[None, :] != labels[:, None]
+    counts = differs.sum(axis=1)
+    if not counts.all():
+        raise ValueError("single-class batch: no valid negative exists")
+    r = rng.integers(counts)
+    # the r-th differing index is the number of columns whose running count
+    # of differing items has not yet passed r
+    return np.sum(np.cumsum(differs, axis=1) <= r[:, None], axis=1)
 
 
 def pair_sigmoid(a: Array, temperature: float) -> Array:
@@ -138,13 +144,19 @@ def _direction(anchor: Array, recon: Array, neg: Array):
     return u, v, np.sum(u * u, axis=1), np.sum(v * v, axis=1)
 
 
+def _scatter_rows(index: Array, rows: Array, n: int) -> Array:
+    """(n, d) block whose row k sums rows[i] over every i with index[i] == k."""
+    onehot = (np.arange(n)[:, None] == index[None, :]).astype(np.float64)
+    return onehot @ rows
+
+
 def _apply_sq(grads: dict[str, Array], anchor_key: str, recon_key: str,
               batch: AlignmentBatch, u: Array, v: Array,
               cp: Array, cn: Array) -> None:
     """Accumulate d(term)/dD+ = cp, d(term)/dD- = cn through squared distances."""
     grads[anchor_key] += 2.0 * (cp[:, None] * u + cn[:, None] * v)
     grads[recon_key] -= 2.0 * cp[:, None] * u
-    np.add.at(grads[recon_key], batch.negatives, -2.0 * cn[:, None] * v)
+    grads[recon_key] -= _scatter_rows(batch.negatives, 2.0 * cn[:, None] * v, batch.size)
 
 
 def _both_directions(batch: AlignmentBatch):
@@ -197,7 +209,7 @@ def _calibrated_all_pairs(batch: AlignmentBatch, temperature: float) -> LossValu
             cp = float(np.sum(coef))
             grads[anchor_key][i] += 2.0 * (cp * u - coef @ v)
             grads[recon_key][i] -= 2.0 * cp * u
-            np.add.at(grads[recon_key], valid, 2.0 * coef[:, None] * v)
+            grads[recon_key] += _scatter_rows(valid, 2.0 * coef[:, None] * v, b)
     return LossValue(total, grads)
 
 
@@ -250,7 +262,7 @@ def triplet_t3(batch: AlignmentBatch, temperature: float) -> LossValue:
             dv = np.where(dn[:, None] > 0, v / np.where(dn == 0, 1, dn)[:, None], 0.0)
         grads[anchor_key] += coef[:, None] * du - coef[:, None] * dv
         grads[recon_key] -= coef[:, None] * du
-        np.add.at(grads[recon_key], batch.negatives, coef[:, None] * dv)
+        grads[recon_key] += _scatter_rows(batch.negatives, coef[:, None] * dv, b)
     return LossValue(total, grads)
 
 

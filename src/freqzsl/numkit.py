@@ -175,18 +175,29 @@ def mlp_backward(params: MlpParams, cache: MlpCache,
     return grads, grad_in
 
 
-def zero_grads_like(arrays: list[Array]) -> list[Array]:
-    return [np.zeros_like(a) for a in arrays]
+# ---- flat parameter storage ----
 
 
-def add_grads(acc: list[Array], extra: list[Array]) -> list[Array]:
-    """Elementwise in-place accumulation; returns acc."""
-    for a, e in zip(acc, extra):
-        a += e
-    return acc
+def flatten(arrays: list[Array]) -> tuple[Array, list[Array]]:
+    """Copy arrays into one contiguous float64 vector, in order.
+
+    Returns the vector and one view into it per input, shaped like that
+    input, so writing through a view writes the vector and vice versa.
+    """
+    flat = np.empty(sum(np.size(a) for a in arrays))
+    views = []
+    start = 0
+    for a in arrays:
+        view = flat[start:start + np.size(a)].reshape(np.shape(a))
+        view[...] = a
+        views.append(view)
+        start += np.size(a)
+    return flat, views
 
 
 # ---- adam ----
+
+ADAM_CHUNK = 16384  # elements per in-place pass; keeps each chunk's working set in L2
 
 
 @dataclass
@@ -195,6 +206,9 @@ class AdamState:
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2
     p <- p - lr * m_hat / (sqrt(v_hat) + eps)
+
+    The chunk-sized scratch buffers let a step run without full-size
+    temporaries.
     """
 
     lr: float = 1e-4
@@ -204,10 +218,19 @@ class AdamState:
     step_count: int = 0
     m: list[Array] = field(default_factory=list)
     v: list[Array] = field(default_factory=list)
+    scratch: tuple[Array, Array, Array] = field(
+        default_factory=lambda: (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK),
+                                 np.empty(ADAM_CHUNK, dtype=bool)),
+        repr=False)
 
 
 def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None:
-    """One update, mutating params and state in place."""
+    """One update, mutating params and state in place, chunk by chunk.
+
+    Each chunk's gradient is checked for finiteness before that chunk is
+    updated. The arithmetic is the textbook formula in the same order, so
+    the result does not depend on the chunking.
+    """
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
     if not state.m:
@@ -217,16 +240,35 @@ def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None
         raise ValueError("optimizer state does not match parameter list")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    s1, s2, ok = state.scratch
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient entries")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        if not p.flags.c_contiguous or np.size(g) != p.size:
+            raise ValueError("params must be C-contiguous and match their grads in size")
+        p, g, m, v = p.reshape(-1), np.reshape(g, -1), m.reshape(-1), v.reshape(-1)
+        for start in range(0, p.size, ADAM_CHUNK):
+            end = min(start + ADAM_CHUNK, p.size)
+            n = end - start
+            pc, gc, mc, vc = p[start:end], g[start:end], m[start:end], v[start:end]
+            a, b, f = s1[:n], s2[:n], ok[:n]
+            if not np.isfinite(gc, out=f).all():
+                raise ValueError("non-finite gradient entries")
+            mc *= b1
+            np.multiply(1.0 - b1, gc, out=a)
+            mc += a
+            vc *= b2
+            np.multiply(1.0 - b2, gc, out=a)
+            a *= gc
+            vc += a
+            np.divide(mc, c1, out=a)
+            np.multiply(state.lr, a, out=a)
+            np.divide(vc, c2, out=b)
+            np.sqrt(b, out=b)
+            b += state.eps
+            a /= b
+            pc -= a
 
 
 # ---- gradient checker ----

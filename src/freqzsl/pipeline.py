@@ -232,21 +232,36 @@ class SkeletonFeaturizer:
     enhancement: frequency.EnhancementConfig | None = None
     enhance_vectors: bool = False
 
-    def _stack(self, records: Sequence[FeatureRecord]) -> Array:
-        return np.stack([np.asarray(r.payload, dtype=np.float64) for r in records])
+    def _enhances(self, block: Array) -> bool:
+        return self.enhancement is not None and (block.ndim == 4 or self.enhance_vectors)
 
-    def feature_dim(self, dataset_or_records) -> int:
-        recs = getattr(dataset_or_records, "records", dataset_or_records)
-        return int(np.prod(np.shape(recs[0].payload)))
+    def spectrum(self, records: Sequence[FeatureRecord]) -> Array:
+        """Stacked payloads, moved to DCT coefficients when this featurizer enhances them.
+
+        Only the band weights change during training, so a trainer takes this
+        once and maps rows of it through from_spectrum on every batch.
+        """
+        block = np.stack([np.asarray(r.payload, dtype=np.float64) for r in records])
+        return frequency.dct_forward(block) if self._enhances(block) else block
+
+    def from_spectrum(self, coeffs: Array,
+                      enhancement: frequency.EnhancementConfig | None = None):
+        """(N, d) feature block plus the enhancement cache (None if untouched).
+
+        coeffs is a spectrum() block or rows of one; enhancement overrides
+        this featurizer's band weights (same band layout).
+        """
+        cache = None
+        if self._enhances(coeffs):
+            enh = self.enhancement if enhancement is None else enhancement
+            g, dgdw, band_index = frequency.scaling_profile(enh)
+            cache = frequency.EnhanceCache(coeffs, dgdw, band_index, enh.n_bands)
+            coeffs = frequency.idct(coeffs * g)
+        return coeffs.reshape(coeffs.shape[0], -1), cache
 
     def features_with_cache(self, records: Sequence[FeatureRecord]):
         """(N, d) feature block plus the enhancement cache (None if untouched)."""
-        block = self._stack(records)
-        is_seq = block.ndim == 4
-        cache = None
-        if self.enhancement is not None and (is_seq or self.enhance_vectors):
-            block, cache = frequency.enhance_sequence_with_cache(block, self.enhancement)
-        return block.reshape(block.shape[0], -1), cache
+        return self.from_spectrum(self.spectrum(records))
 
     def features(self, records: Sequence[FeatureRecord]) -> Array:
         return self.features_with_cache(records)[0]
@@ -386,6 +401,14 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     Returns (params, featurizer, loss_log): the featurizer carries the final
     trained weights, and loss_log has one row of batch-mean scalars per
     epoch. epochs=0 returns the freshly initialized parameters untouched.
+    A batch holding a single class is skipped (the alignment loss needs a
+    negative per item); if epochs > 0 and every batch is skipped, this
+    raises ValueError rather than return an untrained model.
+
+    All trainable arrays (four networks, then the raw band weights) live in
+    one contiguous vector that Adam updates in place; the returned params
+    are views into it. The payloads are stacked and transformed once, so a
+    batch only rescales its rows of the cached spectrum.
     """
     validate_split(dataset, split)
     records = dataset.by_partition("train-seen")
@@ -399,19 +422,44 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     missing = [c for c in sorted(set(labels_all.tolist())) if c not in fused]
     if missing:
         raise KeyError(f"no semantic embeddings for seen classes {missing}")
-    text_dim = len(next(iter(fused.values())))
-    skel_dim = featurizer.feature_dim(records)
+    text_all = np.stack([fused[c] for c in labels_all.tolist()])
+    coeffs = featurizer.spectrum(records)
 
-    params = crossvae.init_vae_params(skel_dim, text_dim, latent_dim, rng, hidden)
-    trainable = params.param_arrays()
-    raw = None
-    if featurizer.enhancement is not None and train_weights:
-        raw = frequency.raw_from_weights(np.asarray(featurizer.enhancement.weights))
-        trainable = trainable + [raw]
+    params = crossvae.init_vae_params(coeffs[0].size, text_all.shape[1], latent_dim,
+                                      rng, hidden)
+    arrays = params.param_arrays()
+    n_net = len(arrays)
+    if train_weights and featurizer._enhances(coeffs):
+        arrays.append(frequency.raw_from_weights(np.asarray(featurizer.enhancement.weights)))
+    flat, views = numkit.flatten(arrays)
+    del arrays  # the pre-flattening arrays go with the old params on the next line
+    params = params.with_arrays(views[:n_net])
+    raw = views[n_net] if len(views) > n_net else None
+    grad = np.empty_like(flat)
     opt = numkit.AdamState(lr=lr)
+
+    def step(idx: Array, labels: Array) -> dict:
+        """One Adam step on one batch; its temporaries are freed on return."""
+        enhancement = None
+        if raw is not None:
+            w = frequency.weights_from_raw(raw)
+            enhancement = featurizer.enhancement.with_weights(w)
+        f_s, cache = featurizer.from_spectrum(coeffs[idx], enhancement)
+        negatives = losses.sample_negatives(labels, rng)
+        eps_s = rng.standard_normal((len(idx), latent_dim))
+        eps_t = rng.standard_normal((len(idx), latent_dim))
+        breakdown, grads, d_f_s, _ = crossvae.stage2_loss(
+            params, f_s, text_all[idx], labels, negatives, eps_s, eps_t, cfg, align_loss)
+        if raw is not None:
+            d_w = frequency.enhance_weight_grads(cache, d_f_s.reshape(cache.coeffs.shape))
+            grads.append(d_w * w * (1.0 - w))
+        np.concatenate([g.reshape(-1) for g in grads], out=grad)
+        numkit.adam_step(opt, [flat], [grad])
+        return breakdown
 
     n = len(records)
     loss_log: list[dict] = []
+    steps = 0
     for epoch in range(epochs):
         order = rng.permutation(n)
         sums: dict[str, float] = {}
@@ -419,30 +467,20 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             labels = labels_all[idx]
-            if len(set(labels.tolist())) < 2:
+            if np.all(labels == labels[0]):
                 continue  # alignment needs a valid negative per item
-            batch_records = [records[i] for i in idx]
-            if raw is not None:
-                featurizer = featurizer.with_weights(frequency.weights_from_raw(raw))
-            f_s, cache = featurizer.features_with_cache(batch_records)
-            f_t = np.stack([fused[c] for c in labels])
-            negatives = losses.sample_negatives(labels, rng)
-            eps_s = rng.standard_normal((len(idx), latent_dim))
-            eps_t = rng.standard_normal((len(idx), latent_dim))
-            breakdown, grads, d_f_s, _ = crossvae.stage2_loss(
-                params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg, align_loss)
-            if raw is not None:
-                w = frequency.weights_from_raw(raw)
-                d_w = frequency.enhance_weight_grads(
-                    cache, d_f_s.reshape((len(idx),) + np.shape(batch_records[0].payload)))
-                grads = grads + [d_w * w * (1.0 - w)]
-            numkit.adam_step(opt, trainable, grads)
-            for key, val in breakdown.items():
+            for key, val in step(idx, labels).items():
                 sums[key] = sums.get(key, 0.0) + val
             batches += 1
+        steps += batches
         row = {"epoch": epoch}
         row.update({k: v / max(batches, 1) for k, v in sums.items()})
         loss_log.append(row)
+    if epochs > 0 and steps == 0:
+        raise ValueError(
+            f"stage 2 took no step in {epochs} epochs: every batch held a single "
+            f"class (batch_size {batch_size}, {len(set(labels_all.tolist()))} seen "
+            "class(es) in train-seen), and the alignment loss needs two per batch")
     if raw is not None:
         featurizer = featurizer.with_weights(frequency.weights_from_raw(raw))
     return params, featurizer, loss_log

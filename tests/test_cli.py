@@ -4,10 +4,15 @@ through main() on a miniature generated benchmark."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqzsl import cli, frequency, pipeline, synthbench
 from freqzsl.cli import ConfigError, RunConfig
@@ -287,6 +292,22 @@ class TestCheckpoint:
                             "unseen_classifier", "seen_classifier", "gate"}
         assert blob["featurizer"]["enhancement"]["mode"] == "piecewise"
 
+    def test_bytes_equal_one_shot_compact_json(self, trained):
+        text = Path(trained["checkpoint"]).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(obj=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text()
+        | st.floats(allow_nan=False, allow_infinity=False),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        max_leaves=20))
+    def test_piecewise_writer_matches_json_dumps(self, obj):
+        pieces = "".join(cli._compact_json_pieces(obj))
+        assert pieces == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
     def test_rejects_unknown_format_version(self, trained, tmp_path):
         blob = json.loads(Path(trained["checkpoint"]).read_text())
         blob["format_version"] = 99
@@ -408,6 +429,15 @@ class TestMainEndToEnd:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_train_that_can_take_no_step_exits_one(self, tiny_env, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "b1.cfg", TINY_LINES + ["batch_size = 1"])
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", cfg, "--data", tiny_env["data"],
+                         "--out", str(out)])
+        assert code == 1
+        assert "single class" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
     def test_missing_data_dir_exits_one(self, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "nowhere"),
                          "--out", str(tmp_path / "o")])
@@ -421,3 +451,35 @@ class TestMainEndToEnd:
         m1 = json.loads((Path(tiny_env["data"]) / "manifest.json").read_text())
         m2 = json.loads((data2 / "manifest.json").read_text())
         assert m1["config_hash"] != m2["config_hash"]
+
+
+# the checkpoint-determinism acceptance criterion's config
+DETERMINISM_LINES = [line for line in TINY_LINES
+                     if not line.startswith(("stage2_epochs", "unseen_samples",
+                                             "unseen_epochs", "seen_epochs",
+                                             "bench_seeds"))] + [
+    "stage2_epochs = 30", "unseen_samples = 20", "unseen_epochs = 30", "seen_epochs = 30"]
+
+SYNTH_AND_TRAIN = """
+import sys
+from freqzsl import cli
+cfg, data, out = sys.argv[1:]
+sys.exit(cli.main(["synth", "--config", cfg, "--out", data])
+         or cli.main(["train", "--config", cfg, "--data", data, "--out", out]))
+"""
+
+
+def test_checkpoint_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+    cfg = write_cfg(tmp_path / "det.cfg", DETERMINISM_LINES)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    blobs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", SYNTH_AND_TRAIN, cfg, str(run / "data"), str(run / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append((run / "out" / "checkpoint.json").read_bytes())
+    assert blobs[0] == blobs[1]

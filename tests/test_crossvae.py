@@ -1,13 +1,14 @@
 """Twin-VAE tests: encoder/decoder wiring against the dense-kernel oracle,
 reparameterization statistics, the full stage-2 gradient under frozen noise,
-training-curve descent, and the checkpoint codec round trip."""
+training-curve descent through the stage-2 loop, and the checkpoint codec
+round trip."""
 
 import math
 
 import numpy as np
 import pytest
 
-from freqzsl import crossvae, losses, numkit
+from freqzsl import crossvae, losses, numkit, pipeline, semantics
 
 
 def tiny_params(seed=0, skel_dim=4, text_dim=3, latent_dim=2, hidden=(5,)):
@@ -181,47 +182,68 @@ class TestStage2Loss:
         assert report.max_rel_error < 1e-4
 
 
+def tiny_stage2_data(f_s, labels):
+    """Train-seen vector records with text embeddings per class, plus one
+    unseen class so the split is valid."""
+    recs = [pipeline.FeatureRecord(f"s{i}", int(c), "train-seen", vector=f)
+            for i, (f, c) in enumerate(zip(f_s, labels))]
+    recs.append(pipeline.FeatureRecord("u", 2, "test-unseen", vector=np.zeros(f_s.shape[1])))
+    text = {0: [0.0, 2.0, 0.0], 1: [0.0, -2.0, 0.0], 2: [2.0, 0.0, 0.0]}
+    table = semantics.SemanticTable(
+        {c: {"AL": np.asarray(v), "LD": np.ones(1), "GD": np.ones(1)}
+         for c, v in text.items()},
+        {"AL": 3, "LD": 1, "GD": 1})
+    return pipeline.FeatureDataset(recs), table, pipeline.SplitSpec((0, 1), (2,))
+
+
+def train_tiny(data, cfg, *, epochs, lr, hidden, seed):
+    dataset, table, split = data
+    return pipeline.run_stage2(dataset, table, split, pipeline.SkeletonFeaturizer(), cfg,
+                               epochs=epochs, lr=lr, batch_size=len(dataset.records),
+                               latent_dim=2, rng=numkit.make_rng(seed), hidden=hidden)
+
+
 class TestTrainStep:
+    """Stage-2 training steps, taken through pipeline.run_stage2 with one
+    full batch per epoch."""
+
     def test_loss_decreases_on_separable_data(self):
         rng = numkit.make_rng(17)
-        params = crossvae.init_vae_params(4, 3, 2, rng, hidden=(16,))
-        opt = numkit.AdamState(lr=1e-2)
-        centers_s = np.array([[2.0, 0, 0, 0], [-2.0, 0, 0, 0]])
-        centers_t = np.array([[0, 2.0, 0], [0, -2.0, 0]])
         labels = np.array([0, 1] * 8)
-        f_s = centers_s[labels] + 0.05 * rng.standard_normal((16, 4))
-        f_t = centers_t[labels] + 0.05 * rng.standard_normal((16, 3))
+        centers = np.array([[2.0, 0, 0, 0], [-2.0, 0, 0, 0]])
+        data = tiny_stage2_data(centers[labels] + 0.05 * rng.standard_normal((16, 4)),
+                                labels)
         cfg = losses.LossConfig(temperature=1.0, align_weight=0.1, kl_weight=0.1)
-        curve = [crossvae.train_step(params, opt, f_s, f_t, labels, cfg, rng)["total"]
-                 for _ in range(200)]
+        _, _, log = train_tiny(data, cfg, epochs=200, lr=1e-2, hidden=(16,), seed=17)
+        curve = [row["total"] for row in log]
         head = float(np.mean(curve[:20]))
         tail = float(np.mean(curve[-20:]))
         assert tail < head
 
     def test_identical_seeds_identical_trajectories(self):
-        def run():
-            rng = numkit.make_rng(18)
-            params = crossvae.init_vae_params(4, 3, 2, rng, hidden=(8,))
-            opt = numkit.AdamState(lr=1e-3)
-            f_s = rng.standard_normal((8, 4))
-            f_t = rng.standard_normal((8, 3))
-            labels = np.array([0, 1] * 4)
-            cfg = losses.LossConfig()
-            return [crossvae.train_step(params, opt, f_s, f_t, labels, cfg, rng)["total"]
-                    for _ in range(10)]
+        rng = numkit.make_rng(18)
+        data = tiny_stage2_data(rng.standard_normal((8, 4)), np.array([0, 1] * 4))
 
-        assert run() == run()
+        def run():
+            params, _, log = train_tiny(data, losses.LossConfig(), epochs=10, lr=1e-3,
+                                        hidden=(8,), seed=18)
+            return [row["total"] for row in log], params.param_arrays()
+
+        (curve_a, arrays_a), (curve_b, arrays_b) = run(), run()
+        assert curve_a == curve_b
+        for a, b in zip(arrays_a, arrays_b):
+            np.testing.assert_array_equal(a, b)
 
     def test_kl_breakdown_nonnegative_along_training(self):
         rng = numkit.make_rng(19)
-        params = crossvae.init_vae_params(3, 3, 2, rng, hidden=(6,))
-        opt = numkit.AdamState(lr=1e-3)
         f_s = rng.standard_normal((6, 3))
-        f_t = rng.standard_normal((6, 3))
-        labels = np.array([0, 1] * 3)
+        data = tiny_stage2_data(f_s, np.array([0, 1] * 3))
+        f_t = np.stack([semantics.fuse(data[1], c).vector for c in (0, 1)] * 3)
         cfg = losses.LossConfig(kl_weight=1.0, align_weight=0.0)
-        for _ in range(20):
-            crossvae.train_step(params, opt, f_s, f_t, labels, cfg, rng)
+        # a run of k epochs is the first k steps of a longer run with the same seed
+        for epochs in (1, 5, 10, 20):
+            params, _, _ = train_tiny(data, cfg, epochs=epochs, lr=1e-3, hidden=(6,),
+                                      seed=19)
             for modality, feats in (("skeleton", f_s), ("text", f_t)):
                 latent = crossvae.encode(params, modality, feats)
                 assert losses.kl_diag_gaussian(latent.mu, latent.log_var) >= 0.0

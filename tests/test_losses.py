@@ -112,6 +112,40 @@ class TestSampleNegatives:
         neg = losses.sample_negatives(labels, rng)
         assert np.all(labels[neg] != labels)
 
+    @staticmethod
+    def per_item_reference(labels, rng):
+        """One scalar draw per item, in item order, over its different-label indices."""
+        out = np.empty(labels.shape[0], dtype=np.int64)
+        for i in range(labels.shape[0]):
+            cand = np.flatnonzero(labels != labels[i])
+            out[i] = cand[rng.integers(cand.size)]
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(0, 6), min_size=2, max_size=80)
+           .filter(lambda ls: len(set(ls)) > 1),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_item_loop_draw_for_draw(self, labels, seed):
+        labels = np.asarray(labels)
+        rng_ref, rng_vec = numkit.make_rng(seed), numkit.make_rng(seed)
+        want = self.per_item_reference(labels, rng_ref)
+        got = losses.sample_negatives(labels, rng_vec)
+        np.testing.assert_array_equal(got, want)
+        assert rng_vec.bit_generator.state == rng_ref.bit_generator.state
+
+
+class TestScatterRows:
+    def test_matches_add_at_with_repeated_indices(self):
+        rng = numkit.make_rng(3)
+        index = np.array([4, 0, 4, 4, 2, 0, 7, 4])
+        rows = rng.standard_normal((8, 960))
+        want = np.zeros((9, 960))
+        np.add.at(want, index, rows)
+        got = losses._scatter_rows(index, rows, 9)
+        assert got.shape == (9, 960)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.all(got[[1, 3, 5, 6, 8]] == 0.0)
+
 
 class TestPairSigmoid:
     def test_zero_gap_is_half(self):

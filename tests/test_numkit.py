@@ -190,6 +190,44 @@ class TestAdam:
         assert np.array_equal(a, b)
 
 
+    def test_chunked_update_is_bit_identical_to_the_textbook_formula(self):
+        # longer than two chunks with a ragged tail, over several steps
+        size = 2 * numkit.ADAM_CHUNK + 123
+        rng = numkit.make_rng(12)
+        p = rng.standard_normal(size)
+        ref = p.copy()
+        state = numkit.AdamState(lr=0.003)
+        m = np.zeros(size)
+        v = np.zeros(size)
+        for t in range(1, 6):
+            g = rng.standard_normal(size)
+            numkit.adam_step(state, [p], [g])
+            m = state.beta1 * m + (1.0 - state.beta1) * g
+            v = state.beta2 * v + (1.0 - state.beta2) * g * g
+            c1 = 1.0 - state.beta1 ** t
+            c2 = 1.0 - state.beta2 ** t
+            ref = ref - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+            assert np.array_equal(p, ref), t
+            assert np.array_equal(state.m[0], m) and np.array_equal(state.v[0], v)
+
+    def test_rejects_a_grad_of_another_size(self):
+        with pytest.raises(ValueError, match="match"):
+            numkit.adam_step(numkit.AdamState(), [np.zeros(3)], [np.zeros(4)])
+
+
+class TestFlatten:
+    def test_views_share_the_vector_in_order(self):
+        a = np.arange(6.0).reshape(2, 3)
+        b = np.array([7.0, 8.0])
+        flat, (va, vb) = numkit.flatten([a, b])
+        np.testing.assert_array_equal(flat, [0, 1, 2, 3, 4, 5, 7, 8])
+        assert va.shape == (2, 3) and vb.shape == (2,)
+        flat[0] = -1.0
+        vb[1] = -2.0
+        assert va[0, 0] == -1.0 and flat[-1] == -2.0
+        assert a[0, 0] == 0.0  # the inputs are copied, not aliased
+
+
 class TestGradCheck:
     def test_quadratic_passes_tightly(self):
         p = np.array([0.7, -1.3, 2.1])

@@ -168,6 +168,45 @@ class TestFeaturizer:
         with pytest.raises(ValueError, match="no enhancement"):
             pipeline.SkeletonFeaturizer().with_weights([0.5])
 
+    def sequence_records(self, seed, n=7):
+        rng = numkit.make_rng(seed)
+        return [pipeline.FeatureRecord(f"s{i}", i % 3, "train-seen",
+                                       sequence=rng.standard_normal((2, 3, 16)))
+                for i in range(n)]
+
+    def test_from_spectrum_of_spectrum_matches_direct_enhancement(self):
+        recs = self.sequence_records(30)
+        cfg = frequency.EnhancementConfig.per_coefficient(16, 9, 6.0, weight=0.7)
+        cfg = cfg.with_weights(numkit.make_rng(31).uniform(0.0, 1.0, 16))
+        feat = pipeline.SkeletonFeaturizer(enhancement=cfg)
+        block, cache = feat.from_spectrum(feat.spectrum(recs))
+        direct, direct_cache = frequency.enhance_sequence_with_cache(
+            np.stack([r.sequence for r in recs]), cfg)
+        np.testing.assert_allclose(block, direct.reshape(len(recs), -1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache.coeffs, direct_cache.coeffs, rtol=0, atol=1e-12)
+
+    def test_band_weight_grad_from_cached_rows_matches_batch_transform(self):
+        # a trainer takes the spectrum once and differentiates through its rows
+        recs = self.sequence_records(32, n=10)
+        cfg = frequency.EnhancementConfig.uniform_bands(16, 3, 9, 6.0, weight=0.4)
+        feat = pipeline.SkeletonFeaturizer(enhancement=cfg)
+        idx = np.array([7, 2, 2, 9, 0])
+        grad_out = numkit.make_rng(33).standard_normal((5, 2, 3, 16))
+        _, cache = feat.from_spectrum(feat.spectrum(recs)[idx])
+        _, batch_cache = frequency.enhance_sequence_with_cache(
+            np.stack([recs[i].sequence for i in idx]), cfg)
+        np.testing.assert_allclose(frequency.enhance_weight_grads(cache, grad_out),
+                                   frequency.enhance_weight_grads(batch_cache, grad_out),
+                                   rtol=0, atol=1e-12)
+
+    def test_enhancement_argument_overrides_the_weights(self):
+        recs = self.sequence_records(34, n=3)
+        cfg = frequency.EnhancementConfig.per_coefficient(16, 9, 6.0, weight=0.0)
+        other = cfg.with_weights(np.full(16, 0.8))
+        feat = pipeline.SkeletonFeaturizer(enhancement=cfg)
+        block, _ = feat.from_spectrum(feat.spectrum(recs), other)
+        np.testing.assert_array_equal(block, feat.with_weights(other.weights).features(recs))
+
 
 class TestSoftmaxClassifier:
     def test_separable_latents_reach_high_train_accuracy(self):
@@ -266,6 +305,42 @@ class TestStage2:
         assert log0 == []
         for a, b in zip(p0.param_arrays(), p1.param_arrays()):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seen_classes, batch_size", [((0, 1), 1), ((0,), 8)])
+    def test_no_step_taken_is_an_error(self, seen_classes, batch_size):
+        dataset, table, split = self.small_problem()
+        if seen_classes == (0,):
+            dataset = pipeline.FeatureDataset(
+                [r for r in dataset.records if r.class_id != 1])
+            split = pipeline.SplitSpec((0,), (2,))
+        with pytest.raises(ValueError, match="no step.*single class"):
+            pipeline.run_stage2(dataset, table, split, pipeline.SkeletonFeaturizer(),
+                                losses.LossConfig(), epochs=3, lr=1e-3,
+                                batch_size=batch_size, latent_dim=2,
+                                rng=numkit.make_rng(12), hidden=(4,))
+
+    def test_trained_arrays_are_views_of_one_vector(self):
+        dataset, table, split = self.small_problem()
+        params, _, _ = pipeline.run_stage2(dataset, table, split,
+                                           pipeline.SkeletonFeaturizer(),
+                                           losses.LossConfig(), epochs=2, lr=1e-3,
+                                           batch_size=16, latent_dim=2,
+                                           rng=numkit.make_rng(12), hidden=(4,))
+        arrays = params.param_arrays()
+        base = arrays[0].base
+        assert base is not None and base.size == sum(a.size for a in arrays)
+        assert all(a.base is base for a in arrays)
+
+    def test_inert_enhancement_is_not_trained(self):
+        # vector records with enhance_vectors off never pass through the bands
+        dataset, table, split = self.small_problem()
+        enh = frequency.EnhancementConfig.per_coefficient(2, 1, 4.0, weight=0.5)
+        _, trained_feat, log = pipeline.run_stage2(
+            dataset, table, split, pipeline.SkeletonFeaturizer(enhancement=enh),
+            losses.LossConfig(temperature=1.0), epochs=2, lr=1e-2, batch_size=16,
+            latent_dim=2, rng=numkit.make_rng(17), hidden=(4,))
+        assert len(log) == 2
+        assert trained_feat.enhancement.weights == (0.5, 0.5)
 
     def test_loss_decreases_over_training(self):
         dataset, table, split = self.small_problem()
