@@ -368,22 +368,70 @@ def save_checkpoint(path, model: TrainedModel) -> None:
         fh.write("\n")
 
 
+# JSON kind of every value load_checkpoint reads, by key; "any" is unchecked
+_MLP_SCHEMA = {"activation": "string", "weights": "array", "biases": "array"}
+_CLASSIFIER_SCHEMA = {"class_ids": "array", "weights": "array", "bias": "array"}
+_CHECKPOINT_SCHEMA = {
+    "config_hash": "string",
+    "vae": {"latent_dim": "number", "skel_encoder": _MLP_SCHEMA,
+            "text_encoder": _MLP_SCHEMA, "skel_decoder": _MLP_SCHEMA,
+            "text_decoder": _MLP_SCHEMA},
+    "featurizer": {"enhance_vectors": "boolean", "enhancement": "any"},
+    "unseen_classifier": _CLASSIFIER_SCHEMA,
+    "seen_classifier": _CLASSIFIER_SCHEMA,
+    "gate": {"weights": "array", "bias": "number", "c": "number"},
+}
+_ENHANCEMENT_SCHEMA = {"mode": "string", "low_cutoff": "number", "ramp": "number",
+                       "floor": "number", "split_points": "array", "weights": "array"}
+_JSON_KINDS = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "number": (int, float)}
+
+
+def _json_kind(value) -> str:
+    return next((k for k, t in _JSON_KINDS.items() if isinstance(value, t)), "null")
+
+
+def _check_schema(value, schema, path: str) -> None:
+    """Raise ValueError naming the first key path where value breaks schema."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path} must be a JSON object, not {_json_kind(value)}")
+        for key, sub in schema.items():
+            if key not in value:
+                raise ValueError(f"{path} has no key {key!r}")
+            _check_schema(value[key], sub, f"{path}.{key}")
+    elif schema != "any" and not isinstance(value, _JSON_KINDS[schema]):
+        raise ValueError(f"{path} must be a JSON {schema}, not {_json_kind(value)}")
+
+
+def _decode(obj: dict, key: str, decode):
+    """decode(obj[key]), with a bad value reported under its key path."""
+    try:
+        return decode(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint.{key}: {exc}") from None
+
+
 def load_checkpoint(path) -> TrainedModel:
+    """Read a checkpoint; a malformed one raises ValueError naming the key path."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    version = obj.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint format {version!r} not supported")
-    feat = obj["featurizer"]
-    gate = obj["gate"]
+    _check_schema(obj, {"format_version": "any"}, "checkpoint")
+    if obj["format_version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint format {obj['format_version']!r} not supported")
+    _check_schema(obj, _CHECKPOINT_SCHEMA, "checkpoint")
+    if obj["featurizer"]["enhancement"] is not None:
+        _check_schema(obj["featurizer"]["enhancement"], _ENHANCEMENT_SCHEMA,
+                      "checkpoint.featurizer.enhancement")
     return TrainedModel(
-        vae=crossvae.vae_from_dict(obj["vae"]),
-        featurizer=pipeline.SkeletonFeaturizer(
-            _enhancement_from_dict(feat["enhancement"]), feat["enhance_vectors"]),
-        unseen_clf=_classifier_from_dict(obj["unseen_classifier"]),
-        seen_clf=_classifier_from_dict(obj["seen_classifier"]),
-        gate=pipeline.GateModel(np.asarray(gate["weights"], dtype=np.float64),
-                                float(gate["bias"]), float(gate["c"])),
+        vae=_decode(obj, "vae", crossvae.vae_from_dict),
+        featurizer=_decode(obj, "featurizer", lambda feat: pipeline.SkeletonFeaturizer(
+            _enhancement_from_dict(feat["enhancement"]), feat["enhance_vectors"])),
+        unseen_clf=_decode(obj, "unseen_classifier", _classifier_from_dict),
+        seen_clf=_decode(obj, "seen_classifier", _classifier_from_dict),
+        gate=_decode(obj, "gate", lambda gate: pipeline.GateModel(
+            np.asarray(gate["weights"], dtype=np.float64), float(gate["bias"]),
+            float(gate["c"]))),
         loss_log=[],
         config_hash=obj["config_hash"],
     )

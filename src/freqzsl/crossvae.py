@@ -147,18 +147,31 @@ def cross_reconstruct(params: VaeParams, z_skel: Array, z_text: Array) -> CrossF
 
 def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
                 negatives: Array, eps_s: Array, eps_t: Array,
-                cfg: losses.LossConfig, align_loss: str = "calibrated"):
+                cfg: losses.LossConfig, align_loss: str = "calibrated",
+                grads_out: list[Array] | None = None, feature_grads: bool = True):
     """Evaluate the joint objective and all gradients for one batch.
 
     Returns (breakdown, param_grads, grad_f_s, grad_f_t) where breakdown
     holds the scalar pieces, param_grads matches params.param_arrays()
     order, and the feature gradients let a caller chain further back (for
     trainable frequency weights under the skeleton features).
+
+    grads_out, if given, holds one array per params.param_arrays() entry,
+    and every parameter gradient is written into its array. With
+    feature_grads=False the encoders skip their input gradients and the
+    alignment loss its anchor gradients, and both feature gradients come
+    back as None.
     """
     f_s = np.asarray(f_s, dtype=np.float64)
     f_t = np.asarray(f_t, dtype=np.float64)
     b = f_s.shape[0]
     ld = params.latent_dim
+    outs: list = [None] * 4
+    if grads_out is not None:  # split per network, in param_arrays() order
+        outs, k = [], 0
+        for net in params.nets():
+            outs.append(grads_out[k:k + 2 * len(net.weights)])
+            k += 2 * len(net.weights)
 
     out_s, cache_enc_s = numkit.mlp_forward(params.skel_encoder, f_s)
     out_t, cache_enc_t = numkit.mlp_forward(params.text_encoder, f_t)
@@ -178,23 +191,21 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
 
     elbo_s = losses.elbo(f_s, xhat_s, mu_s, lv_s, cfg.kl_weight)
     elbo_t = losses.elbo(f_t, xhat_t, mu_t, lv_t, cfg.kl_weight)
-    batch = losses.AlignmentBatch(f_t, f_s, g_s_t, g_t_s, labels, negatives)
+    batch = losses.AlignmentBatch(f_t, f_s, g_s_t, g_t_s, labels, negatives,
+                                  anchor_grads=feature_grads)
     align = losses.alignment_loss(batch, align_loss, cfg)
 
     vae_value = elbo_s.value + elbo_t.value
     total = losses.total_objective(vae_value, align.value, cfg.align_weight)
 
     a = cfg.align_weight
-    d_f_s = elbo_s.grads["x"] + a * align.grads["f_s"]
-    d_f_t = elbo_t.grads["x"] + a * align.grads["f_t"]
-
     # decoders: the self-reconstruction rows came from z, the cross rows from mu
     g_dec_s, d_dec_s = numkit.mlp_backward(
         params.skel_decoder, cache_dec_s,
-        np.concatenate([elbo_s.grads["recon"], a * align.grads["g_t_s"]]))
+        _decoder_grad(elbo_s.grads["recon"], a, align.grads["g_t_s"]), outs[2])
     g_dec_t, d_dec_t = numkit.mlp_backward(
         params.text_decoder, cache_dec_t,
-        np.concatenate([elbo_t.grads["recon"], a * align.grads["g_s_t"]]))
+        _decoder_grad(elbo_t.grads["recon"], a, align.grads["g_s_t"]), outs[3])
     dz_s, d_mu_t_cross = d_dec_s[:b], d_dec_s[b:]
     dz_t, d_mu_s_cross = d_dec_t[:b], d_dec_t[b:]
 
@@ -205,11 +216,17 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
     d_lv_t = elbo_t.grads["log_var"] + dz_t * 0.5 * np.exp(0.5 * lv_t) * eps_t
 
     g_enc_s, d_in_s = numkit.mlp_backward(params.skel_encoder, cache_enc_s,
-                                          np.concatenate([d_mu_s, d_lv_s], axis=1))
+                                          np.concatenate([d_mu_s, d_lv_s], axis=1),
+                                          outs[0], feature_grads)
     g_enc_t, d_in_t = numkit.mlp_backward(params.text_encoder, cache_enc_t,
-                                          np.concatenate([d_mu_t, d_lv_t], axis=1))
-    d_f_s = d_f_s + d_in_s
-    d_f_t = d_f_t + d_in_t
+                                          np.concatenate([d_mu_t, d_lv_t], axis=1),
+                                          outs[1], feature_grads)
+    d_f_s = d_f_t = None
+    if feature_grads:
+        d_f_s = elbo_s.grads["x"] + a * align.grads["f_s"]
+        d_f_s += d_in_s
+        d_f_t = elbo_t.grads["x"] + a * align.grads["f_t"]
+        d_f_t += d_in_t
 
     param_grads = [*g_enc_s, *g_enc_t, *g_dec_s, *g_dec_t]
     breakdown = {
@@ -220,6 +237,15 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
         "align": align.value,
     }
     return breakdown, param_grads, d_f_s, d_f_t
+
+
+def _decoder_grad(recon_grad: Array, a: float, cross_grad: Array) -> Array:
+    """[recon_grad; a * cross_grad] as one (2B, d) block."""
+    b = recon_grad.shape[0]
+    out = np.empty((b + cross_grad.shape[0], recon_grad.shape[1]))
+    out[:b] = recon_grad
+    np.multiply(a, cross_grad, out=out[b:])
+    return out
 
 
 def sample_class_latents(params: VaeParams, fused_text: Array, n: int,

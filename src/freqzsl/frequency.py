@@ -12,10 +12,15 @@ round trip is the identity and energy (sum of squares) is preserved.
 Band scaling. Coefficients are grouped into contiguous bands: band k covers
 [split_points[k], split_points[k+1]) and carries one weight w_k in [0, 1].
 A band whose (exclusive) end sits at or below `low_cutoff` counts as low
-frequency. With band index k and ramp length b:
+frequency. With s_k = split_points[k], the first coefficient of band k, and
+ramp length b:
 
-    low : g = 1 + w_k * (1 - k / b)        boost, fading with k
-    high: g = 1 - w_k * (1 - (k - b) / b)  cut, fading back toward 1
+    low : g = 1 + w_k * (1 - s_k / b)          boost, fading with s_k
+    high: g = 1 - w_k * (1 - (s_k - b) / b)    cut, fading back toward 1
+
+With one band per coefficient s_k = k. A coarser band takes that profile's
+value at its start coefficient, except that a band straddling low_cutoff
+counts as high.
 
 g is clamped from below at `floor` (default 0). In "learnable_only" mode the
 structure above is dropped and g = w_k exactly. Enhancing a sequence means
@@ -143,22 +148,6 @@ class EnhancementConfig:
                    low_cutoff, ramp, mode, floor)
 
 
-def scaling_factor(config: EnhancementConfig, band_index: int) -> float:
-    """g for one band; see the module docstring for the piecewise form."""
-    if not (0 <= band_index < config.n_bands):
-        raise ValueError("band index out of range")
-    w = config.weights[band_index]
-    if config.mode == "learnable_only":
-        return float(w)
-    end = config.split_points[band_index + 1]
-    k = float(band_index)
-    if end <= config.low_cutoff:
-        g = 1.0 + w * (1.0 - k / config.ramp)
-    else:
-        g = 1.0 - w * (1.0 - (k - config.ramp) / config.ramp)
-    return float(max(g, config.floor))
-
-
 def scaling_profile(config: EnhancementConfig) -> tuple[Array, Array, Array]:
     """Per-coefficient (g, dg/dw, band index) arrays of length F.
 
@@ -166,14 +155,14 @@ def scaling_profile(config: EnhancementConfig) -> tuple[Array, Array, Array]:
     the floor clamp is active, so it is the exact subgradient used in training.
     """
     n = config.n_bands
-    k = np.arange(n, dtype=np.float64)
     w = np.asarray(config.weights, dtype=np.float64)
     if config.mode == "learnable_only":
         g_band = w.copy()
         dgdw_band = np.ones(n)
     else:
-        ends = np.asarray(config.split_points[1:], dtype=np.float64)
-        low = ends <= config.low_cutoff
+        pts = np.asarray(config.split_points, dtype=np.float64)
+        k = pts[:-1]  # the ramp runs over coefficient indices: each band's start
+        low = pts[1:] <= config.low_cutoff
         factor = np.where(low, 1.0 - k / config.ramp,
                           -(1.0 - (k - config.ramp) / config.ramp))
         raw = 1.0 + w * factor

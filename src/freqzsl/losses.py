@@ -64,7 +64,10 @@ class AlignmentBatch:
     """Per-item features, cross reconstructions, labels, and negative indices.
 
     negatives[i] indexes another batch item whose label differs from
-    labels[i]; the same index serves both modal directions.
+    labels[i]; the same index serves both modal directions. With
+    anchor_grads=False the losses leave the anchor (feature) gradients
+    "f_t" and "f_s" out of their grads, for callers that do not chain back
+    into the features.
     """
 
     f_t: Array
@@ -73,6 +76,7 @@ class AlignmentBatch:
     g_t_s: Array
     labels: Array
     negatives: Array
+    anchor_grads: bool = True
 
     def __post_init__(self) -> None:
         self.f_t = np.asarray(self.f_t, dtype=np.float64)
@@ -133,8 +137,8 @@ def pair_sigmoid(a: Array, temperature: float) -> Array:
 
 
 def _zero_grads(batch: AlignmentBatch) -> dict[str, Array]:
-    return {name: np.zeros_like(getattr(batch, name))
-            for name in ("f_t", "f_s", "g_s_t", "g_t_s")}
+    names = ("g_s_t", "g_t_s") + (("f_t", "f_s") if batch.anchor_grads else ())
+    return {name: np.zeros_like(getattr(batch, name)) for name in names}
 
 
 def _direction(anchor: Array, recon: Array, neg: Array):
@@ -153,10 +157,21 @@ def _scatter_rows(index: Array, rows: Array, n: int) -> Array:
 def _apply_sq(grads: dict[str, Array], anchor_key: str, recon_key: str,
               batch: AlignmentBatch, u: Array, v: Array,
               cp: Array, cn: Array) -> None:
-    """Accumulate d(term)/dD+ = cp, d(term)/dD- = cn through squared distances."""
-    grads[anchor_key] += 2.0 * (cp[:, None] * u + cn[:, None] * v)
-    grads[recon_key] -= 2.0 * cp[:, None] * u
-    grads[recon_key] -= _scatter_rows(batch.negatives, 2.0 * cn[:, None] * v, batch.size)
+    """Set the recon gradient (and the anchor gradient, if the batch wants
+    it) of one direction from d(term)/dD+ = cp and d(term)/dD- = cn through
+    squared distances.
+
+    Each direction owns its two keys, so the gradients are assigned, not
+    accumulated onto zeros.
+    """
+    if batch.anchor_grads:
+        g_anchor = cp[:, None] * u
+        g_anchor += cn[:, None] * v
+        g_anchor *= 2.0
+        grads[anchor_key] = g_anchor
+    g_recon = -2.0 * cp[:, None] * u
+    g_recon -= _scatter_rows(batch.negatives, 2.0 * cn[:, None] * v, batch.size)
+    grads[recon_key] = g_recon
 
 
 def _both_directions(batch: AlignmentBatch):
@@ -178,7 +193,7 @@ def calibrated_alignment(batch: AlignmentBatch, temperature: float,
     if all_pairs:
         return _calibrated_all_pairs(batch, temperature)
     b = batch.size
-    grads = _zero_grads(batch)
+    grads: dict[str, Array] = {}
     total = 0.0
     for anchor_key, recon_key, u, v, dp, dn in _both_directions(batch):
         ell = pair_sigmoid(dn - dp, temperature)
@@ -207,7 +222,8 @@ def _calibrated_all_pairs(batch: AlignmentBatch, temperature: float) -> LossValu
             total += temperature / b * float(np.mean(ell))
             coef = ell * (1.0 - ell) / (b * valid.size)
             cp = float(np.sum(coef))
-            grads[anchor_key][i] += 2.0 * (cp * u - coef @ v)
+            if batch.anchor_grads:
+                grads[anchor_key][i] += 2.0 * (cp * u - coef @ v)
             grads[recon_key][i] -= 2.0 * cp * u
             grads[recon_key] += _scatter_rows(valid, 2.0 * coef[:, None] * v, b)
     return LossValue(total, grads)
@@ -219,7 +235,7 @@ def _calibrated_all_pairs(batch: AlignmentBatch, temperature: float) -> LossValu
 def triplet_t1(batch: AlignmentBatch, margin: float) -> LossValue:
     """Hinge on squared distances: max(D+ - D- + m, 0), both directions."""
     b = batch.size
-    grads = _zero_grads(batch)
+    grads: dict[str, Array] = {}
     total = 0.0
     for anchor_key, recon_key, u, v, dp, dn in _both_directions(batch):
         slack = dp - dn + margin
@@ -233,7 +249,7 @@ def triplet_t1(batch: AlignmentBatch, margin: float) -> LossValue:
 def triplet_t2(batch: AlignmentBatch, temperature: float) -> LossValue:
     """Log of the pair term: mean of log l(D- - D+). Not symmetric, unbounded below."""
     b = batch.size
-    grads = _zero_grads(batch)
+    grads: dict[str, Array] = {}
     total = 0.0
     for anchor_key, recon_key, u, v, dp, dn in _both_directions(batch):
         ell = pair_sigmoid(dn - dp, temperature)
@@ -260,7 +276,8 @@ def triplet_t3(batch: AlignmentBatch, temperature: float) -> LossValue:
         with np.errstate(invalid="ignore", divide="ignore"):
             du = np.where(dp[:, None] > 0, u / np.where(dp == 0, 1, dp)[:, None], 0.0)
             dv = np.where(dn[:, None] > 0, v / np.where(dn == 0, 1, dn)[:, None], 0.0)
-        grads[anchor_key] += coef[:, None] * du - coef[:, None] * dv
+        if batch.anchor_grads:
+            grads[anchor_key] += coef[:, None] * du - coef[:, None] * dv
         grads[recon_key] -= coef[:, None] * du
         grads[recon_key] += _scatter_rows(batch.negatives, coef[:, None] * dv, b)
     return LossValue(total, grads)
@@ -269,7 +286,7 @@ def triplet_t3(batch: AlignmentBatch, temperature: float) -> LossValue:
 def triplet_t4(batch: AlignmentBatch, margin: float) -> LossValue:
     """Ratio hinge: max(1 - D- / (D+ + m), 0), both directions."""
     b = batch.size
-    grads = _zero_grads(batch)
+    grads: dict[str, Array] = {}
     total = 0.0
     for anchor_key, recon_key, u, v, dp, dn in _both_directions(batch):
         denom = dp + margin
@@ -338,7 +355,9 @@ def elbo(x: Array, recon: Array, mu: Array, log_var: Array,
     resid = r2 - x2
     rec = float(np.mean(np.sum(resid * resid, axis=1) / d))
     kl = float(np.mean(0.5 * np.sum(mu2 * mu2 + np.exp(lv2) - 1.0 - lv2, axis=1)))
-    g_recon = 2.0 * resid / (d * b)
+    g_recon = resid  # 2.0 * resid / (d * b), built in place
+    g_recon *= 2.0
+    g_recon /= d * b
     g_mu = kl_weight * mu2 / b
     g_lv = kl_weight * 0.5 * (np.exp(lv2) - 1.0) / b
     grads = {

@@ -140,39 +140,43 @@ def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, MlpCache]:
     n = len(params.weights)
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        h = h @ w.T + b
+        h = h @ w.T
+        h += b
         if l < n - 1 and params.activation == "tanh":
-            h = np.tanh(h)
+            np.tanh(h, out=h)
     y = h[0] if squeeze else h
     return y, MlpCache(inputs, squeeze)
 
 
-def mlp_backward(params: MlpParams, cache: MlpCache,
-                 grad_out: Array) -> tuple[list[Array], Array]:
+def mlp_backward(params: MlpParams, cache: MlpCache, grad_out: Array,
+                 out: list[Array] | None = None,
+                 grad_in: bool = True) -> tuple[list[Array], Array | None]:
     """Backprop grad_out (same shape as the forward output) through the stack.
 
     Returns (grads, grad_in): grads matches param_arrays() order, grad_in is
     d(loss)/d(input). Batched rows are summed into the parameter grads.
+    With `out` (arrays shaped like param_arrays()) each gradient is written
+    into its array and `out` itself is returned. With grad_in=False the
+    input gradient is neither computed nor returned (None).
     """
     g = np.asarray(grad_out, dtype=np.float64)
     if cache.squeeze:
         g = g[None, :]
     n = len(params.weights)
-    gw: list[Array | None] = [None] * n
-    gb: list[Array | None] = [None] * n
+    grads = out if out is not None else [None] * (2 * n)
     for l in range(n - 1, -1, -1):
         h_in = cache.inputs[l]
-        gw[l] = g.T @ h_in
-        gb[l] = g.sum(axis=0)
+        grads[2 * l] = np.matmul(g.T, h_in, out=grads[2 * l])
+        grads[2 * l + 1] = np.sum(g, axis=0, out=grads[2 * l + 1])
+        if l == 0 and not grad_in:
+            return grads, None
         g = g @ params.weights[l]
         if l > 0 and params.activation == "tanh":
             # h_in at layer l is tanh(pre-activation of layer l-1)
-            g = g * (1.0 - h_in * h_in)
-    grads: list[Array] = []
-    for w_g, b_g in zip(gw, gb):
-        grads.extend((w_g, b_g))
-    grad_in = g[0] if cache.squeeze else g
-    return grads, grad_in
+            d = h_in * h_in
+            np.subtract(1.0, d, out=d)
+            g *= d
+    return grads, g[0] if cache.squeeze else g
 
 
 # ---- flat parameter storage ----

@@ -407,8 +407,10 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
 
     All trainable arrays (four networks, then the raw band weights) live in
     one contiguous vector that Adam updates in place; the returned params
-    are views into it. The payloads are stacked and transformed once, so a
-    batch only rescales its rows of the cached spectrum.
+    are views into it. The backward pass writes each gradient straight into
+    a second vector of the same layout, which Adam reads. The payloads are
+    stacked and transformed once, so a batch only rescales its rows of the
+    cached spectrum.
     """
     validate_split(dataset, split)
     records = dataset.by_partition("train-seen")
@@ -435,7 +437,7 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     del arrays  # the pre-flattening arrays go with the old params on the next line
     params = params.with_arrays(views[:n_net])
     raw = views[n_net] if len(views) > n_net else None
-    grad = np.empty_like(flat)
+    grad, grad_views = numkit.flatten(views)  # same layout; every step overwrites it all
     opt = numkit.AdamState(lr=lr)
 
     def step(idx: Array, labels: Array) -> dict:
@@ -448,12 +450,12 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
         negatives = losses.sample_negatives(labels, rng)
         eps_s = rng.standard_normal((len(idx), latent_dim))
         eps_t = rng.standard_normal((len(idx), latent_dim))
-        breakdown, grads, d_f_s, _ = crossvae.stage2_loss(
-            params, f_s, text_all[idx], labels, negatives, eps_s, eps_t, cfg, align_loss)
+        breakdown, _, d_f_s, _ = crossvae.stage2_loss(
+            params, f_s, text_all[idx], labels, negatives, eps_s, eps_t, cfg, align_loss,
+            grad_views[:n_net], feature_grads=raw is not None)
         if raw is not None:
             d_w = frequency.enhance_weight_grads(cache, d_f_s.reshape(cache.coeffs.shape))
-            grads.append(d_w * w * (1.0 - w))
-        np.concatenate([g.reshape(-1) for g in grads], out=grad)
+            np.multiply(d_w * w, 1.0 - w, out=grad_views[n_net])
         numkit.adam_step(opt, [flat], [grad])
         return breakdown
 

@@ -5,6 +5,7 @@ through main() on a miniature generated benchmark."""
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqzsl import cli, frequency, pipeline, synthbench
+from freqzsl import cli, crossvae, frequency, pipeline, synthbench
 from freqzsl.cli import ConfigError, RunConfig
 
 REPO = Path(__file__).resolve().parents[1]
@@ -389,6 +390,32 @@ class TestMainEndToEnd:
         assert code == 0
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda blob: blob.update(vae=[]), "checkpoint.vae must be a JSON object, not array"),
+        (lambda blob: blob.pop("featurizer"), "checkpoint has no key 'featurizer'"),
+        (lambda blob: blob["vae"]["text_decoder"].pop("biases"),
+         "checkpoint.vae.text_decoder has no key 'biases'"),
+        (lambda blob: blob["gate"].update(bias="0.5"),
+         "checkpoint.gate.bias must be a JSON number, not string"),
+        (lambda blob: blob["featurizer"]["enhancement"].pop("ramp"),
+         "checkpoint.featurizer.enhancement has no key 'ramp'"),
+        (lambda blob: blob["vae"].update(latent_dim=3), "checkpoint.vae: "),
+        (lambda blob: blob["seen_classifier"].update(weights=[[1.0], "x"]),
+         "checkpoint.seen_classifier: "),
+    ])
+    def test_eval_names_the_bad_key_of_a_malformed_checkpoint(self, trained, tmp_path,
+                                                               capsys, corrupt, named):
+        blob = json.loads(Path(trained["checkpoint"]).read_text())
+        corrupt(blob)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        code = cli.main(["eval", "--checkpoint", str(bad), "--data", trained["data"],
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + named)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_export_latents(self, trained, capsys):
         out = trained["root"] / "latents.csv"
         code = cli.main(["export-latents", "--checkpoint", trained["checkpoint"],
@@ -483,3 +510,32 @@ def test_checkpoint_bytes_do_not_depend_on_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         blobs.append((run / "out" / "checkpoint.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_train_without_band_weights_is_bit_reproducible(tiny_env, tmp_path, monkeypatch):
+    # vector records with enhancement off train no band weights, so stage 2
+    # computes no feature gradients; criterion 13 covers the other path
+    stage2_loss, asked = crossvae.stage2_loss, set()
+
+    def recording(*args, feature_grads=True, **kwargs):
+        asked.add(feature_grads)
+        return stage2_loss(*args, feature_grads=feature_grads, **kwargs)
+
+    monkeypatch.setattr(crossvae, "stage2_loss", recording)
+    data = tmp_path / "vectors"
+    shutil.copytree(tiny_env["data"], data)
+    rows = []
+    for line in (data / "features.jsonl").read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        obj["vector"] = np.ravel(obj.pop("sequence")).tolist()
+        rows.append(json.dumps(obj))
+    (data / "features.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = write_cfg(tmp_path / "off.cfg", DETERMINISM_LINES + ["enhance_mode = off"])
+    blobs = []
+    for name in ("run-a", "run-b"):
+        out = tmp_path / name
+        assert cli.main(["train", "--config", cfg, "--data", str(data),
+                         "--out", str(out)]) == 0
+        blobs.append((out / "checkpoint.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert asked == {False}

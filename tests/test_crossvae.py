@@ -166,6 +166,26 @@ class TestStage2Loss:
         report = numkit.grad_check(loss_fn, params.param_arrays())
         assert report.max_rel_error < 1e-4, (align_loss, report.max_rel_error)
 
+    @pytest.mark.parametrize("align_loss", losses.ALIGN_LOSSES)
+    def test_gradients_written_into_views_without_feature_grads_are_identical(
+            self, align_loss):
+        params = tiny_params(17, hidden=(4, 3))
+        f_s, f_t, labels, negatives, rng = make_batch(18, b=6, classes=3)
+        eps_s = rng.standard_normal((6, 2))
+        eps_t = rng.standard_normal((6, 2))
+        cfg = losses.LossConfig(temperature=5.0, align_weight=0.4, margin=1.0)
+        ref_breakdown, ref, _, _ = crossvae.stage2_loss(
+            params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg, align_loss)
+        _, views = numkit.flatten([np.full_like(a, np.nan) for a in params.param_arrays()])
+        breakdown, got, d_f_s, d_f_t = crossvae.stage2_loss(
+            params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg, align_loss,
+            grads_out=views, feature_grads=False)
+        assert d_f_s is None and d_f_t is None
+        assert breakdown == ref_breakdown
+        assert all(g is v for g, v in zip(got, views))
+        for a, b in zip(ref, views):
+            np.testing.assert_array_equal(a, b)
+
     def test_feature_gradients_with_frozen_noise(self):
         params = tiny_params(15, hidden=(4,))
         f_s, f_t, labels, negatives, rng = make_batch(16)

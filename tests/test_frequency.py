@@ -67,62 +67,97 @@ class TestTransform:
                                    atol=1e-14)
 
 
+def profile_g(cfg):
+    g, _, _ = frequency.scaling_profile(cfg)
+    return g
+
+
 class TestScalingFactor:
     def test_low_band_pinned_value(self):
         # first band, weight 0.5, ramp 30: 1 + 0.5 * (1 - 0/30) = 1.5
         cfg = frequency.EnhancementConfig.per_coefficient(64, low_cutoff=35,
                                                           ramp=30.0, weight=0.5)
-        assert frequency.scaling_factor(cfg, 0) == pytest.approx(1.5, abs=1e-15)
+        assert profile_g(cfg)[0] == pytest.approx(1.5, abs=1e-15)
 
     def test_high_band_pinned_value(self):
         # band 1 with cutoff 0 lands high: 1 - 0.5 * (1 - (1-30)/30) = 1/60
         cfg = frequency.EnhancementConfig.per_coefficient(64, low_cutoff=0,
                                                           ramp=30.0, weight=0.5)
-        assert frequency.scaling_factor(cfg, 1) == pytest.approx(1.0 / 60.0,
-                                                                 abs=1e-15)
+        assert profile_g(cfg)[1] == pytest.approx(1.0 / 60.0, abs=1e-15)
 
     def test_zero_weight_is_identity_factor(self):
         cfg = frequency.EnhancementConfig.per_coefficient(64, low_cutoff=35,
                                                           ramp=30.0, weight=0.0)
-        for k in range(64):
-            assert frequency.scaling_factor(cfg, k) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(profile_g(cfg), np.ones(64), rtol=0, atol=1e-15)
 
     def test_learnable_only_returns_weight_verbatim(self):
         cfg = frequency.EnhancementConfig.per_coefficient(
             8, low_cutoff=4, ramp=30.0, weight=0.37, mode="learnable_only")
-        for k in range(8):
-            assert frequency.scaling_factor(cfg, k) == 0.37
+        assert profile_g(cfg).tolist() == [0.37] * 8
 
     def test_floor_clamps_negative_factors(self):
         # high band at k=0 with w=0.9: 1 - 0.9*(1 + 30/30) = -0.8 -> floor
         cfg = frequency.EnhancementConfig.per_coefficient(8, low_cutoff=0,
                                                           ramp=30.0, weight=0.9)
-        assert frequency.scaling_factor(cfg, 0) == 0.0
         g, dgdw, _ = frequency.scaling_profile(cfg)
         assert g[0] == 0.0 and dgdw[0] == 0.0
 
     def test_monotone_within_bands_at_shared_weight(self):
         cfg = frequency.EnhancementConfig.per_coefficient(64, low_cutoff=35,
                                                           ramp=30.0, weight=0.8)
-        g = [frequency.scaling_factor(cfg, k) for k in range(64)]
+        g = profile_g(cfg)
         low = [k for k in range(64) if cfg.split_points[k + 1] <= cfg.low_cutoff]
         high = [k for k in range(64) if cfg.split_points[k + 1] > cfg.low_cutoff]
         assert all(g[a] >= g[b] - 1e-12 for a, b in zip(low, low[1:]))
         assert all(g[a] <= g[b] + 1e-12 for a, b in zip(high, high[1:]))
 
     def test_band_index_out_of_range(self):
-        cfg = frequency.EnhancementConfig.per_coefficient(4, 2, 30.0)
-        with pytest.raises(ValueError):
-            frequency.scaling_factor(cfg, 4)
+        # every coefficient maps to a band in [0, n_bands), the short last one included
+        cfg = frequency.EnhancementConfig.uniform_bands(10, 4, 2, 30.0)
+        g, dgdw, band_index = frequency.scaling_profile(cfg)
+        assert band_index.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
+        assert g.shape == dgdw.shape == (10,)
 
     def test_profile_agrees_with_scalar_factors(self):
+        # bands of 3 with cutoff 9: [0, 3), [3, 6), [6, 9) are low, the rest
+        # high; each coefficient gets its band's closed form at the band start
         cfg = frequency.EnhancementConfig.uniform_bands(
             20, band_size=3, low_cutoff=9, ramp=4.0, weight=0.6)
         g, _, band_index = frequency.scaling_profile(cfg)
         for coeff in range(20):
-            k = band_index[coeff]
-            assert g[coeff] == pytest.approx(frequency.scaling_factor(cfg, k),
-                                             abs=1e-15)
+            start = cfg.split_points[band_index[coeff]]
+            if start < 9:
+                expect = 1.0 + 0.6 * (1.0 - start / 4.0)
+            else:
+                expect = max(1.0 - 0.6 * (1.0 - (start - 4.0) / 4.0), 0.0)
+            assert g[coeff] == pytest.approx(expect, abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(length=st.integers(1, 64), band_size=st.integers(1, 9),
+       cutoff_frac=st.floats(0.0, 0.999), ramp=st.floats(1.0, 40.0),
+       weight=st.floats(0.0, 1.0), floor=st.sampled_from([0.0, 0.3]))
+def test_uniform_bands_sample_the_per_coefficient_profile(length, band_size, cutoff_frac,
+                                                          ramp, weight, floor):
+    cutoff = int(cutoff_frac * length)
+    fine = frequency.EnhancementConfig.per_coefficient(length, cutoff, ramp, weight,
+                                                       floor=floor)
+    g_fine, dgdw_fine, _ = frequency.scaling_profile(fine)
+    one = frequency.EnhancementConfig.uniform_bands(length, 1, cutoff, ramp, weight,
+                                                    floor=floor)
+    g_one, dgdw_one, _ = frequency.scaling_profile(one)
+    np.testing.assert_array_equal(g_one, g_fine)
+    np.testing.assert_array_equal(dgdw_one, dgdw_fine)
+    coarse = frequency.EnhancementConfig.uniform_bands(length, band_size, cutoff, ramp,
+                                                       weight, floor=floor)
+    g, dgdw, band_index = frequency.scaling_profile(coarse)
+    for coeff in range(length):
+        start = coarse.split_points[band_index[coeff]]
+        end = coarse.split_points[band_index[coeff] + 1]
+        if start < cutoff < end:
+            continue  # a straddling band is high, its start coefficient is low
+        assert g[coeff] == g_fine[start]
+        assert dgdw[coeff] == dgdw_fine[start]
 
 
 class TestConfigValidation:

@@ -3,6 +3,7 @@ its Monte Carlo balance consequence, non-constancy witnesses for the four
 triplet baselines, KL closed form against sampling, ELBO arithmetic, and
 central-difference gradient checks for every loss."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -294,6 +295,20 @@ class TestTripletBaselines:
         for name, direct in pairs:
             assert losses.alignment_loss(batch, name, cfg).value == direct.value
 
+    @pytest.mark.parametrize("loss_of_batch", [
+        *(lambda b, n=name: losses.alignment_loss(b, n, losses.LossConfig(temperature=10.0))
+          for name in losses.ALIGN_LOSSES),
+        lambda b: losses.calibrated_alignment(b, 10.0, all_pairs=True),
+    ])
+    def test_without_anchor_grads_recon_grads_are_unchanged(self, loss_of_batch):
+        batch = random_batch(11)
+        full = loss_of_batch(batch)
+        lean = loss_of_batch(dataclasses.replace(batch, anchor_grads=False))
+        assert lean.value == full.value
+        assert set(lean.grads) == {"g_s_t", "g_t_s"}
+        for key in lean.grads:
+            np.testing.assert_array_equal(lean.grads[key], full.grads[key])
+
     def test_unknown_loss_name_rejected(self):
         with pytest.raises(ValueError, match="unknown alignment loss"):
             losses.alignment_loss(random_batch(10), "t9", losses.LossConfig())
@@ -395,6 +410,12 @@ class TestElbo:
         out = losses.elbo(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)),
                           rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
         np.testing.assert_array_equal(out.grads["x"], -out.grads["recon"])
+
+    def test_recon_gradient_is_the_scaled_residual_bit_for_bit(self):
+        rng = numkit.make_rng(14)
+        x, recon = rng.standard_normal((5, 7)), rng.standard_normal((5, 7))
+        out = losses.elbo(x, recon, rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
+        np.testing.assert_array_equal(out.grads["recon"], 2.0 * (recon - x) / (7 * 5))
 
     def test_gradients(self):
         rng = numkit.make_rng(13)

@@ -109,6 +109,31 @@ class TestMlpBackward:
         report = numkit.grad_check(loss_fn, params.param_arrays())
         assert report.max_rel_error < 1e-4
 
+    def test_writing_into_out_matches_the_allocating_path_bit_for_bit(self):
+        rng = numkit.make_rng(5)
+        params = numkit.init_mlp((7, 6, 5, 4), rng)
+        _, cache = numkit.mlp_forward(params, rng.standard_normal((9, 7)))
+        grad_out = rng.standard_normal((9, 4))
+        ref, ref_in = numkit.mlp_backward(params, cache, grad_out)
+        # views into one flat vector, as a trainer passes them
+        _, out = numkit.flatten([np.full_like(a, np.nan) for a in params.param_arrays()])
+        got, got_in = numkit.mlp_backward(params, cache, grad_out, out=out)
+        assert got is out and all(g is o for g, o in zip(got, out))
+        for a, b in zip(ref, out):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(ref_in, got_in)
+
+    def test_no_input_gradient_keeps_parameter_gradients(self):
+        rng = numkit.make_rng(6)
+        params = numkit.init_mlp((7, 6, 5, 4), rng)
+        _, cache = numkit.mlp_forward(params, rng.standard_normal((9, 7)))
+        grad_out = rng.standard_normal((9, 4))
+        ref, _ = numkit.mlp_backward(params, cache, grad_out)
+        got, got_in = numkit.mlp_backward(params, cache, grad_out, grad_in=False)
+        assert got_in is None
+        for a, b in zip(ref, got):
+            np.testing.assert_array_equal(a, b)
+
     def test_input_gradient_matches_finite_differences(self):
         rng = numkit.make_rng(4)
         params = numkit.init_mlp((3, 4, 2), rng)
