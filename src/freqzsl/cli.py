@@ -283,7 +283,7 @@ def train_full(cfg: RunConfig, dataset: pipeline.FeatureDataset,
     # match the synthesized count to the holdout so the logistic fit is balanced
     n_per_class = max(1, -(-n_hold // len(split.unseen)))
     gate_unseen = np.concatenate([
-        crossvae.sample_class_latents(params, semantics.fuse(table, cid).vector,
+        crossvae.sample_class_latents(params, semantics.fuse(table, cid),
                                       n_per_class, rng)
         for cid in split.unseen])
     heldout_latents = pipeline.encode_latent_means(params, featurizer, hold_records)

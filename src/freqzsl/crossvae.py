@@ -38,14 +38,6 @@ class LatentGaussian:
         numkit.check_finite("log_var", np.asarray(self.log_var))
 
 
-@dataclass(frozen=True)
-class CrossFeatures:
-    """Cross-modal reconstructions: text decoded from skeleton latents and back."""
-
-    g_s_t: Array
-    g_t_s: Array
-
-
 MODALITIES = ("skeleton", "text")
 
 
@@ -123,23 +115,6 @@ def encode(params: VaeParams, modality: str, x: Array) -> LatentGaussian:
     out, _ = numkit.mlp_forward(net, x)
     ld = params.latent_dim
     return LatentGaussian(out[..., :ld], out[..., ld:])
-
-
-def reparameterize(latent: LatentGaussian, rng: np.random.Generator | None = None,
-                   eps: Array | None = None) -> Array:
-    """z = mu + exp(log_var / 2) * eps with eps ~ N(0, I) (or supplied)."""
-    if eps is None:
-        if rng is None:
-            raise ValueError("need rng or explicit eps")
-        eps = rng.standard_normal(np.shape(latent.mu))
-    return latent.mu + np.exp(0.5 * np.asarray(latent.log_var)) * eps
-
-
-def cross_reconstruct(params: VaeParams, z_skel: Array, z_text: Array) -> CrossFeatures:
-    """Decode each modality's latent through the OTHER modality's decoder."""
-    g_s_t, _ = numkit.mlp_forward(params.text_decoder, z_skel)
-    g_t_s, _ = numkit.mlp_forward(params.skel_decoder, z_text)
-    return CrossFeatures(g_s_t, g_t_s)
 
 
 # ---- stage-2 objective with full hand backprop ----

@@ -15,12 +15,18 @@ A band whose (exclusive) end sits at or below `low_cutoff` counts as low
 frequency. With s_k = split_points[k], the first coefficient of band k, and
 ramp length b:
 
-    low : g = 1 + w_k * (1 - s_k / b)          boost, fading with s_k
-    high: g = 1 - w_k * (1 - (s_k - b) / b)    cut, fading back toward 1
+    low : g = 1 + w_k * (1 - s_k / b)          boost while s_k < b
+    high: g = 1 - w_k * (1 - (s_k - b) / b)    cut while s_k < 2 b
 
 With one band per coefficient s_k = k. A coarser band takes that profile's
 value at its start coefficient, except that a band straddling low_cutoff
 counts as high.
+
+Neither ramp stops at zero: the low factor changes sign at s_k = b and the
+high one at s_k = 2 b. So a low band that starts past b is damped, and a
+high band that starts past 2 b is boosted. With the command-line defaults
+(b = 30, low_cutoff = 35, 64 frames) coefficients 31-34 are damped and
+61-63 boosted whenever their weight is positive.
 
 g is clamped from below at `floor` (default 0). In "learnable_only" mode the
 structure above is dropped and g = w_k exactly. Enhancing a sequence means

@@ -26,20 +26,10 @@ def check_finite(name: str, arr: Array) -> None:
 # ---- seeded rng streams ----
 
 
-@dataclass(frozen=True)
-class RngSeed:
-    """A 64-bit master seed plus a stream id for independent substreams."""
-
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
-        return np.random.default_rng(ss)
-
-
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return RngSeed(seed, stream).generator()
+    """Generator for substream `stream` of a 64-bit master seed."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    return np.random.default_rng(ss)
 
 
 # ---- mlp parameters ----
@@ -69,10 +59,6 @@ class MlpParams:
                 raise ValueError(f"layer {l}: input dim {w.shape[1]} breaks the chain")
             check_finite(f"weights[{l}]", w)
             check_finite(f"biases[{l}]", b)
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
     @property
     def in_dim(self) -> int:
@@ -283,7 +269,6 @@ class GradCheckReport:
     """Worst relative error between analytic and central-difference gradients."""
 
     max_rel_error: float
-    per_param: tuple[float, ...]
     step: float
 
     def ok(self, tolerance: float) -> bool:
@@ -303,10 +288,9 @@ def grad_check(loss_fn, params: list[Array], step: float = 1e-5,
     loss1, _ = loss_fn([p.copy() for p in base])
     if loss0 != loss1:
         raise ValueError("loss_fn is not deterministic across calls")
-    worst_per: list[float] = []
+    worst = 0.0
     for k, p in enumerate(base):
         analytic = np.asarray(grads0[k], dtype=np.float64)
-        worst = 0.0
         flat = p.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
@@ -319,5 +303,4 @@ def grad_check(loss_fn, params: list[Array], step: float = 1e-5,
             a = analytic.reshape(-1)[idx]
             denom = max(abs(a), abs(numeric), floor)
             worst = max(worst, abs(a - numeric) / denom)
-        worst_per.append(worst)
-    return GradCheckReport(max(worst_per), tuple(worst_per), step)
+    return GradCheckReport(worst, step)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import crossvae, frequency, losses, numkit, semantics
 from .numkit import Array
@@ -162,14 +161,11 @@ def write_feature_file(path, dataset: FeatureDataset) -> int:
 
 def load_feature_file(path) -> FeatureDataset:
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FeatureFormatError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+            obj = semantics.parse_json(line, f"line {lineno}", FeatureFormatError)
             if not isinstance(obj, dict):
                 raise FeatureFormatError(f"line {lineno}: record must be an object")
             try:
@@ -187,7 +183,7 @@ def load_feature_file(path) -> FeatureDataset:
                     sid, cid, part,
                     None if vector is None else np.asarray(vector, dtype=np.float64),
                     None if sequence is None else np.asarray(sequence, dtype=np.float64)))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise FeatureFormatError(f"line {lineno}: {exc}") from exc
     return FeatureDataset(records)
 
@@ -203,18 +199,18 @@ def write_split_file(path, split: SplitSpec, config_hash: str | None = None) -> 
 
 
 def load_split_file(path) -> SplitSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FeatureFormatError(f"split file: not valid JSON ({exc.msg})") from exc
+    with open(path, "rb") as fh:
+        obj = semantics.parse_json(fh.read(), "split file", FeatureFormatError)
     if not isinstance(obj, dict) or "seen" not in obj or "unseen" not in obj:
         raise FeatureFormatError("split file must be an object with seen/unseen arrays")
     for key in ("seen", "unseen"):
         if (not isinstance(obj[key], list)
                 or any(isinstance(c, bool) or not isinstance(c, int) for c in obj[key])):
             raise FeatureFormatError(f"split file: {key} must be an integer array")
-    return SplitSpec(tuple(obj["seen"]), tuple(obj["unseen"]))
+    try:
+        return SplitSpec(tuple(obj["seen"]), tuple(obj["unseen"]))
+    except ValueError as exc:
+        raise FeatureFormatError(f"split file: {exc}") from exc
 
 
 # ---- skeleton featurizer ----
@@ -322,6 +318,18 @@ def train_softmax_classifier(latents: Array, labels: Array,
 
 # ---- gate ----
 
+GATE_MAX_STEPS = 100  # Newton steps; converging fits take a handful
+
+
+def _sigmoid(z: Array) -> Array:
+    """Logistic function without overflow: exp only ever sees non-positive values."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
 
 @dataclass
 class GateModel:
@@ -332,13 +340,7 @@ class GateModel:
     c: float
 
     def predict_proba_seen(self, feats: Array) -> Array:
-        z = np.asarray(feats, dtype=np.float64) @ self.weights + self.bias
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        e = np.exp(z[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
+        return _sigmoid(np.asarray(feats, dtype=np.float64) @ self.weights + self.bias)
 
 
 def gate_features(seen_clf: SoftmaxClassifier, latents: Array) -> Array:
@@ -351,28 +353,51 @@ def gate_features(seen_clf: SoftmaxClassifier, latents: Array) -> Array:
 
 def train_gate(seen_clf: SoftmaxClassifier, unseen_latents: Array,
                heldout_seen_latents: Array, c: float = 1.0) -> GateModel:
-    """L2-regularized logistic regression (quasi-Newton), seen side positive.
+    """L2-regularized logistic regression by damped Newton, seen side positive.
 
-    Objective 0.5 ||w||^2 + c * sum softplus(-y z) with the intercept
-    unregularized; c plays the usual inverse-regularization role.
+    Objective 0.5 ||w||^2 + c * sum softplus(-y z) with z = x w + b and the
+    intercept unregularized; c plays the usual inverse-regularization role.
+    With two features the Hessian is 3 x 3, so each step is one linear
+    solve and a backtracking (Armijo) line search. Once the Newton decrement
+    is negligible the last step is taken in full and the fit stops; it
+    raises ValueError if GATE_MAX_STEPS steps do not get there.
     """
     f_pos = gate_features(seen_clf, heldout_seen_latents)
     f_neg = gate_features(seen_clf, unseen_latents)
     x = np.concatenate([f_pos, f_neg])
+    x = np.concatenate([x, np.ones((len(x), 1))], axis=1)  # intercept column
     y = np.concatenate([np.ones(len(f_pos)), -np.ones(len(f_neg))])
+    reg = np.array([1.0, 1.0, 0.0])  # the intercept is not regularized
 
     def objective(theta):
-        w, b = theta[:-1], theta[-1]
-        m = -y * (x @ w + b)
-        soft = np.where(m > 0, m + np.log1p(np.exp(-m)), np.log1p(np.exp(np.minimum(m, 0))))
-        sig = np.where(m > 0, 1.0 / (1.0 + np.exp(-m)),
-                       np.exp(np.minimum(m, 0)) / (1.0 + np.exp(np.minimum(m, 0))))
-        dz = -y * sig * c
-        grad = np.append(w + x.T @ dz, dz.sum())
-        return 0.5 * float(w @ w) + c * float(soft.sum()), grad
+        m = -y * (x @ theta)
+        value = 0.5 * float(theta[:-1] @ theta[:-1]) + c * float(np.logaddexp(0.0, m).sum())
+        return value, m
 
-    res = minimize(objective, np.zeros(x.shape[1] + 1), jac=True, method="L-BFGS-B")
-    return GateModel(res.x[:-1].copy(), float(res.x[-1]), c)
+    theta = np.zeros(x.shape[1])
+    value, m = objective(theta)
+    for _ in range(GATE_MAX_STEPS):
+        s = _sigmoid(m)
+        grad = reg * theta - x.T @ (c * y * s)
+        hess = (x.T * (c * s * (1.0 - s))) @ x + np.diag(reg)
+        step = np.linalg.solve(hess, grad)
+        decrement = float(grad @ step)  # twice the objective drop the step predicts
+        if decrement <= 1e-12 * max(1.0, value):
+            # a few float64 ulps of the objective: the quadratic model is exact
+            # to rounding here, so the full step lands on the minimum
+            theta = theta - step
+            return GateModel(theta[:-1].copy(), float(theta[-1]), c)
+        t = 1.0
+        while True:
+            trial_value, trial_m = objective(theta - t * step)
+            if trial_value <= value - 0.25 * t * decrement:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                raise ValueError("gate fit: line search cannot lower the objective")
+        theta = theta - t * step
+        value, m = trial_value, trial_m
+    raise ValueError(f"gate fit did not converge in {GATE_MAX_STEPS} Newton steps")
 
 
 # ---- stage 2: joint VAE + band-weight training ----
@@ -383,11 +408,7 @@ def encode_latent_means(params: crossvae.VaeParams, featurizer: SkeletonFeaturiz
     """Posterior means of the skeleton encoder for a record list."""
     if not records:
         raise ValueError("no records to encode")
-    return encode_feature_means(params, featurizer.features(records))
-
-
-def encode_feature_means(params: crossvae.VaeParams, feats: Array) -> Array:
-    return np.asarray(crossvae.encode(params, "skeleton", feats).mu)
+    return np.asarray(crossvae.encode(params, "skeleton", featurizer.features(records)).mu)
 
 
 def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
@@ -505,8 +526,8 @@ def synthesize_unseen_classifier(params: crossvae.VaeParams,
         raise ValueError("need at least one latent sample per class")
     xs, ys = [], []
     for cid in unseen_ids:
-        fused = semantics.fuse(table, cid).vector
-        xs.append(crossvae.sample_class_latents(params, fused, n_samples, rng))
+        xs.append(crossvae.sample_class_latents(params, semantics.fuse(table, cid),
+                                                n_samples, rng))
         ys.extend([cid] * n_samples)
     return train_softmax_classifier(np.concatenate(xs), np.asarray(ys), unseen_ids,
                                     epochs=epochs, lr=lr)

@@ -6,16 +6,14 @@ line-delimited file of JSON records {"class_id": int, "kind": str,
 "vector": [float, ...]} and are fused into a single unit-norm vector by
 concatenating in fixed AL, LD, GD order and dividing by the Euclidean norm
 of the concatenation. No per-kind normalization happens before the concat.
-
 Text generation and text encoding are out of scope: the file format is the
-contract, and `SemanticProvider` documents the hook a future encoder client
-would implement to populate such files.
+contract.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable
 
 import numpy as np
 
@@ -48,32 +46,24 @@ class SemanticTable:
     def get(self, class_id: int, kind: str) -> Array:
         return self.vectors[class_id][kind]
 
-    @property
-    def fused_dim(self) -> int:
-        return sum(self.dims[k] for k in KINDS)
 
+def parse_json(raw: bytes, where: str, error: type[ValueError]):
+    """Decode one UTF-8 JSON document; any failure raises `error` naming `where`.
 
-@dataclass(frozen=True)
-class FusedSemantic:
-    """Unit-norm concatenation of one class's three embedding kinds."""
-
-    class_id: int
-    vector: Array
-
-
-class SemanticProvider(Protocol):
-    """Contract for a future client that turns class descriptions into vectors."""
-
-    def embeddings_for(self, class_id: int) -> tuple[Array, Array, Array]:
-        """Return (AL, LD, GD) vectors for one class."""
-        ...
-
-
-def _parse_record(line: str, lineno: int) -> EmbeddingRecord:
+    Besides malformed JSON this covers bytes that are not UTF-8, integers
+    past Python's digit limit and nesting past the recursion limit.
+    """
     try:
-        obj = json.loads(line)
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
-        raise EmbeddingFormatError(f"line {lineno}: not valid JSON ({exc.msg})") from exc
+        raise error(f"{where}: not valid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: not valid JSON ({exc})") from exc
+
+
+def _parse_record(obj, lineno: int) -> EmbeddingRecord:
     if not isinstance(obj, dict) or set(obj) != {"class_id", "kind", "vector"}:
         raise EmbeddingFormatError(
             f"line {lineno}: record must have exactly class_id, kind, vector")
@@ -87,7 +77,10 @@ def _parse_record(line: str, lineno: int) -> EmbeddingRecord:
     if (not isinstance(vec, list) or not vec
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in vec)):
         raise EmbeddingFormatError(f"line {lineno}: vector must be a non-empty number list")
-    arr = np.asarray(vec, dtype=np.float64)
+    try:
+        arr = np.asarray(vec, dtype=np.float64)
+    except OverflowError as exc:
+        raise EmbeddingFormatError(f"line {lineno}: vector entry out of float64 range") from exc
     if not np.all(np.isfinite(arr)):
         raise EmbeddingFormatError(f"line {lineno}: vector has non-finite entries")
     return EmbeddingRecord(cid, kind, arr)
@@ -101,11 +94,12 @@ def load_embeddings(path) -> SemanticTable:
     """
     vectors: dict[int, dict[str, Array]] = {}
     dims: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = _parse_record(line, lineno)
+            rec = _parse_record(parse_json(line, f"line {lineno}", EmbeddingFormatError),
+                                lineno)
             per_class = vectors.setdefault(rec.class_id, {})
             if rec.kind in per_class:
                 raise EmbeddingFormatError(
@@ -137,7 +131,7 @@ def write_embeddings(path, records: Iterable[EmbeddingRecord]) -> int:
     return n
 
 
-def fuse(table: SemanticTable, class_id: int) -> FusedSemantic:
+def fuse(table: SemanticTable, class_id: int) -> Array:
     """Concat AL, LD, GD in that order and scale to unit Euclidean norm."""
     if class_id not in table.vectors:
         raise KeyError(f"class {class_id} has no semantic embeddings")
@@ -145,9 +139,9 @@ def fuse(table: SemanticTable, class_id: int) -> FusedSemantic:
     norm = float(np.linalg.norm(cat))
     if norm == 0.0:
         raise ValueError(f"class {class_id}: all-zero concatenated embedding")
-    return FusedSemantic(class_id, cat / norm)
+    return cat / norm
 
 
 def fuse_all(table: SemanticTable) -> dict[int, Array]:
     """Fused vector per class, for batch assembly."""
-    return {cid: fuse(table, cid).vector for cid in table.classes()}
+    return {cid: fuse(table, cid) for cid in table.classes()}

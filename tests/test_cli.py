@@ -1,8 +1,11 @@
 """Command line layer: config parsing and hashing, component wiring,
-checkpoint codec, transform self checks, and the subcommands end to end
-through main() on a miniature generated benchmark."""
+checkpoint codec, transform self checks, the subcommands end to end
+through main() on a miniature generated benchmark (with scipy blocked, too),
+and typed errors from malformed and fuzzed data files."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -12,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from freqzsl import cli, crossvae, frequency, pipeline, synthbench
+from freqzsl import cli, crossvae, frequency, pipeline, semantics, synthbench
 from freqzsl.cli import ConfigError, RunConfig
 
 REPO = Path(__file__).resolve().parents[1]
@@ -539,3 +542,148 @@ def test_train_without_band_weights_is_bit_reproducible(tiny_env, tmp_path, monk
         blobs.append((out / "checkpoint.json").read_bytes())
     assert blobs[0] == blobs[1]
     assert asked == {False}
+
+
+SYNTH_TRAIN_EVAL_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # importing scipy or any submodule now fails
+from freqzsl import cli
+cfg, data, out = sys.argv[1:]
+sys.exit(cli.main(["synth", "--config", cfg, "--out", data])
+         or cli.main(["train", "--config", cfg, "--data", data, "--out", out])
+         or cli.main(["eval", "--checkpoint", out + "/checkpoint.json", "--data", data,
+                      "--mode", "gzsl", "--out", out + "/report.json"]))
+"""
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    cfg = write_cfg(tmp_path / "det.cfg", DETERMINISM_LINES)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", SYNTH_TRAIN_EVAL_WITHOUT_SCIPY, cfg,
+         str(tmp_path / "data"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["mode"] == "gzsl"
+
+
+# ---- malformed data files ----
+
+LOADERS = {
+    "features.jsonl": (pipeline.load_feature_file, pipeline.FeatureFormatError),
+    "embeddings.jsonl": (semantics.load_embeddings, semantics.EmbeddingFormatError),
+    "split.json": (pipeline.load_split_file, pipeline.FeatureFormatError),
+}
+
+FEATURE_LINE = '{"class_id": 0, "partition": "train-seen", "sample_id": "a", "vector": [%s]}\n'
+EMBEDDING_LINE = '{"class_id": 0, "kind": "AL", "vector": [%s]}\n'
+
+numbers = st.floats() | st.integers() | st.sampled_from([10 ** 400, -(10 ** 309), 2 ** 64])
+json_scalars = st.none() | st.booleans() | st.text(max_size=4) | numbers
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+class_ids = st.integers(-1, 5) | json_scalars
+vectors = st.lists(numbers, min_size=1, max_size=4) | json_values
+id_lists = st.lists(st.integers(-1, 5), max_size=5) | json_values
+# besides arbitrary bytes and JSON, objects shaped like each file's records,
+# so that fuzzing reaches the field checks behind the JSON decoding
+RECORDS = {
+    "features.jsonl": st.fixed_dictionaries(
+        {"sample_id": st.text(max_size=3), "class_id": class_ids,
+         "partition": st.sampled_from(pipeline.PARTITIONS) | json_scalars,
+         "vector": vectors},
+        optional={"sequence": vectors}),
+    "embeddings.jsonl": st.fixed_dictionaries(
+        {"class_id": class_ids, "kind": st.sampled_from(semantics.KINDS),
+         "vector": vectors}),
+    "split.json": st.fixed_dictionaries({"seen": id_lists, "unseen": id_lists},
+                                        optional={"config_hash": json_scalars}),
+}
+
+
+def json_file(name):
+    """JSON lines, or one JSON document for the split file, as bytes."""
+    docs = RECORDS[name] | json_values
+    if name == "split.json":
+        return docs.map(lambda o: json.dumps(o).encode())
+    return st.lists(docs, min_size=1, max_size=4).map(
+        lambda objs: "".join(json.dumps(o) + "\n" for o in objs).encode())
+
+
+class TestMalformedDataFiles:
+    @pytest.mark.parametrize("name, content, named", [
+        pytest.param("features.jsonl", FEATURE_LINE % ("1.0, 1" + "0" * 400),
+                     "line 1: int too large to convert to float", id="features-huge-int"),
+        pytest.param("embeddings.jsonl", EMBEDDING_LINE % ("1" + "0" * 400),
+                     "line 1: vector entry out of float64 range", id="embeddings-huge-int"),
+        pytest.param("features.jsonl", FEATURE_LINE % ("1" * 5000),
+                     "line 1: not valid JSON (Exceeds", id="features-int-digit-limit"),
+        pytest.param("features.jsonl", b"\n\xff\xfe{}\n", "line 2: not UTF-8 text",
+                     id="features-not-utf8"),
+        pytest.param("embeddings.jsonl", b"\xc3(\n", "line 1: not UTF-8 text",
+                     id="embeddings-not-utf8"),
+        pytest.param("split.json", b'{"seen": [0], "unseen": ["\xe9"]}',
+                     "split file: not UTF-8 text", id="split-not-utf8"),
+        pytest.param("features.jsonl", "[" * 100_000,
+                     "line 1: not valid JSON (maximum recursion", id="features-deep"),
+        pytest.param("embeddings.jsonl", '{"a": ' * 100_000,
+                     "line 1: not valid JSON (maximum recursion", id="embeddings-deep"),
+        pytest.param("split.json", "[" * 100_000,
+                     "split file: not valid JSON (maximum recursion", id="split-deep"),
+        pytest.param("split.json", '{"seen": [0, 1, 1, 2], "unseen": [3, 4]}',
+                     "split file: duplicate class ids", id="split-duplicate"),
+        pytest.param("split.json", '{"seen": [0, 1, 2, 3], "unseen": [3, 4]}',
+                     "split file: classes in both groups: [3]", id="split-overlap"),
+        pytest.param("split.json", '{"seen": [], "unseen": [0, 1, 2, 3, 4]}',
+                     "split file: both split groups must be non-empty", id="split-empty"),
+    ])
+    def test_train_exits_one_with_a_typed_error(self, tiny_env, tmp_path, capsys, name,
+                                                content, named):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_env["data"], data)
+        path = data / name
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        with pytest.raises(LOADERS[name][1]):
+            LOADERS[name][0](path)
+        code = cli.main(["train", "--config", tiny_env["cfg"], "--data", str(data),
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + named)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(LOADERS))
+    @pytest.mark.parametrize("content", ["bytes", "json"])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_loader_raises_only_its_format_error(self, tmp_path, name, content, data):
+        load, error = LOADERS[name]
+        path = tmp_path / name
+        path.write_bytes(data.draw(st.binary(max_size=200) if content == "bytes"
+                                   else json_file(name)))
+        try:
+            load(path)
+        except error:
+            pass
+
+    @pytest.mark.parametrize("name", sorted(LOADERS))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_train_on_a_fuzzed_file_exits_one_or_two(self, tiny_env, tmp_path, name, data):
+        # batch_size 1 cannot take a stage-2 step, so even a valid file ends in exit 1
+        cfg = write_cfg(tmp_path / "b1.cfg", TINY_LINES + ["batch_size = 1"])
+        run_data = tmp_path / "data"
+        if not run_data.exists():
+            shutil.copytree(tiny_env["data"], run_data)
+        (run_data / name).write_bytes(data.draw(st.binary(max_size=200) | json_file(name)))
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["train", "--config", cfg, "--data", str(run_data),
+                             "--out", str(tmp_path / "run")])
+        assert code in (1, 2)

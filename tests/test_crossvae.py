@@ -1,5 +1,6 @@
 """Twin-VAE tests: encoder/decoder wiring against the dense-kernel oracle,
-reparameterization statistics, the full stage-2 gradient under frozen noise,
+reparameterization statistics (through sample_class_latents), cross
+reconstructions from posterior means, the full stage-2 gradient under frozen noise,
 training-curve descent through the stage-2 loop, and the checkpoint codec
 round trip."""
 
@@ -46,65 +47,91 @@ class TestEncode:
             np.testing.assert_allclose(latent.mu[i], one.mu, atol=1e-14)
 
 
+def fixed_posterior_params(mu, log_var, text_dim=3):
+    """VAE whose text posterior is N(mu, exp(log_var)) for any input: the text
+    encoder is one linear layer with zero weights and bias [mu, log_var]."""
+    mu = np.asarray(mu, dtype=np.float64)
+    params = tiny_params(latent_dim=mu.size, text_dim=text_dim)
+    params.text_encoder = numkit.MlpParams(
+        [np.zeros((2 * mu.size, text_dim))], [np.concatenate([mu, log_var])])
+    return params
+
+
 class TestReparameterize:
+    """z = mu + exp(log_var / 2) * eps, as sample_class_latents draws it."""
+
     def test_vanishing_variance_returns_mean(self):
-        latent = crossvae.LatentGaussian(np.array([1.0, -2.0]),
-                                         np.array([-100.0, -100.0]))
-        z = crossvae.reparameterize(latent, numkit.make_rng(0))
-        np.testing.assert_allclose(z, latent.mu, atol=1e-20)
+        params = fixed_posterior_params([1.0, -2.0], [-100.0, -100.0])
+        z = crossvae.sample_class_latents(params, np.ones(3), 4, numkit.make_rng(0))
+        np.testing.assert_allclose(z, np.tile([1.0, -2.0], (4, 1)), atol=1e-20)
 
     def test_seeded_draw_reproducible(self):
-        latent = crossvae.LatentGaussian(np.zeros(3), np.zeros(3))
-        a = crossvae.reparameterize(latent, numkit.make_rng(5))
-        b = crossvae.reparameterize(latent, numkit.make_rng(5))
+        params = fixed_posterior_params(np.zeros(3), np.zeros(3))
+        a = crossvae.sample_class_latents(params, np.ones(3), 5, numkit.make_rng(5))
+        b = crossvae.sample_class_latents(params, np.ones(3), 5, numkit.make_rng(5))
         np.testing.assert_array_equal(a, b)
 
     def test_explicit_eps_used_verbatim(self):
-        latent = crossvae.LatentGaussian(np.array([1.0]), np.array([math.log(4.0)]))
-        z = crossvae.reparameterize(latent, eps=np.array([0.5]))
-        assert z[0] == pytest.approx(1.0 + 2.0 * 0.5, abs=1e-15)
+        params = fixed_posterior_params([1.0], [math.log(4.0)])
+        z = crossvae.sample_class_latents(params, np.ones(3), 1, eps=np.array([[0.5]]))
+        assert z[0, 0] == pytest.approx(1.0 + 2.0 * 0.5, abs=1e-15)
 
     def test_sample_mean_approaches_mu(self):
-        rng = numkit.make_rng(6)
         mu = np.array([0.7, -1.1])
         lv = np.array([0.2, -0.4])
-        latent = crossvae.LatentGaussian(np.broadcast_to(mu, (100_000, 2)),
-                                         np.broadcast_to(lv, (100_000, 2)))
-        z = crossvae.reparameterize(latent, rng)
+        params = fixed_posterior_params(mu, lv)
+        z = crossvae.sample_class_latents(params, np.ones(3), 100_000, numkit.make_rng(6))
         se = np.exp(0.5 * lv) / math.sqrt(100_000)
         assert np.all(np.abs(z.mean(axis=0) - mu) < 3.0 * se)
 
     def test_requires_noise_source(self):
-        latent = crossvae.LatentGaussian(np.zeros(2), np.zeros(2))
+        params = fixed_posterior_params(np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError):
-            crossvae.reparameterize(latent)
+            crossvae.sample_class_latents(params, np.ones(3), 2)
+
+
+def align_with_hand_decoded_means(params, f_s, f_t, labels, negatives, cfg):
+    """Alignment loss over cross reconstructions decoded from posterior means."""
+    mu_s = crossvae.encode(params, "skeleton", f_s).mu
+    mu_t = crossvae.encode(params, "text", f_t).mu
+    g_s_t, _ = numkit.mlp_forward(params.text_decoder, mu_s)
+    g_t_s, _ = numkit.mlp_forward(params.skel_decoder, mu_t)
+    batch = losses.AlignmentBatch(f_t, f_s, g_s_t, g_t_s, labels, negatives)
+    return losses.alignment_loss(batch, "calibrated", cfg).value, g_s_t, g_t_s
 
 
 class TestCrossReconstruct:
+    """stage2_loss aligns text decoded from skeleton means, and back."""
+
+    def align_terms(self, params, seed):
+        f_s, f_t, labels, negatives, rng = make_batch(seed, text_dim=params.text_dim)
+        eps_s = rng.standard_normal((4, params.latent_dim))
+        eps_t = rng.standard_normal((4, params.latent_dim))
+        cfg = losses.LossConfig(temperature=5.0)
+        breakdown, _, _, _ = crossvae.stage2_loss(params, f_s, f_t, labels, negatives,
+                                                  eps_s, eps_t, cfg)
+        want = align_with_hand_decoded_means(params, f_s, f_t, labels, negatives, cfg)
+        return breakdown["align"], want
+
     def test_zero_decoders_give_zero_features(self):
         params = tiny_params()
         params.text_decoder = numkit.zero_mlp((2, 5, 3))
         params.skel_decoder = numkit.zero_mlp((2, 5, 4))
-        out = crossvae.cross_reconstruct(params, np.ones(2), np.ones(2))
-        assert np.all(out.g_s_t == 0.0) and np.all(out.g_t_s == 0.0)
+        align, (want, g_s_t, g_t_s) = self.align_terms(params, 20)
+        assert np.all(g_s_t == 0.0) and np.all(g_t_s == 0.0)
+        assert align == pytest.approx(want, rel=1e-12)
 
     def test_identity_linear_decoder_passes_latent_through(self):
-        params = tiny_params()
+        params = tiny_params(text_dim=2)
         params.text_decoder = numkit.MlpParams([np.eye(2)], [np.zeros(2)])
-        z = np.array([0.3, -0.9])
-        out = crossvae.cross_reconstruct(params, z, np.zeros(2))
-        np.testing.assert_array_equal(out.g_s_t, z)
+        align, (want, g_s_t, _) = self.align_terms(params, 21)
+        f_s = make_batch(21, text_dim=2)[0]
+        np.testing.assert_array_equal(g_s_t, crossvae.encode(params, "skeleton", f_s).mu)
+        assert align == pytest.approx(want, rel=1e-12)
 
     def test_matches_forward_oracle(self):
-        params = tiny_params(7)
-        rng = numkit.make_rng(8)
-        z_s = rng.standard_normal(2)
-        z_t = rng.standard_normal(2)
-        out = crossvae.cross_reconstruct(params, z_s, z_t)
-        expect_st, _ = numkit.mlp_forward(params.text_decoder, z_s)
-        expect_ts, _ = numkit.mlp_forward(params.skel_decoder, z_t)
-        np.testing.assert_array_equal(out.g_s_t, expect_st)
-        np.testing.assert_array_equal(out.g_t_s, expect_ts)
+        align, (want, _, _) = self.align_terms(tiny_params(7), 8)
+        assert align == pytest.approx(want, rel=1e-12)
 
 
 def make_batch(seed, b=4, skel_dim=4, text_dim=3, classes=2):
@@ -258,7 +285,7 @@ class TestTrainStep:
         rng = numkit.make_rng(19)
         f_s = rng.standard_normal((6, 3))
         data = tiny_stage2_data(f_s, np.array([0, 1] * 3))
-        f_t = np.stack([semantics.fuse(data[1], c).vector for c in (0, 1)] * 3)
+        f_t = np.stack([semantics.fuse(data[1], c) for c in (0, 1)] * 3)
         cfg = losses.LossConfig(kl_weight=1.0, align_weight=0.0)
         # a run of k epochs is the first k steps of a longer run with the same seed
         for epochs in (1, 5, 10, 20):

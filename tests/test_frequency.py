@@ -1,6 +1,7 @@
 """Transform and band-scaling tests: the cosine transform against a naive
 summation oracle, round-trip and energy preservation, pinned scaling-factor
-values, the energy redistribution identity, and weight-gradient checks."""
+values and the ramps' sign changes, the energy redistribution identity, and
+weight-gradient checks."""
 
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqzsl import frequency, numkit
+from freqzsl import cli, frequency, numkit
 
 
 def naive_dct(x):
@@ -110,6 +111,17 @@ class TestScalingFactor:
         high = [k for k in range(64) if cfg.split_points[k + 1] > cfg.low_cutoff]
         assert all(g[a] >= g[b] - 1e-12 for a, b in zip(low, low[1:]))
         assert all(g[a] <= g[b] + 1e-12 for a, b in zip(high, high[1:]))
+
+    def test_ramps_change_sign_past_b_and_2b(self):
+        # defaults b = 30, low_cutoff = 35, 64 frames: the low ramp turns to a
+        # cut past coefficient 30, the high ramp to a boost past 60
+        run = cli.RunConfig()
+        cfg = frequency.EnhancementConfig.per_coefficient(
+            run.synth_frames, run.low_cutoff, run.ramp, weight=0.5)
+        g = profile_g(cfg)
+        assert np.flatnonzero(g == 1.0).tolist() == [30, 60]
+        assert np.flatnonzero(g > 1.0).tolist() == [*range(30), 61, 62, 63]
+        assert np.flatnonzero(g[:35] < 1.0).tolist() == [31, 32, 33, 34]
 
     def test_band_index_out_of_range(self):
         # every coefficient maps to a band in [0, n_bands), the short last one included

@@ -266,6 +266,44 @@ class TestGate:
         acc = 0.5 * (float(np.mean(route_a)) + float(np.mean(~route_b)))
         assert abs(acc - 0.5) < 0.05
 
+    def overlapping_fit(self, c=1.0):
+        """Gate fitted on overlapping groups, with its (N, 2) features and +-1 labels."""
+        rng = numkit.make_rng(21)
+        clf = self.seen_clf()
+        seen_latents = np.eye(2)[rng.integers(0, 2, 60)] * rng.uniform(0.0, 0.6, (60, 1))
+        unseen_latents = 0.3 * rng.standard_normal((50, 2))
+        gate = pipeline.train_gate(clf, unseen_latents, seen_latents, c=c)
+        x = np.concatenate([pipeline.gate_features(clf, seen_latents),
+                            pipeline.gate_features(clf, unseen_latents)])
+        return gate, x, np.concatenate([np.ones(60), -np.ones(50)])
+
+    @staticmethod
+    def objective(theta, x, y, c):
+        """0.5 ||w||^2 + c * sum softplus(-y z) and its gradient (w, then b)."""
+        m = -y * (x @ theta[:-1] + theta[-1])
+        dz = -c * y * 0.5 * (1.0 + np.tanh(0.5 * m))  # d(c softplus(m)) / dz
+        value = 0.5 * theta[:-1] @ theta[:-1] + c * np.logaddexp(0.0, m).sum()
+        return value, np.append(theta[:-1] + x.T @ dz, dz.sum())
+
+    @pytest.mark.parametrize("c", [0.01, 1.0, 100.0])
+    def test_fit_is_stationary(self, c):
+        gate, x, y = self.overlapping_fit(c)
+        _, grad = self.objective(np.append(gate.weights, gate.bias), x, y, c)
+        assert np.max(np.abs(grad)) <= 1e-8
+
+    def test_matches_lbfgsb_fit(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        gate, x, y = self.overlapping_fit()
+        ref = optimize.minimize(self.objective, np.zeros(3), args=(x, y, 1.0), jac=True,
+                                method="L-BFGS-B")
+        np.testing.assert_allclose(np.append(gate.weights, gate.bias), ref.x, atol=1e-4)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "GATE_MAX_STEPS", 1)
+        with pytest.raises(ValueError, match="did not converge in 1 Newton step"):
+            pipeline.train_gate(self.seen_clf(), 0.3 * np.ones((4, 2)),
+                                np.array([[0.5, 0.0], [0.0, 0.2], [0.1, 0.1]]))
+
     def test_gate_features_are_top1_and_entropy(self):
         clf = self.seen_clf()
         feats = pipeline.gate_features(clf, np.zeros((1, 2)))
@@ -419,7 +457,7 @@ class TestUnseenSynthesis:
             rng=numkit.make_rng(18))
         fresh = numkit.make_rng(19)
         for cid in (5, 6):
-            fused = semantics.fuse(table, cid).vector
+            fused = semantics.fuse(table, cid)
             z = crossvae.sample_class_latents(params, fused, 200, fresh)
             assert float(np.mean(clf.predict(z) == cid)) >= 0.99
 

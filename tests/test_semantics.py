@@ -122,9 +122,9 @@ class TestFuse:
         table = semantics.load_embeddings(path)
         fused = semantics.fuse(table, 0)
         # AL then LD then GD regardless of file order; norm 5 divides out
-        np.testing.assert_allclose(fused.vector, [0.6, 0.0, 0.0, 0.8], atol=1e-15)
-        assert np.linalg.norm(fused.vector) == pytest.approx(1.0, abs=1e-12)
-        assert table.fused_dim == 4
+        np.testing.assert_allclose(fused, [0.6, 0.0, 0.0, 0.8], atol=1e-15)
+        assert np.linalg.norm(fused) == pytest.approx(1.0, abs=1e-12)
+        assert fused.shape == (4,)
 
     def test_missing_class_raises_keyerror(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -147,5 +147,5 @@ class TestFuse:
         fused = semantics.fuse_all(table)
         assert sorted(fused) == [0, 1, 2]
         for cid, vec in fused.items():
-            np.testing.assert_allclose(vec, semantics.fuse(table, cid).vector,
+            np.testing.assert_allclose(vec, semantics.fuse(table, cid),
                                        atol=0)
