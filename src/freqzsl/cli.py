@@ -206,10 +206,6 @@ def build_enhancement(cfg: RunConfig, length: int) -> frequency.EnhancementConfi
     if not (0 <= cfg.low_cutoff < length):
         raise ConfigError(f"low_cutoff {cfg.low_cutoff} outside [0, {length})")
     try:
-        if cfg.band_size == 1:
-            return frequency.EnhancementConfig.per_coefficient(
-                length, cfg.low_cutoff, cfg.ramp, cfg.init_weight,
-                cfg.enhance_mode, cfg.weight_floor)
         return frequency.EnhancementConfig.uniform_bands(
             length, cfg.band_size, cfg.low_cutoff, cfg.ramp, cfg.init_weight,
             cfg.enhance_mode, cfg.weight_floor)
@@ -446,14 +442,10 @@ def write_loss_log(path, loss_log: list[dict], hash_: str) -> None:
 # ---- transform self-tests ----
 
 
-def dct_self_checks(seed: int = 0, corrupt_basis: bool = False) -> list[tuple[str, float, float, bool]]:
-    """Each entry: (name, worst error, tolerance, ok). corrupt_basis is a
-    harness hook that perturbs the checked basis so failure paths can be
-    exercised deliberately."""
+def dct_self_checks(seed: int = 0) -> list[tuple[str, float, float, bool]]:
+    """Each entry: (name, worst error, tolerance, ok)."""
     rng = numkit.make_rng(seed, 7)
-    basis = np.array(frequency.dct_basis(64))
-    if corrupt_basis:
-        basis = basis + 1e-3
+    basis = frequency.dct_basis(64)
     seqs = rng.standard_normal((100, 25, 3, 64))
     coeffs = seqs @ basis.T
     back = coeffs @ basis
@@ -566,8 +558,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_dct_check(args) -> int:
-    rows = dct_self_checks(args.seed if args.seed is not None else 0,
-                           corrupt_basis=args.corrupt_basis)
+    rows = dct_self_checks(args.seed if args.seed is not None else 0)
     ok = True
     for name, err, tol, passed in rows:
         ok &= passed
@@ -676,8 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dct-check", help="transform self-tests")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--corrupt-basis", action="store_true",
-                   help="perturb the checked basis (exercises the failure path)")
     p.set_defaults(func=cmd_dct_check)
 
     p = sub.add_parser("train", help="train stages 2-4 and write a checkpoint")

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numkit import Array, check_finite
+from .numkit import Array, check_finite, sigmoid
 
 MODES = ("piecewise", "learnable_only")
 
@@ -139,8 +139,7 @@ class EnhancementConfig:
                         weight: float = 0.0, mode: str = "piecewise",
                         floor: float = 0.0) -> "EnhancementConfig":
         """One band per coefficient (the default granularity)."""
-        return cls(tuple(range(length + 1)), (weight,) * length,
-                   low_cutoff, ramp, mode, floor)
+        return cls.uniform_bands(length, 1, low_cutoff, ramp, weight, mode, floor)
 
     @classmethod
     def uniform_bands(cls, length: int, band_size: int, low_cutoff: int,
@@ -234,13 +233,7 @@ def enhance_weight_grads(cache: EnhanceCache, grad_out: Array) -> Array:
 
 def weights_from_raw(raw: Array) -> Array:
     """Sigmoid squash of unconstrained weights into (0, 1)."""
-    raw = np.asarray(raw, dtype=np.float64)
-    out = np.empty_like(raw)
-    pos = raw >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-raw[pos]))
-    e = np.exp(raw[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return sigmoid(raw)
 
 
 def raw_from_weights(w: Array, clip: float = 1e-9) -> Array:

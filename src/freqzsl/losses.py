@@ -20,6 +20,12 @@ Triplet baselines over the same batch geometry (both directions summed,
     t3: T * (exp(d+) / (exp(d+) + exp(d-)))^2          (plain distances d)
     t4: max(1 - D- / (D+ + m), 0)
 
+All five share one gradient path: each is a per-item rule giving the batch
+value and dL/dD+, dL/dD- for one direction, and `alignment_loss` chains
+those through the squared distances. t3 joins that chain through
+d = sqrt(D), so dL/dD = dL/dd / (2 d); at D = 0 this factor is taken as 0,
+which keeps the gradient finite (the residual it multiplies is zero there).
+
 ELBO per modality: mean-over-dims squared reconstruction error plus
 kl_weight times KL(N(mu, diag sigma^2) || N(0, I)), meaned over the batch;
 KL has the closed form 0.5 * sum(mu^2 + sigma^2 - 1 - log sigma^2).
@@ -30,9 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import Array, check_finite
-
-ALIGN_LOSSES = ("calibrated", "t1", "t2", "t3", "t4")
+from .numkit import Array, check_finite, sigmoid
 
 
 @dataclass(frozen=True)
@@ -124,28 +128,7 @@ def sample_negatives(labels: Array, rng: np.random.Generator) -> Array:
 
 def pair_sigmoid(a: Array, temperature: float) -> Array:
     """l(a) = 1 / (1 + exp(a / T)), overflow-safe; satisfies l(a) + l(-a) = 1."""
-    z = np.asarray(a, dtype=np.float64) / temperature
-    out = np.empty_like(z)
-    pos = z >= 0
-    e = np.exp(-z[pos])
-    out[pos] = e / (1.0 + e)
-    out[~pos] = 1.0 / (1.0 + np.exp(z[~pos]))
-    return out
-
-
-# ---- shared batch geometry ----
-
-
-def _zero_grads(batch: AlignmentBatch) -> dict[str, Array]:
-    names = ("g_s_t", "g_t_s") + (("f_t", "f_s") if batch.anchor_grads else ())
-    return {name: np.zeros_like(getattr(batch, name)) for name in names}
-
-
-def _direction(anchor: Array, recon: Array, neg: Array):
-    """Residuals and squared distances to positive and negative reconstructions."""
-    u = anchor - recon
-    v = anchor - recon[neg]
-    return u, v, np.sum(u * u, axis=1), np.sum(v * v, axis=1)
+    return sigmoid(-(np.asarray(a, dtype=np.float64) / temperature))
 
 
 def _scatter_rows(index: Array, rows: Array, n: int) -> Array:
@@ -154,164 +137,89 @@ def _scatter_rows(index: Array, rows: Array, n: int) -> Array:
     return onehot @ rows
 
 
-def _apply_sq(grads: dict[str, Array], anchor_key: str, recon_key: str,
-              batch: AlignmentBatch, u: Array, v: Array,
-              cp: Array, cn: Array) -> None:
-    """Set the recon gradient (and the anchor gradient, if the batch wants
-    it) of one direction from d(term)/dD+ = cp and d(term)/dD- = cn through
-    squared distances.
+# ---- per-item rules: (D+, D-, B, cfg) -> (batch value, dL/dD+, dL/dD-) ----
 
-    Each direction owns its two keys, so the gradients are assigned, not
-    accumulated onto zeros.
+
+def _calibrated(dp: Array, dn: Array, b: int, cfg: LossConfig):
+    ell = pair_sigmoid(dn - dp, cfg.temperature)
+    coef = ell * (1.0 - ell) / b
+    return cfg.temperature / b * float(np.sum(ell)), coef, -coef
+
+
+def _t1(dp: Array, dn: Array, b: int, cfg: LossConfig):
+    slack = dp - dn + cfg.margin
+    active = (slack > 0).astype(np.float64)
+    return float(np.sum(np.maximum(slack, 0.0))) / b, active / b, -active / b
+
+
+def _t2(dp: Array, dn: Array, b: int, cfg: LossConfig):
+    t = cfg.temperature
+    ell = pair_sigmoid(dn - dp, t)
+    # log l(a) = -log(1 + exp(a/T)); logaddexp keeps it finite where l underflows
+    value = -float(np.sum(np.logaddexp(0.0, (dn - dp) / t))) / b
+    # d log l / d a = -(1 - l), with a = (D- - D+) / T
+    coef = (1.0 - ell) / (b * t)
+    return value, coef, -coef
+
+
+def _half_inverse(d: Array) -> Array:
+    """d(sqrt D)/dD = 1 / (2 d) at d = sqrt D, taken as 0 at d = 0."""
+    return np.divide(0.5, d, out=np.zeros_like(d), where=d > 0)
+
+
+def _t3(dp: Array, dn: Array, b: int, cfg: LossConfig):
+    t = cfg.temperature
+    sp, sn = np.sqrt(dp), np.sqrt(dn)
+    # exp(d+) / (exp(d+) + exp(d-)) = sigmoid(d+ - d-)
+    r = 1.0 - pair_sigmoid(sp - sn, 1.0)
+    coef = 2.0 * t / b * r * r * (1.0 - r)  # d(value)/d(d+) = -d(value)/d(d-)
+    return t / b * float(np.sum(r * r)), coef * _half_inverse(sp), -coef * _half_inverse(sn)
+
+
+def _t4(dp: Array, dn: Array, b: int, cfg: LossConfig):
+    denom = dp + cfg.margin
+    slack = 1.0 - dn / denom
+    active = slack > 0
+    cp = np.where(active, dn / (denom * denom), 0.0) / b
+    cn = np.where(active, -1.0 / denom, 0.0) / b
+    return float(np.sum(np.maximum(slack, 0.0))) / b, cp, cn
+
+
+_RULES = {"calibrated": _calibrated, "t1": _t1, "t2": _t2, "t3": _t3, "t4": _t4}
+ALIGN_LOSSES = tuple(_RULES)
+
+
+def alignment_loss(batch: AlignmentBatch, name: str, cfg: LossConfig) -> LossValue:
+    """The named loss (see ALIGN_LOSSES) summed over both modal directions.
+
+    Each direction takes its rule's dL/dD+ = cp and dL/dD- = cn back through
+    the squared distances: the anchor gradient (if the batch wants it) is
+    2 (cp u + cn v) and the reconstruction gradient -2 cp u, minus 2 cn v
+    scattered onto each item's negative, with u and v the residuals to the
+    positive and negative reconstructions.
     """
-    if batch.anchor_grads:
-        g_anchor = cp[:, None] * u
-        g_anchor += cn[:, None] * v
-        g_anchor *= 2.0
-        grads[anchor_key] = g_anchor
-    g_recon = -2.0 * cp[:, None] * u
-    g_recon -= _scatter_rows(batch.negatives, 2.0 * cn[:, None] * v, batch.size)
-    grads[recon_key] = g_recon
-
-
-def _both_directions(batch: AlignmentBatch):
-    t = _direction(batch.f_t, batch.g_s_t, batch.negatives)
-    s = _direction(batch.f_s, batch.g_t_s, batch.negatives)
-    return (("f_t", "g_s_t", *t), ("f_s", "g_t_s", *s))
-
-
-# ---- calibrated alignment ----
-
-
-def calibrated_alignment(batch: AlignmentBatch, temperature: float,
-                         all_pairs: bool = False) -> LossValue:
-    """The temperature-calibrated pairwise loss; see the module docstring.
-
-    all_pairs replaces the sampled negative with the mean pair term over
-    every different-label batch member (an analysis mode, not the trainer's).
-    """
-    if all_pairs:
-        return _calibrated_all_pairs(batch, temperature)
+    if name not in _RULES:
+        raise ValueError(f"unknown alignment loss {name!r}")
+    rule = _RULES[name]
     b = batch.size
     grads: dict[str, Array] = {}
-    total = 0.0
-    for anchor_key, recon_key, u, v, dp, dn in _both_directions(batch):
-        ell = pair_sigmoid(dn - dp, temperature)
-        total += temperature / b * float(np.sum(ell))
-        coef = ell * (1.0 - ell) / b
-        _apply_sq(grads, anchor_key, recon_key, batch, u, v, coef, -coef)
-    return LossValue(total, grads)
-
-
-def _calibrated_all_pairs(batch: AlignmentBatch, temperature: float) -> LossValue:
-    b = batch.size
-    grads = _zero_grads(batch)
     total = 0.0
     for anchor_key, recon_key in (("f_t", "g_s_t"), ("f_s", "g_t_s")):
         anchor = getattr(batch, anchor_key)
         recon = getattr(batch, recon_key)
-        for i in range(b):
-            valid = np.flatnonzero(batch.labels != batch.labels[i])
-            if valid.size == 0:
-                raise ValueError("single-class batch: no valid negative exists")
-            u = anchor[i] - recon[i]
-            dp = float(u @ u)
-            v = anchor[i] - recon[valid]
-            dn = np.sum(v * v, axis=1)
-            ell = pair_sigmoid(dn - dp, temperature)
-            total += temperature / b * float(np.mean(ell))
-            coef = ell * (1.0 - ell) / (b * valid.size)
-            cp = float(np.sum(coef))
-            if batch.anchor_grads:
-                grads[anchor_key][i] += 2.0 * (cp * u - coef @ v)
-            grads[recon_key][i] -= 2.0 * cp * u
-            grads[recon_key] += _scatter_rows(valid, 2.0 * coef[:, None] * v, b)
-    return LossValue(total, grads)
-
-
-# ---- triplet baselines ----
-
-
-def triplet_t1(batch: AlignmentBatch, margin: float) -> LossValue:
-    """Hinge on squared distances: max(D+ - D- + m, 0), both directions."""
-    b = batch.size
-    grads: dict[str, Array] = {}
-    total = 0.0
-    for anchor_key, recon_key, u, v, dp, dn in _both_directions(batch):
-        slack = dp - dn + margin
-        active = (slack > 0).astype(np.float64)
-        total += float(np.sum(np.maximum(slack, 0.0))) / b
-        _apply_sq(grads, anchor_key, recon_key, batch, u, v,
-                  active / b, -active / b)
-    return LossValue(total, grads)
-
-
-def triplet_t2(batch: AlignmentBatch, temperature: float) -> LossValue:
-    """Log of the pair term: mean of log l(D- - D+). Not symmetric, unbounded below."""
-    b = batch.size
-    grads: dict[str, Array] = {}
-    total = 0.0
-    for anchor_key, recon_key, u, v, dp, dn in _both_directions(batch):
-        ell = pair_sigmoid(dn - dp, temperature)
-        # log l(a) = -log(1 + exp(a/T)); logaddexp keeps it finite where l underflows
-        total -= float(np.sum(np.logaddexp(0.0, (dn - dp) / temperature))) / b
-        # d log l / d a = -(1 - l), with a = (D- - D+) / T
-        coef = (1.0 - ell) / (b * temperature)
-        _apply_sq(grads, anchor_key, recon_key, batch, u, v, coef, -coef)
-    return LossValue(total, grads)
-
-
-def triplet_t3(batch: AlignmentBatch, temperature: float) -> LossValue:
-    """Squared softmax ratio of plain (non-squared) Euclidean distances."""
-    b = batch.size
-    grads = _zero_grads(batch)
-    total = 0.0
-    for anchor_key, recon_key, u, v, dp2, dn2 in _both_directions(batch):
-        dp = np.sqrt(dp2)
-        dn = np.sqrt(dn2)
-        # exp(d+) / (exp(d+) + exp(d-)) = sigmoid(d+ - d-)
-        r = 1.0 - pair_sigmoid(dp - dn, 1.0)
-        total += temperature / b * float(np.sum(r * r))
-        coef = 2.0 * temperature / b * r * r * (1.0 - r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            du = np.where(dp[:, None] > 0, u / np.where(dp == 0, 1, dp)[:, None], 0.0)
-            dv = np.where(dn[:, None] > 0, v / np.where(dn == 0, 1, dn)[:, None], 0.0)
+        u = anchor - recon
+        v = anchor - recon[batch.negatives]
+        value, cp, cn = rule(np.sum(u * u, axis=1), np.sum(v * v, axis=1), b, cfg)
+        total += value
         if batch.anchor_grads:
-            grads[anchor_key] += coef[:, None] * du - coef[:, None] * dv
-        grads[recon_key] -= coef[:, None] * du
-        grads[recon_key] += _scatter_rows(batch.negatives, coef[:, None] * dv, b)
+            g_anchor = cp[:, None] * u
+            g_anchor += cn[:, None] * v
+            g_anchor *= 2.0
+            grads[anchor_key] = g_anchor
+        g_recon = -2.0 * cp[:, None] * u
+        g_recon -= _scatter_rows(batch.negatives, 2.0 * cn[:, None] * v, b)
+        grads[recon_key] = g_recon
     return LossValue(total, grads)
-
-
-def triplet_t4(batch: AlignmentBatch, margin: float) -> LossValue:
-    """Ratio hinge: max(1 - D- / (D+ + m), 0), both directions."""
-    b = batch.size
-    grads: dict[str, Array] = {}
-    total = 0.0
-    for anchor_key, recon_key, u, v, dp, dn in _both_directions(batch):
-        denom = dp + margin
-        slack = 1.0 - dn / denom
-        active = slack > 0
-        total += float(np.sum(np.maximum(slack, 0.0))) / b
-        cp = np.where(active, dn / (denom * denom), 0.0) / b
-        cn = np.where(active, -1.0 / denom, 0.0) / b
-        _apply_sq(grads, anchor_key, recon_key, batch, u, v, cp, cn)
-    return LossValue(total, grads)
-
-
-def alignment_loss(batch: AlignmentBatch, name: str, cfg: LossConfig) -> LossValue:
-    """Dispatch by loss name (see ALIGN_LOSSES)."""
-    if name == "calibrated":
-        return calibrated_alignment(batch, cfg.temperature)
-    if name == "t1":
-        return triplet_t1(batch, cfg.margin)
-    if name == "t2":
-        return triplet_t2(batch, cfg.temperature)
-    if name == "t3":
-        return triplet_t3(batch, cfg.temperature)
-    if name == "t4":
-        return triplet_t4(batch, cfg.margin)
-    raise ValueError(f"unknown alignment loss {name!r}")
 
 
 # ---- evidence lower bound ----

@@ -23,6 +23,17 @@ def check_finite(name: str, arr: Array) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
+def sigmoid(z: Array) -> Array:
+    """Logistic function without overflow: exp only ever sees non-positive values."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 # ---- seeded rng streams ----
 
 

@@ -321,16 +321,6 @@ def train_softmax_classifier(latents: Array, labels: Array,
 GATE_MAX_STEPS = 100  # Newton steps; converging fits take a handful
 
 
-def _sigmoid(z: Array) -> Array:
-    """Logistic function without overflow: exp only ever sees non-positive values."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 @dataclass
 class GateModel:
     """Binary logistic head over (top-1 seen probability, prediction entropy)."""
@@ -340,7 +330,7 @@ class GateModel:
     c: float
 
     def predict_proba_seen(self, feats: Array) -> Array:
-        return _sigmoid(np.asarray(feats, dtype=np.float64) @ self.weights + self.bias)
+        return numkit.sigmoid(np.asarray(feats, dtype=np.float64) @ self.weights + self.bias)
 
 
 def gate_features(seen_clf: SoftmaxClassifier, latents: Array) -> Array:
@@ -377,7 +367,7 @@ def train_gate(seen_clf: SoftmaxClassifier, unseen_latents: Array,
     theta = np.zeros(x.shape[1])
     value, m = objective(theta)
     for _ in range(GATE_MAX_STEPS):
-        s = _sigmoid(m)
+        s = numkit.sigmoid(m)
         grad = reg * theta - x.T @ (c * y * s)
         hess = (x.T * (c * s * (1.0 - s))) @ x + np.diag(reg)
         step = np.linalg.solve(hess, grad)

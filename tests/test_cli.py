@@ -252,14 +252,23 @@ class TestSelfChecks:
         for _, err, tol, _ in rows:
             assert 0.0 <= err < tol
 
-    def test_corrupt_basis_fails(self):
-        rows = cli.dct_self_checks(seed=0, corrupt_basis=True)
-        assert not all(passed for _, _, _, passed in rows)
+    @staticmethod
+    def corrupt_basis(monkeypatch):
+        clean = frequency.dct_basis
+        monkeypatch.setattr(frequency, "dct_basis", lambda frames: clean(frames) + 1e-3)
 
-    def test_command_exit_codes(self, capsys):
+    def test_corrupt_basis_fails(self, monkeypatch):
+        self.corrupt_basis(monkeypatch)
+        rows = cli.dct_self_checks(seed=0)
+        failed = [name for name, _, _, passed in rows if not passed]
+        assert failed == ["round-trip", "parseval", "orthonormality",
+                          "energy-redistribution"]
+
+    def test_command_exit_codes(self, capsys, monkeypatch):
         assert cli.main(["dct-check"]) == 0
         assert "PASS round-trip" in capsys.readouterr().out
-        assert cli.main(["dct-check", "--corrupt-basis"]) == 1
+        self.corrupt_basis(monkeypatch)
+        assert cli.main(["dct-check"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 

@@ -56,6 +56,11 @@ def random_batch(seed, b=6, d=3, classes=3):
     return batch
 
 
+def align(batch, name, **cfg):
+    """alignment_loss under a LossConfig built from keyword overrides."""
+    return losses.alignment_loss(batch, name, losses.LossConfig(**cfg))
+
+
 def check_batch_grads(loss_of_batch, batch, tol=1e-4):
     """Finite-difference check of a LossValue's grads over all four arrays."""
     keys = ("f_t", "f_s", "g_s_t", "g_t_s")
@@ -169,25 +174,25 @@ class TestCalibrated:
     def test_equal_distances_pin_loss_at_temperature(self):
         batch = symmetric_batch()
         for temp in (1.0, 10.0, 100.0):
-            out = losses.calibrated_alignment(batch, temp)
+            out = align(batch, "calibrated", temperature=temp)
             assert out.value == pytest.approx(temp, abs=1e-12)
 
     def test_unit_gap_frozen_value(self):
         # D+ = 1, D- = 2, T = 1, both directions: 2 * l(1) = 2 / (1 + e)
-        out = losses.calibrated_alignment(unit_gap_batch(), 1.0)
+        out = align(unit_gap_batch(), "calibrated", temperature=1.0)
         assert out.value == pytest.approx(2.0 / (1.0 + E), abs=1e-12)
         assert out.value == pytest.approx(0.5378828427399902, abs=1e-12)
 
     def test_loss_increases_with_temperature(self):
         batch = unit_gap_batch()
-        vals = [losses.calibrated_alignment(batch, t).value
+        vals = [align(batch, "calibrated", temperature=t).value
                 for t in (1.0, 10.0, 100.0)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_exchanged_batch_is_invariant_in_the_gap(self):
         # l(a) + l(-a) = 1 pins the value at T regardless of a
-        v1 = losses.calibrated_alignment(exchanged_batch(1.0), 1.0).value
-        v2 = losses.calibrated_alignment(exchanged_batch(2.0), 1.0).value
+        v1 = align(exchanged_batch(1.0), "calibrated", temperature=1.0).value
+        v2 = align(exchanged_batch(2.0), "calibrated", temperature=1.0).value
         assert v1 == pytest.approx(1.0, abs=1e-12)
         assert v2 == pytest.approx(1.0, abs=1e-12)
 
@@ -203,52 +208,36 @@ class TestCalibrated:
         se = float(np.std(ell)) / math.sqrt(n)
         assert abs(float(np.mean(ell)) - 0.5) < 3.0 * se
 
-    def test_all_pairs_matches_sampled_for_two_items(self):
-        batch = unit_gap_batch()
-        sampled = losses.calibrated_alignment(batch, 5.0)
-        allp = losses.calibrated_alignment(batch, 5.0, all_pairs=True)
-        assert allp.value == pytest.approx(sampled.value, abs=1e-12)
-        for k in sampled.grads:
-            np.testing.assert_allclose(allp.grads[k], sampled.grads[k], atol=1e-12)
-
     def test_gradients(self):
         for temp in (1.0, 100.0):
             check_batch_grads(
-                lambda b, t=temp: losses.calibrated_alignment(b, t),
+                lambda b, t=temp: align(b, "calibrated", temperature=t),
                 random_batch(3))
-
-    def test_all_pairs_gradients(self):
-        check_batch_grads(
-            lambda b: losses.calibrated_alignment(b, 10.0, all_pairs=True),
-            random_batch(4))
 
 
 class TestTripletBaselines:
     def test_t1_equal_distances_give_margin_per_direction(self):
         batch = symmetric_batch()
-        assert losses.triplet_t1(batch, 1.0).value == pytest.approx(2.0, abs=1e-12)
-        assert losses.triplet_t1(batch, 0.25).value == pytest.approx(0.5, abs=1e-12)
+        assert align(batch, "t1", margin=1.0).value == pytest.approx(2.0, abs=1e-12)
+        assert align(batch, "t1", margin=0.25).value == pytest.approx(0.5, abs=1e-12)
 
     def test_t1_inactive_when_gap_exceeds_margin(self):
         # D+ = 1, D- = 2, margin 0.5: slack = -0.5 on every item
-        out = losses.triplet_t1(unit_gap_batch(), 0.5)
+        out = align(unit_gap_batch(), "t1", margin=0.5)
         assert out.value == 0.0
         assert all(np.all(g == 0.0) for g in out.grads.values())
 
     def test_pair_sums_are_not_constant(self):
         # the calibrated loss is flat across exchanged batches; none of the
         # four baselines is
-        for fn in (lambda b: losses.triplet_t1(b, 1.0),
-                   lambda b: losses.triplet_t2(b, 1.0),
-                   lambda b: losses.triplet_t3(b, 1.0),
-                   lambda b: losses.triplet_t4(b, 1.0)):
-            v1 = fn(exchanged_batch(1.0)).value
-            v2 = fn(exchanged_batch(2.0)).value
+        for name in ("t1", "t2", "t3", "t4"):
+            v1 = align(exchanged_batch(1.0), name, temperature=1.0, margin=1.0).value
+            v2 = align(exchanged_batch(2.0), name, temperature=1.0, margin=1.0).value
             assert abs(v1 - v2) > 1e-3
 
     def test_t2_frozen_value(self):
         # both items at gap 1, T=1, two directions: 2 * log l(1) = -2 log(1+e)
-        out = losses.triplet_t2(unit_gap_batch(), 1.0)
+        out = align(unit_gap_batch(), "t2", temperature=1.0)
         assert out.value == pytest.approx(-2.0 * math.log(1.0 + E), abs=1e-12)
 
     def test_t2_finite_at_extreme_gaps(self):
@@ -257,48 +246,101 @@ class TestTripletBaselines:
         g = np.array([[0.0], [100.0]])
         batch = losses.AlignmentBatch(f, f.copy(), g, g.copy(),
                                       np.array([0, 1]), np.array([1, 0]))
-        out = losses.triplet_t2(batch, 1.0)
+        out = align(batch, "t2", temperature=1.0)
         assert np.isfinite(out.value)
 
     def test_t3_uses_plain_distances(self):
         # symmetric batch: d+ = d- per item, ratio = 1/2, value = T*B*... = 2*(T/B)*sum(1/4)
-        out = losses.triplet_t3(symmetric_batch(), 1.0)
+        out = align(symmetric_batch(), "t3", temperature=1.0)
         assert out.value == pytest.approx(0.5, abs=1e-12)
+
+    @staticmethod
+    def t3_reference(batch, temperature):
+        """t3 assembled on plain distances, as before the shared chain existed."""
+        b = batch.size
+        grads = {k: np.zeros_like(getattr(batch, k)) for k in ("f_t", "f_s", "g_s_t", "g_t_s")}
+        total = 0.0
+        for anchor_key, recon_key in (("f_t", "g_s_t"), ("f_s", "g_t_s")):
+            anchor, recon = getattr(batch, anchor_key), getattr(batch, recon_key)
+            u = anchor - recon
+            v = anchor - recon[batch.negatives]
+            dp = np.sqrt(np.sum(u * u, axis=1))
+            dn = np.sqrt(np.sum(v * v, axis=1))
+            r = 1.0 - losses.pair_sigmoid(dp - dn, 1.0)
+            total += temperature / b * float(np.sum(r * r))
+            coef = 2.0 * temperature / b * r * r * (1.0 - r)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                du = np.where(dp[:, None] > 0, u / np.where(dp == 0, 1, dp)[:, None], 0.0)
+                dv = np.where(dn[:, None] > 0, v / np.where(dn == 0, 1, dn)[:, None], 0.0)
+            grads[anchor_key] += coef[:, None] * du - coef[:, None] * dv
+            grads[recon_key] -= coef[:, None] * du
+            np.add.at(grads[recon_key], batch.negatives, coef[:, None] * dv)
+        return total, grads
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(2, 12), d=st.integers(1, 6),
+           temperature=st.sampled_from([1.0, 10.0, 100.0]),
+           zero_pos=st.booleans(), zero_neg=st.booleans())
+    def test_t3_matches_plain_distance_assembly(self, seed, b, d, temperature,
+                                                zero_pos, zero_neg):
+        rng = numkit.make_rng(seed)
+        labels = np.arange(b) % 2
+        f_t, f_s, g_s_t, g_t_s = (rng.standard_normal((b, d)) for _ in range(4))
+        negatives = losses.sample_negatives(labels, rng)
+        if zero_pos:  # item 0's anchor equals its positive: D+ = 0
+            g_s_t[0] = f_t[0]
+            g_t_s[0] = f_s[0]
+        if zero_neg:  # item 1's anchor equals its negative: D- = 0
+            g_s_t[negatives[1]] = f_t[1]
+        batch = losses.AlignmentBatch(f_t, f_s, g_s_t, g_t_s, labels, negatives)
+        want_value, want = self.t3_reference(batch, temperature)
+        got = align(batch, "t3", temperature=temperature)
+        assert got.value == want_value
+        scale = max(float(np.max(np.abs(g))) for g in want.values())
+        for key, g in want.items():
+            assert np.max(np.abs(got.grads[key] - g)) <= 1e-12 * scale, key
 
     def test_t4_zero_when_ratio_hinge_inactive(self):
         # D- = 2, D+ = 1, margin 1.5: 1 - 2/2.5 = 0.2 active; margin 0.5: 1 - 2/1.5 < 0
-        assert losses.triplet_t4(unit_gap_batch(), 1.5).value > 0.0
-        assert losses.triplet_t4(unit_gap_batch(), 0.5).value == 0.0
+        assert align(unit_gap_batch(), "t4", margin=1.5).value > 0.0
+        assert align(unit_gap_batch(), "t4", margin=0.5).value == 0.0
 
     def test_gradients_t1(self):
-        check_batch_grads(lambda b: losses.triplet_t1(b, 1.0), random_batch(5))
+        check_batch_grads(lambda b: align(b, "t1", margin=1.0), random_batch(5))
 
     def test_gradients_t2(self):
         for temp in (1.0, 100.0):
-            check_batch_grads(lambda b, t=temp: losses.triplet_t2(b, t),
+            check_batch_grads(lambda b, t=temp: align(b, "t2", temperature=t),
                               random_batch(6))
 
     def test_gradients_t3(self):
-        check_batch_grads(lambda b: losses.triplet_t3(b, 1.0), random_batch(7))
+        check_batch_grads(lambda b: align(b, "t3", temperature=1.0), random_batch(7))
 
     def test_gradients_t4(self):
-        check_batch_grads(lambda b: losses.triplet_t4(b, 1.0), random_batch(8))
+        check_batch_grads(lambda b: align(b, "t4", margin=1.0), random_batch(8))
 
     def test_dispatch_matches_direct_calls(self):
+        # each name reaches its own formula and reads only its own cfg field
         batch = random_batch(9)
-        cfg = losses.LossConfig(temperature=10.0, margin=1.0)
-        pairs = [("calibrated", losses.calibrated_alignment(batch, 10.0)),
-                 ("t1", losses.triplet_t1(batch, 1.0)),
-                 ("t2", losses.triplet_t2(batch, 10.0)),
-                 ("t3", losses.triplet_t3(batch, 10.0)),
-                 ("t4", losses.triplet_t4(batch, 1.0))]
-        for name, direct in pairs:
-            assert losses.alignment_loss(batch, name, cfg).value == direct.value
+        t, m = 10.0, 1.0
+        direct = dict.fromkeys(losses.ALIGN_LOSSES, 0.0)
+        for anchor, recon in ((batch.f_t, batch.g_s_t), (batch.f_s, batch.g_t_s)):
+            dp = np.sum((anchor - recon) ** 2, axis=1)
+            dn = np.sum((anchor - recon[batch.negatives]) ** 2, axis=1)
+            ell = 1.0 / (1.0 + np.exp((dn - dp) / t))
+            r = 1.0 / (1.0 + np.exp(np.sqrt(dn) - np.sqrt(dp)))
+            direct["calibrated"] += t * np.mean(ell)
+            direct["t1"] += np.mean(np.maximum(dp - dn + m, 0.0))
+            direct["t2"] += np.mean(np.log(ell))
+            direct["t3"] += t * np.mean(r * r)
+            direct["t4"] += np.mean(np.maximum(1.0 - dn / (dp + m), 0.0))
+        cfg = losses.LossConfig(temperature=t, margin=m)
+        for name, want in direct.items():
+            assert losses.alignment_loss(batch, name, cfg).value == pytest.approx(
+                want, rel=1e-12, abs=1e-12), name
 
     @pytest.mark.parametrize("loss_of_batch", [
-        *(lambda b, n=name: losses.alignment_loss(b, n, losses.LossConfig(temperature=10.0))
-          for name in losses.ALIGN_LOSSES),
-        lambda b: losses.calibrated_alignment(b, 10.0, all_pairs=True),
+        lambda b, n=name: align(b, n, temperature=10.0) for name in losses.ALIGN_LOSSES
     ])
     def test_without_anchor_grads_recon_grads_are_unchanged(self, loss_of_batch):
         batch = random_batch(11)

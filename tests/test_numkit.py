@@ -29,6 +29,30 @@ def scalar_mlp_forward(params, x):
     return np.array(h)
 
 
+class TestSigmoid:
+    @staticmethod
+    def two_branch_reference(z):
+        """The stable logistic the gate and the band-weight squash each carried."""
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        e = np.exp(z[~pos])
+        out[~pos] = e / (1.0 + e)
+        return out
+
+    def test_bitwise_equal_to_reference_at_the_edges(self):
+        z = np.array([0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan, 1.5, -1.5])
+        with np.errstate(invalid="ignore"):
+            want = self.two_branch_reference(z)
+        got = numkit.sigmoid(z)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got[4] == 1.0 and got[5] == 0.0 and np.isnan(got[6])
+
+    def test_accepts_scalars_and_lists(self):
+        assert numkit.sigmoid(0.0) == 0.5
+        np.testing.assert_array_equal(numkit.sigmoid([0.0, 0.0]), [0.5, 0.5])
+
+
 class TestMlpForward:
     def test_zero_params_give_zero_output(self):
         params = numkit.zero_mlp((4, 3, 2))
