@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,6 +103,17 @@ class RunConfig:
             raise ConfigError("gate_holdout must be in (0, 1)")
         if self.bench_seeds < 1:
             raise ConfigError("bench_seeds must be positive")
+        for key in ("stage2_lr", "unseen_lr", "seen_lr", "gate_c"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
+        if self.align_loss == "t4":
+            _check_t4_margin(self.margin)
+
+
+def _check_t4_margin(margin: float) -> None:
+    """t4 divides by D+ + margin, which is 0 when D+ = D- = 0 unless margin > 0."""
+    if not margin > 0:
+        raise ConfigError(f"margin must be > 0 for align_loss t4, got {margin}")
 
 
 def _coerce(field: dataclasses.Field, raw: str):
@@ -112,9 +124,12 @@ def _coerce(field: dataclasses.Field, raw: str):
             raise ConfigError(f"{field.name}: {raw!r} is not an integer") from exc
     if field.type in ("float", float):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{field.name}: {raw!r} is not a number") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{field.name}: {raw!r} is not a finite number")
+        return value
     if field.type in ("bool", bool):
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
@@ -496,6 +511,8 @@ def loss_bench(cfg: RunConfig, loss_names: list[str],
     for name in loss_names:
         if name not in losses.ALIGN_LOSSES:
             raise ConfigError(f"unknown alignment loss {name!r}")
+    if "t4" in loss_names:
+        _check_t4_margin(cfg.margin)
     detail: dict[str, dict[float, list[float]]] = {
         name: {rate: [] for rate in noise_rates} for name in loss_names}
     for i in range(cfg.bench_seeds):

@@ -13,9 +13,16 @@ only feeds the ELBO path. The stage-2 objective is
 and every gradient (all four networks plus both input feature blocks) is
 assembled by hand so the whole step can be checked against finite
 differences with frozen noise and frozen negatives.
+
+Each decoder runs once per step over [self latents; cross latents], and
+its (2B, d) output is also the block its backward pass reads: the ELBO
+writes its reconstruction gradient over the first B rows and the
+alignment loss writes align_weight times its cross-reconstruction
+gradient over the last B. No separate decoder gradient block is built.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,55 +160,66 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
     mu_s, lv_s = out_s[:, :ld], out_s[:, ld:]
     mu_t, lv_t = out_t[:, :ld], out_t[:, ld:]
 
-    z_s = mu_s + np.exp(0.5 * lv_s) * eps_s
-    z_t = mu_t + np.exp(0.5 * lv_t) * eps_t
+    # sigma * eps, kept for the reparameterization gradient
+    noise_s = np.exp(0.5 * lv_s)
+    noise_s *= eps_s
+    noise_t = np.exp(0.5 * lv_t)
+    noise_t *= eps_t
 
     # one pass per decoder over [self-reconstruction latents; cross latents]
     dec_s, cache_dec_s = numkit.mlp_forward(params.skel_decoder,
-                                            np.concatenate([z_s, mu_t]))
+                                            np.concatenate([mu_s + noise_s, mu_t]))
     dec_t, cache_dec_t = numkit.mlp_forward(params.text_decoder,
-                                            np.concatenate([z_t, mu_s]))
-    xhat_s, g_t_s = dec_s[:b], dec_s[b:]
-    xhat_t, g_s_t = dec_t[:b], dec_t[b:]
+                                            np.concatenate([mu_t + noise_t, mu_s]))
 
-    elbo_s = losses.elbo(f_s, xhat_s, mu_s, lv_s, cfg.kl_weight)
-    elbo_t = losses.elbo(f_t, xhat_t, mu_t, lv_t, cfg.kl_weight)
-    batch = losses.AlignmentBatch(f_t, f_s, g_s_t, g_t_s, labels, negatives,
+    # the losses overwrite each decoder output with its gradient, row block by row block
+    a = cfg.align_weight
+    elbo_s = losses.elbo(f_s, dec_s[:b], mu_s, lv_s, cfg.kl_weight,
+                         in_place=True, x_grad=False)
+    elbo_t = losses.elbo(f_t, dec_t[:b], mu_t, lv_t, cfg.kl_weight,
+                         in_place=True, x_grad=False)
+    batch = losses.AlignmentBatch(f_t, f_s, dec_t[b:], dec_s[b:], labels, negatives,
                                   anchor_grads=feature_grads)
-    align = losses.alignment_loss(batch, align_loss, cfg)
+    align = losses.alignment_loss(batch, align_loss, cfg, grad_scale=a, in_place=True)
 
     vae_value = elbo_s.value + elbo_t.value
-    total = losses.total_objective(vae_value, align.value, cfg.align_weight)
+    total = losses.total_objective(vae_value, align.value, a)
+    if not math.isfinite(total):
+        raise ValueError(f"stage-2 loss is not finite ({total})")
 
-    a = cfg.align_weight
     # decoders: the self-reconstruction rows came from z, the cross rows from mu
-    g_dec_s, d_dec_s = numkit.mlp_backward(
-        params.skel_decoder, cache_dec_s,
-        _decoder_grad(elbo_s.grads["recon"], a, align.grads["g_t_s"]), outs[2])
-    g_dec_t, d_dec_t = numkit.mlp_backward(
-        params.text_decoder, cache_dec_t,
-        _decoder_grad(elbo_t.grads["recon"], a, align.grads["g_s_t"]), outs[3])
+    g_dec_s, d_dec_s = numkit.mlp_backward(params.skel_decoder, cache_dec_s, dec_s, outs[2])
+    g_dec_t, d_dec_t = numkit.mlp_backward(params.text_decoder, cache_dec_t, dec_t, outs[3])
     dz_s, d_mu_t_cross = d_dec_s[:b], d_dec_s[b:]
     dz_t, d_mu_s_cross = d_dec_t[:b], d_dec_t[b:]
 
-    # reparameterization: dz/dmu = 1, dz/dlog_var = (z - mu) / 2
-    d_mu_s = elbo_s.grads["mu"] + dz_s + d_mu_s_cross
-    d_lv_s = elbo_s.grads["log_var"] + dz_s * 0.5 * np.exp(0.5 * lv_s) * eps_s
-    d_mu_t = elbo_t.grads["mu"] + dz_t + d_mu_t_cross
-    d_lv_t = elbo_t.grads["log_var"] + dz_t * 0.5 * np.exp(0.5 * lv_t) * eps_t
+    # reparameterization: dz/dmu = 1, dz/dlog_var = sigma * eps / 2
+    noise_s *= 0.5
+    noise_s *= dz_s
+    noise_t *= 0.5
+    noise_t *= dz_t
+    d_mu_s = elbo_s.grads["mu"] + dz_s
+    d_mu_s += d_mu_s_cross
+    d_mu_t = elbo_t.grads["mu"] + dz_t
+    d_mu_t += d_mu_t_cross
 
-    g_enc_s, d_in_s = numkit.mlp_backward(params.skel_encoder, cache_enc_s,
-                                          np.concatenate([d_mu_s, d_lv_s], axis=1),
-                                          outs[0], feature_grads)
-    g_enc_t, d_in_t = numkit.mlp_backward(params.text_encoder, cache_enc_t,
-                                          np.concatenate([d_mu_t, d_lv_t], axis=1),
-                                          outs[1], feature_grads)
+    g_enc_s, d_in_s = numkit.mlp_backward(
+        params.skel_encoder, cache_enc_s,
+        np.concatenate([d_mu_s, elbo_s.grads["log_var"] + noise_s], axis=1),
+        outs[0], feature_grads)
+    g_enc_t, d_in_t = numkit.mlp_backward(
+        params.text_encoder, cache_enc_t,
+        np.concatenate([d_mu_t, elbo_t.grads["log_var"] + noise_t], axis=1),
+        outs[1], feature_grads)
     d_f_s = d_f_t = None
     if feature_grads:
-        d_f_s = elbo_s.grads["x"] + a * align.grads["f_s"]
-        d_f_s += d_in_s
-        d_f_t = elbo_t.grads["x"] + a * align.grads["f_t"]
-        d_f_t += d_in_t
+        # into the encoders' input gradients; the ELBO's target gradient is
+        # minus its reconstruction gradient, still in the decoder rows
+        d_f_s, d_f_t = d_in_s, d_in_t
+        d_f_s -= dec_s[:b]
+        d_f_s += align.grads["f_s"]
+        d_f_t -= dec_t[:b]
+        d_f_t += align.grads["f_t"]
 
     param_grads = [*g_enc_s, *g_enc_t, *g_dec_s, *g_dec_t]
     breakdown = {
@@ -212,15 +230,6 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
         "align": align.value,
     }
     return breakdown, param_grads, d_f_s, d_f_t
-
-
-def _decoder_grad(recon_grad: Array, a: float, cross_grad: Array) -> Array:
-    """[recon_grad; a * cross_grad] as one (2B, d) block."""
-    b = recon_grad.shape[0]
-    out = np.empty((b + cross_grad.shape[0], recon_grad.shape[1]))
-    out[:b] = recon_grad
-    np.multiply(a, cross_grad, out=out[b:])
-    return out
 
 
 def sample_class_latents(params: VaeParams, fused_text: Array, n: int,

@@ -18,7 +18,7 @@ Triplet baselines over the same batch geometry (both directions summed,
     t1: max(D+ - D- + m, 0)
     t2: log(1 / (1 + exp((D- - D+) / T)))              (log of the pair term)
     t3: T * (exp(d+) / (exp(d+) + exp(d-)))^2          (plain distances d)
-    t4: max(1 - D- / (D+ + m), 0)
+    t4: max(1 - D- / (D+ + m), 0)                      (m > 0: D+ = D- = 0 is 0/0)
 
 All five share one gradient path: each is a per-item rule giving the batch
 value and dL/dD+, dL/dD- for one direction, and `alignment_loss` chains
@@ -32,6 +32,7 @@ KL has the closed form 0.5 * sum(mu^2 + sigma^2 - 1 - log sigma^2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,8 @@ class AlignmentBatch:
     labels[i]; the same index serves both modal directions. With
     anchor_grads=False the losses leave the anchor (feature) gradients
     "f_t" and "f_s" out of their grads, for callers that do not chain back
-    into the features.
+    into the features. Shapes and negatives are checked here; finiteness
+    is checked by `alignment_loss` on the distances it computes.
     """
 
     f_t: Array
@@ -94,8 +96,6 @@ class AlignmentBatch:
             raise ValueError("feature/reconstruction shapes disagree")
         if self.f_s.shape[0] != b or self.labels.shape != (b,) or self.negatives.shape != (b,):
             raise ValueError("batch sizes disagree")
-        for name in ("f_t", "f_s", "g_s_t", "g_t_s"):
-            check_finite(name, getattr(self, name))
         if np.any(self.negatives < 0) or np.any(self.negatives >= b):
             raise ValueError("an item lacks a negative (index out of range)")
         if np.any(self.labels[self.negatives] == self.labels):
@@ -131,10 +131,10 @@ def pair_sigmoid(a: Array, temperature: float) -> Array:
     return sigmoid(-(np.asarray(a, dtype=np.float64) / temperature))
 
 
-def _scatter_rows(index: Array, rows: Array, n: int) -> Array:
-    """(n, d) block whose row k sums rows[i] over every i with index[i] == k."""
-    onehot = (np.arange(n)[:, None] == index[None, :]).astype(np.float64)
-    return onehot @ rows
+def _scatter_matrix(index: Array, n: int) -> Array:
+    """(n, len(index)) 0/1 matrix S with S[k, i] = 1 where index[i] == k, so
+    row k of S @ rows sums rows[i] over every i with index[i] == k."""
+    return (np.arange(n)[:, None] == index[None, :]).astype(np.float64)
 
 
 # ---- per-item rules: (D+, D-, B, cfg) -> (batch value, dL/dD+, dL/dD-) ----
@@ -177,6 +177,9 @@ def _t3(dp: Array, dn: Array, b: int, cfg: LossConfig):
 
 
 def _t4(dp: Array, dn: Array, b: int, cfg: LossConfig):
+    if cfg.margin <= 0:
+        raise ValueError(f"t4 needs margin > 0, got {cfg.margin}: "
+                         "D+ = D- = 0 would give 0/0")
     denom = dp + cfg.margin
     slack = 1.0 - dn / denom
     active = slack > 0
@@ -189,7 +192,8 @@ _RULES = {"calibrated": _calibrated, "t1": _t1, "t2": _t2, "t3": _t3, "t4": _t4}
 ALIGN_LOSSES = tuple(_RULES)
 
 
-def alignment_loss(batch: AlignmentBatch, name: str, cfg: LossConfig) -> LossValue:
+def alignment_loss(batch: AlignmentBatch, name: str, cfg: LossConfig,
+                   grad_scale: float = 1.0, in_place: bool = False) -> LossValue:
     """The named loss (see ALIGN_LOSSES) summed over both modal directions.
 
     Each direction takes its rule's dL/dD+ = cp and dL/dD- = cn back through
@@ -197,28 +201,45 @@ def alignment_loss(batch: AlignmentBatch, name: str, cfg: LossConfig) -> LossVal
     2 (cp u + cn v) and the reconstruction gradient -2 cp u, minus 2 cn v
     scattered onto each item's negative, with u and v the residuals to the
     positive and negative reconstructions.
+
+    The grads are those of grad_scale * value: the factor 2 and grad_scale
+    are folded into cp and cn. With in_place=True each reconstruction
+    gradient is written over the batch's own reconstruction array, so a
+    caller can hand the rows it decoded straight to the decoder's backward
+    pass. Raises ValueError if a distance is not finite, which any
+    non-finite entry of an anchor or a reconstruction makes it.
     """
     if name not in _RULES:
         raise ValueError(f"unknown alignment loss {name!r}")
     rule = _RULES[name]
     b = batch.size
+    scatter = _scatter_matrix(batch.negatives, b)
     grads: dict[str, Array] = {}
     total = 0.0
     for anchor_key, recon_key in (("f_t", "g_s_t"), ("f_s", "g_t_s")):
         anchor = getattr(batch, anchor_key)
         recon = getattr(batch, recon_key)
         u = anchor - recon
-        v = anchor - recon[batch.negatives]
-        value, cp, cn = rule(np.sum(u * u, axis=1), np.sum(v * v, axis=1), b, cfg)
+        v = recon[batch.negatives]
+        np.subtract(anchor, v, out=v)
+        dp = np.einsum("ij,ij->i", u, u)
+        dn = np.einsum("ij,ij->i", v, v)
+        if not math.isfinite(dp.sum() + dn.sum()):
+            raise ValueError(f"{anchor_key} or {recon_key} contains non-finite entries")
+        value, cp, cn = rule(dp, dn, b, cfg)
         total += value
-        if batch.anchor_grads:
-            g_anchor = cp[:, None] * u
-            g_anchor += cn[:, None] * v
-            g_anchor *= 2.0
-            grads[anchor_key] = g_anchor
-        g_recon = -2.0 * cp[:, None] * u
-        g_recon -= _scatter_rows(batch.negatives, 2.0 * cn[:, None] * v, b)
+        # the 2 of d||r||^2/dr and grad_scale go into the per-row coefficients
+        cp = (2.0 * grad_scale) * cp
+        cn = (2.0 * grad_scale) * cn
+        u *= cp[:, None]
+        # only u and v are read from here on, so recon can take the result
+        g_recon = np.matmul(scatter * -cn, v, out=recon if in_place else None)
+        g_recon -= u
         grads[recon_key] = g_recon
+        if batch.anchor_grads:
+            v *= cn[:, None]
+            u += v
+            grads[anchor_key] = u
     return LossValue(total, grads)
 
 
@@ -241,11 +262,14 @@ def kl_diag_gaussian(mu: Array, log_var: Array) -> float:
 
 
 def elbo(x: Array, recon: Array, mu: Array, log_var: Array,
-         kl_weight: float = 1.0) -> LossValue:
+         kl_weight: float = 1.0, in_place: bool = False,
+         x_grad: bool = True) -> LossValue:
     """Loss-to-minimize form: mean-over-dims MSE plus kl_weight * KL.
 
     Accepts single vectors or (B, d) batches; batches are meaned over items.
-    Gradients cover recon, x (reconstruction target), mu, and log_var.
+    Gradients cover recon, x (reconstruction target), mu, and log_var. With
+    in_place=True the recon gradient is written over `recon` itself; with
+    x_grad=False the "x" gradient is left out.
     """
     x = np.asarray(x, dtype=np.float64)
     recon = np.asarray(recon, dtype=np.float64)
@@ -260,20 +284,21 @@ def elbo(x: Array, recon: Array, mu: Array, log_var: Array,
     if x2.shape != r2.shape or mu2.shape != lv2.shape or x2.shape[0] != mu2.shape[0]:
         raise ValueError("batch shapes disagree")
     b, d = x2.shape
-    resid = r2 - x2
-    rec = float(np.mean(np.sum(resid * resid, axis=1) / d))
-    kl = float(np.mean(0.5 * np.sum(mu2 * mu2 + np.exp(lv2) - 1.0 - lv2, axis=1)))
-    g_recon = resid  # 2.0 * resid / (d * b), built in place
-    g_recon *= 2.0
-    g_recon /= d * b
+    resid = np.subtract(r2, x2, out=r2 if in_place else None)
+    rec = float(np.einsum("ij,ij->", resid, resid)) / (d * b)
+    var = np.exp(lv2)
+    kl = float(np.mean(0.5 * np.sum(mu2 * mu2 + var - 1.0 - lv2, axis=1)))
+    g_recon = np.divide(resid, 0.5 * d * b, out=resid)  # = 2 resid / (d b), bit for bit
     g_mu = kl_weight * mu2 / b
-    g_lv = kl_weight * 0.5 * (np.exp(lv2) - 1.0) / b
+    var -= 1.0
+    g_lv = (0.5 * kl_weight / b) * var
     grads = {
         "recon": g_recon[0] if feat_1d else g_recon,
-        "x": -g_recon[0] if feat_1d else -g_recon,
         "mu": g_mu[0] if lat_1d else g_mu,
         "log_var": g_lv[0] if lat_1d else g_lv,
     }
+    if x_grad:
+        grads["x"] = -grads["recon"]
     return LossValue(rec + kl_weight * kl, grads)
 
 

@@ -108,12 +108,6 @@ def init_mlp(sizes: tuple[int, ...] | list[int], rng: np.random.Generator,
     return MlpParams(ws, bs, activation)
 
 
-def zero_mlp(sizes: tuple[int, ...] | list[int], activation: str = "tanh") -> MlpParams:
-    ws = [np.zeros((nout, nin)) for nin, nout in zip(sizes[:-1], sizes[1:])]
-    bs = [np.zeros(nout) for nout in sizes[1:]]
-    return MlpParams(ws, bs, activation)
-
-
 # ---- forward / backward ----
 
 
@@ -206,10 +200,13 @@ class AdamState:
     """Adam with bias correction. Moment buffers are lazily sized on first step.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2
-    p <- p - lr * m_hat / (sqrt(v_hat) + eps)
+    p <- p - alpha_t * m / (sqrt(v) + eps_hat)
 
-    The chunk-sized scratch buffers let a step run without full-size
-    temporaries.
+    with alpha_t = lr sqrt(1 - b2^t) / (1 - b1^t) and eps_hat = eps sqrt(1 - b2^t):
+    the efficient form given after Algorithm 1 of Kingma & Ba (ICLR 2015).
+    It equals the textbook lr * m_hat / (sqrt(v_hat) + eps) exactly in real
+    arithmetic, with both bias corrections folded into two scalars. The
+    chunk-sized scratch buffers let a step run without full-size temporaries.
     """
 
     lr: float = 1e-4
@@ -229,8 +226,10 @@ def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None
     """One update, mutating params and state in place, chunk by chunk.
 
     Each chunk's gradient is checked for finiteness before that chunk is
-    updated. The arithmetic is the textbook formula in the same order, so
-    the result does not depend on the chunking.
+    updated: a finite sum clears it, and only a non-finite sum (which a NaN
+    or an infinity always gives) pays for the exact per-entry test. The
+    arithmetic is the same elementwise sequence in every chunk, so the
+    result does not depend on the chunking.
     """
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
@@ -242,8 +241,9 @@ def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    root_c2 = math.sqrt(1.0 - b2 ** t)
+    alpha = state.lr * root_c2 / (1.0 - b1 ** t)
+    eps_hat = state.eps * root_c2
     s1, s2, ok = state.scratch
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if not p.flags.c_contiguous or np.size(g) != p.size:
@@ -254,7 +254,7 @@ def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None
             n = end - start
             pc, gc, mc, vc = p[start:end], g[start:end], m[start:end], v[start:end]
             a, b, f = s1[:n], s2[:n], ok[:n]
-            if not np.isfinite(gc, out=f).all():
+            if not math.isfinite(gc.sum()) and not np.isfinite(gc, out=f).all():
                 raise ValueError("non-finite gradient entries")
             mc *= b1
             np.multiply(1.0 - b1, gc, out=a)
@@ -263,11 +263,9 @@ def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None
             np.multiply(1.0 - b2, gc, out=a)
             a *= gc
             vc += a
-            np.divide(mc, c1, out=a)
-            np.multiply(state.lr, a, out=a)
-            np.divide(vc, c2, out=b)
-            np.sqrt(b, out=b)
-            b += state.eps
+            np.sqrt(vc, out=b)
+            b += eps_hat
+            np.multiply(alpha, mc, out=a)
             a /= b
             pc -= a
 

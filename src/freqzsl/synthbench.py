@@ -185,43 +185,6 @@ def inject_label_noise(dataset: pipeline.FeatureDataset, rate: float,
     return pipeline.FeatureDataset(records)
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Nearest-prototype accuracies; the oracle sees ground truth."""
-
-    overall: float
-    test_seen: float | None
-    test_unseen: float | None
-
-
-def oracle_nearest_prototype(gen: GeneratedDataset) -> OracleReport:
-    """Classify each test sample by low-band distance to the true prototypes.
-
-    This is the construction-aware upper bound: it reads the jitter-free
-    low-band coefficients and compares them to the exact class prototypes.
-    """
-    band = np.asarray(gen.config.low_band, dtype=np.intp)
-    class_ids = sorted(gen.prototypes)
-    proto_mat = np.stack([gen.prototypes[k].reshape(-1) for k in class_ids])
-    hits: dict[str, list[bool]] = {"test-seen": [], "test-unseen": []}
-    for rec in gen.dataset.records:
-        if rec.partition == "train-seen":
-            continue
-        coeffs = frequency.dct_forward(rec.sequence)[..., band].reshape(-1)
-        dists = np.sum((proto_mat - coeffs) ** 2, axis=1)
-        pred = class_ids[int(np.argmin(dists))]
-        hits[rec.partition].append(pred == rec.class_id)
-    seen_h, unseen_h = hits["test-seen"], hits["test-unseen"]
-    all_h = seen_h + unseen_h
-    if not all_h:
-        raise ValueError("dataset has no test records")
-    return OracleReport(
-        float(np.mean(all_h)),
-        float(np.mean(seen_h)) if seen_h else None,
-        float(np.mean(unseen_h)) if unseen_h else None,
-    )
-
-
 def write_benchmark(gen: GeneratedDataset, out_dir, config_hash: str | None = None):
     """Emit features.jsonl, embeddings.jsonl, and split.json under out_dir."""
     from pathlib import Path

@@ -148,13 +148,65 @@ class TestRunConfigValidation:
         {"gate_holdout": 0.0},
         {"gate_holdout": 1.0},
         {"bench_seeds": 0},
+        {"stage2_lr": 0.0},
+        {"unseen_lr": -1.0},
+        {"seen_lr": float("nan")},
+        {"gate_c": 0.0},
+        {"align_loss": "t4", "margin": 0.0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
+    def test_zero_margin_allowed_without_t4(self):
+        assert RunConfig(align_loss="t1", margin=0.0).margin == 0.0
+
     def test_zero_epochs_allowed(self):
         assert RunConfig(stage2_epochs=0).stage2_epochs == 0
+
+
+FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.type in ("float", float)]
+
+
+class TestConfigDomains:
+    """Each out-of-domain value stops `train` with exit 2 and one line naming its key."""
+
+    @staticmethod
+    def train_exit(tiny_env, tmp_path, capsys, *lines):
+        keys = tuple(line.split("=")[0] for line in lines)
+        cfg = write_cfg(tmp_path / "bad.cfg",
+                        [x for x in TINY_LINES if not x.startswith(keys)] + list(lines))
+        code = cli.main(["train", "--config", cfg, "--data", tiny_env["data"],
+                         "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+        return code, err
+
+    def test_float_keys_are_found(self):
+        assert {"stage2_lr", "unseen_lr", "seen_lr", "gate_c", "margin",
+                "temperature"} <= set(FLOAT_KEYS)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_exits_two(self, tiny_env, tmp_path, capsys, key, raw):
+        code, err = self.train_exit(tiny_env, tmp_path, capsys, f"{key} = {raw}")
+        assert code == 2
+        assert err.count("\n") == 1 and key in err and "not a finite number" in err
+
+    @pytest.mark.parametrize("raw", ["0", "-1e-3"])
+    @pytest.mark.parametrize("key", ["stage2_lr", "unseen_lr", "seen_lr", "gate_c"])
+    def test_non_positive_rate_or_gate_c_exits_two(self, tiny_env, tmp_path, capsys, key,
+                                                   raw):
+        code, err = self.train_exit(tiny_env, tmp_path, capsys, f"{key} = {raw}")
+        assert code == 2
+        assert err.count("\n") == 1 and f"{key} must be > 0" in err
+
+    @pytest.mark.parametrize("raw", ["0", "-2"])
+    def test_t4_with_non_positive_margin_exits_two(self, tiny_env, tmp_path, capsys, raw):
+        code, err = self.train_exit(tiny_env, tmp_path, capsys, "align_loss = t4",
+                                    f"margin = {raw}")
+        assert code == 2
+        assert err.count("\n") == 1 and "margin" in err and "t4" in err
 
 
 class TestConfigHash:
@@ -461,6 +513,18 @@ class TestMainEndToEnd:
                          str(tiny_env["root"] / "x")])
         assert code == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_loss_bench_rejects_t4_without_margin_before_training(self, tiny_env, tmp_path,
+                                                                   capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli, "train_full", lambda *a, **k: trained.append(a))
+        cfg = write_cfg(tmp_path / "m0.cfg", TINY_LINES + ["margin = 0"])
+        code = cli.main(["loss-bench", "--config", cfg, "--loss", "calibrated",
+                         "--loss", "t4", "--out", str(tmp_path / "bench")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "margin" in err and "t4" in err
+        assert trained == []
 
     def test_bad_config_file_exits_two(self, tmp_path, capsys):
         bad = write_cfg(tmp_path / "bad.cfg", ["velocity = 9"])

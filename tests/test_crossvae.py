@@ -8,8 +8,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqzsl import crossvae, losses, numkit, pipeline, semantics
+
+
+def zero_mlp(sizes):
+    """All-zero affine stack: every input maps to a zero output."""
+    ws = [np.zeros((nout, nin)) for nin, nout in zip(sizes[:-1], sizes[1:])]
+    return numkit.MlpParams(ws, [np.zeros(nout) for nout in sizes[1:]])
 
 
 def tiny_params(seed=0, skel_dim=4, text_dim=3, latent_dim=2, hidden=(5,)):
@@ -20,7 +28,7 @@ def tiny_params(seed=0, skel_dim=4, text_dim=3, latent_dim=2, hidden=(5,)):
 class TestEncode:
     def test_zero_encoder_gives_standard_posterior(self):
         params = tiny_params()
-        zero = numkit.zero_mlp((4, 5, 4))
+        zero = zero_mlp((4, 5, 4))
         params.skel_encoder = zero
         latent = crossvae.encode(params, "skeleton", np.ones(4))
         np.testing.assert_array_equal(latent.mu, np.zeros(2))
@@ -115,8 +123,8 @@ class TestCrossReconstruct:
 
     def test_zero_decoders_give_zero_features(self):
         params = tiny_params()
-        params.text_decoder = numkit.zero_mlp((2, 5, 3))
-        params.skel_decoder = numkit.zero_mlp((2, 5, 4))
+        params.text_decoder = zero_mlp((2, 5, 3))
+        params.skel_decoder = zero_mlp((2, 5, 4))
         align, (want, g_s_t, g_t_s) = self.align_terms(params, 20)
         assert np.all(g_s_t == 0.0) and np.all(g_t_s == 0.0)
         assert align == pytest.approx(want, rel=1e-12)
@@ -227,6 +235,170 @@ class TestStage2Loss:
 
         report = numkit.grad_check(loss_fn, [f_s.copy(), f_t.copy()])
         assert report.max_rel_error < 1e-4
+
+
+def unfused_stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg,
+                        align_loss):
+    """The stage-2 objective assembled block by block: separate ELBO,
+    alignment and decoder gradient blocks, align_weight applied afterwards.
+    The per-item rules are the library's; the chain around them is spelled
+    out here. Returns (breakdown, param_grads, grad_f_s, grad_f_t)."""
+    b, ld = f_s.shape[0], params.latent_dim
+
+    def elbo(x, recon, mu, lv):
+        d = x.shape[1]
+        resid = recon - x
+        rec = float(np.mean(np.sum(resid * resid, axis=1) / d))
+        kl = float(np.mean(0.5 * np.sum(mu * mu + np.exp(lv) - 1.0 - lv, axis=1)))
+        g_recon = 2.0 * resid / (d * b)
+        return (rec + cfg.kl_weight * kl, g_recon, -g_recon, cfg.kl_weight * mu / b,
+                cfg.kl_weight * 0.5 * (np.exp(lv) - 1.0) / b)
+
+    def scatter(rows):
+        onehot = (np.arange(b)[:, None] == negatives[None, :]).astype(np.float64)
+        return onehot @ rows
+
+    def align(anchor, recon):
+        u = anchor - recon
+        v = anchor - recon[negatives]
+        value, cp, cn = losses._RULES[align_loss](np.sum(u * u, axis=1),
+                                                  np.sum(v * v, axis=1), b, cfg)
+        g_anchor = 2.0 * (cp[:, None] * u + cn[:, None] * v)
+        g_recon = -2.0 * cp[:, None] * u - scatter(2.0 * cn[:, None] * v)
+        return value, g_anchor, g_recon
+
+    out_s, cache_enc_s = numkit.mlp_forward(params.skel_encoder, f_s)
+    out_t, cache_enc_t = numkit.mlp_forward(params.text_encoder, f_t)
+    mu_s, lv_s = out_s[:, :ld], out_s[:, ld:]
+    mu_t, lv_t = out_t[:, :ld], out_t[:, ld:]
+    z_s = mu_s + np.exp(0.5 * lv_s) * eps_s
+    z_t = mu_t + np.exp(0.5 * lv_t) * eps_t
+    dec_s, cache_dec_s = numkit.mlp_forward(params.skel_decoder, np.concatenate([z_s, mu_t]))
+    dec_t, cache_dec_t = numkit.mlp_forward(params.text_decoder, np.concatenate([z_t, mu_s]))
+    vs, rs, xs, ms, ls = elbo(f_s, dec_s[:b], mu_s, lv_s)
+    vt, rt, xt, mt, lt = elbo(f_t, dec_t[:b], mu_t, lv_t)
+    a_t, g_f_t, g_g_s_t = align(f_t, dec_t[b:])
+    a_s, g_f_s, g_g_t_s = align(f_s, dec_s[b:])
+    a = cfg.align_weight
+    g_dec_s, d_dec_s = numkit.mlp_backward(params.skel_decoder, cache_dec_s,
+                                           np.concatenate([rs, a * g_g_t_s]))
+    g_dec_t, d_dec_t = numkit.mlp_backward(params.text_decoder, cache_dec_t,
+                                           np.concatenate([rt, a * g_g_s_t]))
+    d_mu_s = ms + d_dec_s[:b] + d_dec_t[b:]
+    d_lv_s = ls + d_dec_s[:b] * 0.5 * np.exp(0.5 * lv_s) * eps_s
+    d_mu_t = mt + d_dec_t[:b] + d_dec_s[b:]
+    d_lv_t = lt + d_dec_t[:b] * 0.5 * np.exp(0.5 * lv_t) * eps_t
+    g_enc_s, d_in_s = numkit.mlp_backward(params.skel_encoder, cache_enc_s,
+                                          np.concatenate([d_mu_s, d_lv_s], axis=1))
+    g_enc_t, d_in_t = numkit.mlp_backward(params.text_encoder, cache_enc_t,
+                                          np.concatenate([d_mu_t, d_lv_t], axis=1))
+    breakdown = {"total": vs + vt + a * (a_t + a_s), "vae": vs + vt, "vae_skel": vs,
+                 "vae_text": vt, "align": a_t + a_s}
+    return (breakdown, [*g_enc_s, *g_enc_t, *g_dec_s, *g_dec_t],
+            xs + a * g_f_s + d_in_s, xt + a * g_f_t + d_in_t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(2, 9),
+       dims=st.tuples(st.integers(1, 7), st.integers(1, 5), st.integers(1, 3)),
+       hidden=st.sampled_from([(), (4,), (5, 3)]),
+       align_loss=st.sampled_from(losses.ALIGN_LOSSES), feature_grads=st.booleans(),
+       temperature=st.sampled_from([0.5, 5.0, 100.0]),
+       align_weight=st.sampled_from([0.0, 0.3, 1.0]),
+       kl_weight=st.sampled_from([0.0, 0.02, 1.0]),
+       margin=st.sampled_from([0.5, 1.0, 3.0]))
+def test_stage2_loss_matches_the_unfused_assembly(seed, b, dims, hidden, align_loss,
+                                                  feature_grads, temperature,
+                                                  align_weight, kl_weight, margin):
+    skel_dim, text_dim, latent_dim = dims
+    params = tiny_params(seed, skel_dim, text_dim, latent_dim, hidden)
+    f_s, f_t, labels, negatives, rng = make_batch(seed, b, skel_dim, text_dim,
+                                                  classes=min(b, 3))
+    eps_s = rng.standard_normal((b, latent_dim))
+    eps_t = rng.standard_normal((b, latent_dim))
+    cfg = losses.LossConfig(temperature, align_weight, kl_weight, margin)
+    want = unfused_stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg,
+                               align_loss)
+    _, views = numkit.flatten([np.full_like(a, np.nan) for a in params.param_arrays()])
+    got = crossvae.stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg,
+                               align_loss, grads_out=views, feature_grads=feature_grads)
+
+    def close(x, y):
+        assert np.max(np.abs(np.asarray(x) - y)) <= 1e-12 * np.max(np.abs(y))
+
+    assert got[0].keys() == want[0].keys()
+    for key in want[0]:
+        close(got[0][key], want[0][key])
+    for g, w in zip(got[1], want[1], strict=True):
+        close(g, w)
+    if feature_grads:
+        close(got[2], want[2])
+        close(got[3], want[3])
+    else:
+        assert got[2] is None and got[3] is None
+
+
+class TestNonFiniteStep:
+    """A non-finite value anywhere in a stage-2 step stops training with a
+    ValueError before Adam moves a single parameter."""
+
+    @staticmethod
+    def train_and_poison(monkeypatch, poison):
+        """Train 4 single-batch epochs; on the third step, poison(net, out)
+        may write into the output of each forward pass. Returns the raised
+        error, the Adam calls made and the parameters they left behind."""
+        rng = numkit.make_rng(31)
+        labels = np.array([0, 1] * 4)
+        data = tiny_stage2_data(rng.standard_normal((8, 4)), labels)
+        adam_calls = []
+        real_adam, real_forward = numkit.adam_step, numkit.mlp_forward
+
+        def adam(state, params, grads):
+            real_adam(state, params, grads)
+            adam_calls.append([p.copy() for p in params])
+
+        def forward(net, x):
+            out, cache = real_forward(net, x)
+            if len(adam_calls) == 2:
+                poison(net, out)
+            return out, cache
+
+        monkeypatch.setattr(numkit, "adam_step", adam)
+        monkeypatch.setattr(numkit, "mlp_forward", forward)
+        with pytest.raises(ValueError) as info:
+            train_tiny(data, losses.LossConfig(), epochs=4, lr=1e-3, hidden=(6,), seed=31)
+        return info.value, adam_calls
+
+    @pytest.mark.parametrize("rows", ["self", "cross"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("decoder", ["skel", "text"])
+    def test_poisoned_decoder_output_raises_before_adam(self, monkeypatch, rows, value,
+                                                        decoder):
+        def poison(net, out):
+            # decoders read the 2-dim latents; only the skeleton one emits 4 dims
+            if net.in_dim == 2 and (net.out_dim == 4) == (decoder == "skel"):
+                out[1 if rows == "self" else -1, 0] = value
+
+        err, calls = self.train_and_poison(monkeypatch, poison)
+        assert "non-finite" in str(err) or "not finite" in str(err)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("which", ["skeleton", "text"])
+    def test_non_finite_features_raise_before_adam(self, which):
+        params = tiny_params(21, hidden=(4,))
+        f_s, f_t, labels, negatives, rng = make_batch(22)
+        (f_s if which == "skeleton" else f_t)[2, 1] = np.nan
+        eps_s = rng.standard_normal((4, 2))
+        eps_t = rng.standard_normal((4, 2))
+        flat, views = numkit.flatten(params.param_arrays())
+        params = params.with_arrays(views)
+        before = flat.copy()
+        grad, grad_views = numkit.flatten(views)
+        with pytest.raises(ValueError, match="non-finite"):
+            crossvae.stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t,
+                                 losses.LossConfig(), grads_out=grad_views)
+            numkit.adam_step(numkit.AdamState(), [flat], [grad])
+        np.testing.assert_array_equal(flat, before)
 
 
 def tiny_stage2_data(f_s, labels):

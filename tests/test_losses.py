@@ -147,7 +147,7 @@ class TestScatterRows:
         rows = rng.standard_normal((8, 960))
         want = np.zeros((9, 960))
         np.add.at(want, index, rows)
-        got = losses._scatter_rows(index, rows, 9)
+        got = losses._scatter_matrix(index, 9) @ rows
         assert got.shape == (9, 960)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert np.all(got[[1, 3, 5, 6, 8]] == 0.0)
@@ -264,8 +264,9 @@ class TestTripletBaselines:
             anchor, recon = getattr(batch, anchor_key), getattr(batch, recon_key)
             u = anchor - recon
             v = anchor - recon[batch.negatives]
-            dp = np.sqrt(np.sum(u * u, axis=1))
-            dn = np.sqrt(np.sum(v * v, axis=1))
+            # squared norms summed as the driver sums them, so values match bit for bit
+            dp = np.sqrt(np.einsum("ij,ij->i", u, u))
+            dn = np.sqrt(np.einsum("ij,ij->i", v, v))
             r = 1.0 - losses.pair_sigmoid(dp - dn, 1.0)
             total += temperature / b * float(np.sum(r * r))
             coef = 2.0 * temperature / b * r * r * (1.0 - r)
@@ -350,6 +351,11 @@ class TestTripletBaselines:
         assert set(lean.grads) == {"g_s_t", "g_t_s"}
         for key in lean.grads:
             np.testing.assert_array_equal(lean.grads[key], full.grads[key])
+
+    def test_t4_with_zero_margin_rejected(self):
+        # D+ = D- = 0 would make t4's 1 - D- / (D+ + m) a 0/0
+        with pytest.raises(ValueError, match="t4"):
+            align(random_batch(12), "t4", margin=0.0)
 
     def test_unknown_loss_name_rejected(self):
         with pytest.raises(ValueError, match="unknown alignment loss"):

@@ -12,6 +12,12 @@ import pytest
 from freqzsl import crossvae, frequency, losses, numkit, pipeline, semantics
 
 
+def zero_mlp(sizes):
+    """All-zero affine stack: every input maps to a zero output."""
+    ws = [np.zeros((nout, nin)) for nin, nout in zip(sizes[:-1], sizes[1:])]
+    return numkit.MlpParams(ws, [np.zeros(nout) for nout in sizes[1:]])
+
+
 def identity_encoder(d, latent_dim):
     """Affine layer emitting mu = x[:latent_dim], log_var = 0."""
     w = np.zeros((2 * latent_dim, d))
@@ -23,8 +29,8 @@ def identity_vae(skel_dim=2, text_dim=2, latent_dim=2):
     return crossvae.VaeParams(
         skel_encoder=identity_encoder(skel_dim, latent_dim),
         text_encoder=identity_encoder(text_dim, latent_dim),
-        skel_decoder=numkit.zero_mlp((latent_dim, skel_dim)),
-        text_decoder=numkit.zero_mlp((latent_dim, text_dim)),
+        skel_decoder=zero_mlp((latent_dim, skel_dim)),
+        text_decoder=zero_mlp((latent_dim, text_dim)),
         latent_dim=latent_dim)
 
 
@@ -445,8 +451,8 @@ class TestUnseenSynthesis:
         return crossvae.VaeParams(
             skel_encoder=identity_encoder(2, ld),
             text_encoder=numkit.MlpParams([w], [b]),
-            skel_decoder=numkit.zero_mlp((ld, 2)),
-            text_decoder=numkit.zero_mlp((ld, text_dim)),
+            skel_decoder=zero_mlp((ld, 2)),
+            text_decoder=zero_mlp((ld, text_dim)),
             latent_dim=ld)
 
     def test_far_apart_posteriors_classify_cleanly(self):
