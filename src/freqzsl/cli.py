@@ -20,6 +20,8 @@ import hashlib
 import json
 import math
 import sys
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,14 +108,11 @@ class RunConfig:
         for key in ("stage2_lr", "unseen_lr", "seen_lr", "gate_c"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
-        if self.align_loss == "t4":
-            _check_t4_margin(self.margin)
-
-
-def _check_t4_margin(margin: float) -> None:
-    """t4 divides by D+ + margin, which is 0 when D+ = D- = 0 unless margin > 0."""
-    if not margin > 0:
-        raise ConfigError(f"margin must be > 0 for align_loss t4, got {margin}")
+        if not 0.0 <= self.weight_floor <= 1.0:
+            raise ConfigError(f"weight_floor must be in [0, 1], got {self.weight_floor}")
+        # t4 divides by D+ + margin, which is 0 when D+ = D- = 0 unless margin > 0
+        if self.align_loss == "t4" and not self.margin > 0:
+            raise ConfigError(f"margin must be > 0 for align_loss t4, got {self.margin}")
 
 
 def _coerce(field: dataclasses.Field, raw: str):
@@ -220,6 +219,8 @@ def build_enhancement(cfg: RunConfig, length: int) -> frequency.EnhancementConfi
         return None
     if not (0 <= cfg.low_cutoff < length):
         raise ConfigError(f"low_cutoff {cfg.low_cutoff} outside [0, {length})")
+    if cfg.band_size > length:
+        raise ConfigError(f"band_size {cfg.band_size} exceeds the {length} coefficients")
     try:
         return frequency.EnhancementConfig.uniform_bands(
             length, cfg.band_size, cfg.low_cutoff, cfg.ramp, cfg.init_weight,
@@ -307,33 +308,21 @@ def train_full(cfg: RunConfig, dataset: pipeline.FeatureDataset,
 
 CHECKPOINT_VERSION = 1
 
-
-def _enhancement_to_dict(enh: frequency.EnhancementConfig | None):
-    if enh is None:
-        return None
-    return {"mode": enh.mode, "low_cutoff": enh.low_cutoff, "ramp": enh.ramp,
-            "floor": enh.floor, "split_points": list(enh.split_points),
-            "weights": [float(w) for w in enh.weights]}
+# checkpoint key -> TrainedModel field; the loss log is written on its own
+_CHECKPOINT_FIELDS = {"config_hash": "config_hash", "vae": "vae", "featurizer": "featurizer",
+                      "unseen_classifier": "unseen_clf", "seen_classifier": "seen_clf",
+                      "gate": "gate"}
 
 
-def _enhancement_from_dict(obj) -> frequency.EnhancementConfig | None:
-    if obj is None:
-        return None
-    return frequency.EnhancementConfig(
-        tuple(obj["split_points"]), tuple(obj["weights"]),
-        int(obj["low_cutoff"]), float(obj["ramp"]), obj["mode"], float(obj["floor"]))
-
-
-def _classifier_to_dict(clf: pipeline.SoftmaxClassifier) -> dict:
-    return {"class_ids": list(clf.class_ids), "weights": clf.weights.tolist(),
-            "bias": clf.bias.tolist()}
-
-
-def _classifier_from_dict(obj) -> pipeline.SoftmaxClassifier:
-    return pipeline.SoftmaxClassifier(
-        tuple(int(c) for c in obj["class_ids"]),
-        np.asarray(obj["weights"], dtype=np.float64),
-        np.asarray(obj["bias"], dtype=np.float64))
+def _to_json(value):
+    """JSON data for a model value: a dataclass becomes one key per field."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_to_json(item) for item in value]
+    return value
 
 
 def _compact_json_pieces(obj):
@@ -361,91 +350,81 @@ def _compact_json_pieces(obj):
 
 
 def save_checkpoint(path, model: TrainedModel) -> None:
-    obj = {
-        "format_version": CHECKPOINT_VERSION,
-        "config_hash": model.config_hash,
-        "vae": crossvae.vae_to_dict(model.vae),
-        "featurizer": {
-            "enhance_vectors": model.featurizer.enhance_vectors,
-            "enhancement": _enhancement_to_dict(model.featurizer.enhancement),
-        },
-        "unseen_classifier": _classifier_to_dict(model.unseen_clf),
-        "seen_classifier": _classifier_to_dict(model.seen_clf),
-        "gate": {"weights": model.gate.weights.tolist(), "bias": model.gate.bias,
-                 "c": model.gate.c},
-    }
+    obj = {key: _to_json(getattr(model, name)) for key, name in _CHECKPOINT_FIELDS.items()}
+    obj["format_version"] = CHECKPOINT_VERSION
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_compact_json_pieces(obj))
         fh.write("\n")
 
 
-# JSON kind of every value load_checkpoint reads, by key; "any" is unchecked
-_MLP_SCHEMA = {"activation": "string", "weights": "array", "biases": "array"}
-_CLASSIFIER_SCHEMA = {"class_ids": "array", "weights": "array", "bias": "array"}
-_CHECKPOINT_SCHEMA = {
-    "config_hash": "string",
-    "vae": {"latent_dim": "number", "skel_encoder": _MLP_SCHEMA,
-            "text_encoder": _MLP_SCHEMA, "skel_decoder": _MLP_SCHEMA,
-            "text_decoder": _MLP_SCHEMA},
-    "featurizer": {"enhance_vectors": "boolean", "enhancement": "any"},
-    "unseen_classifier": _CLASSIFIER_SCHEMA,
-    "seen_classifier": _CLASSIFIER_SCHEMA,
-    "gate": {"weights": "array", "bias": "number", "c": "number"},
-}
-_ENHANCEMENT_SCHEMA = {"mode": "string", "low_cutoff": "number", "ramp": "number",
-                       "floor": "number", "split_points": "array", "weights": "array"}
+# JSON kind of a decoded value; bool before integer, since bool is an int
 _JSON_KINDS = {"object": dict, "array": list, "string": str, "boolean": bool,
-               "number": (int, float)}
+               "integer": int, "number": float}
+_KIND_OF_TYPE = {t: k for k, t in _JSON_KINDS.items()}
 
 
 def _json_kind(value) -> str:
     return next((k for k, t in _JSON_KINDS.items() if isinstance(value, t)), "null")
 
 
-def _check_schema(value, schema, path: str) -> None:
-    """Raise ValueError naming the first key path where value breaks schema."""
-    if isinstance(schema, dict):
-        if not isinstance(value, dict):
-            raise ValueError(f"{path} must be a JSON object, not {_json_kind(value)}")
-        for key, sub in schema.items():
-            if key not in value:
-                raise ValueError(f"{path} has no key {key!r}")
-            _check_schema(value[key], sub, f"{path}.{key}")
-    elif schema != "any" and not isinstance(value, _JSON_KINDS[schema]):
-        raise ValueError(f"{path} must be a JSON {schema}, not {_json_kind(value)}")
+def _expect(value, kind: str, path: str) -> None:
+    got = _json_kind(value)
+    if got != kind and (kind, got) != ("number", "integer"):
+        raise ValueError(f"{path} must be a JSON {kind}, not {got}")
 
 
-def _decode(obj: dict, key: str, decode):
-    """decode(obj[key]), with a bad value reported under its key path."""
+def _construct(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its error reported under the top-level key of path."""
     try:
-        return decode(obj[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint.{key}: {exc}") from None
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{'.'.join(path.split('.')[:2])}: {exc}") from None
+
+
+def _read_key(obj: dict, key: str, hint, path: str):
+    if key not in obj:
+        raise ValueError(f"{path} has no key {key!r}")
+    return _from_json(hint, obj[key], f"{path}.{key}")
+
+
+def _from_json(hint, value, path: str):
+    """Decode what _to_json wrote for a value of type hint.
+
+    A missing key or a value of the wrong JSON kind raises ValueError naming
+    its key path.
+    """
+    if isinstance(hint, types.UnionType):  # X | None
+        if value is None:
+            return None
+        hint = next(h for h in typing.get_args(hint) if h is not type(None))
+    if dataclasses.is_dataclass(hint):
+        _expect(value, "object", path)
+        hints = typing.get_type_hints(hint)
+        return _construct(path, hint, **{f.name: _read_key(value, f.name, hints[f.name], path)
+                                         for f in dataclasses.fields(hint)})
+    origin = typing.get_origin(hint)
+    if origin in (list, tuple):
+        _expect(value, "array", path)
+        item = typing.get_args(hint)[0]
+        return origin(_from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if hint is np.ndarray:
+        _expect(value, "array", path)
+        return _construct(path, np.asarray, value, dtype=np.float64)
+    _expect(value, _KIND_OF_TYPE[hint], path)
+    return _construct(path, float, value) if hint is float else value
 
 
 def load_checkpoint(path) -> TrainedModel:
     """Read a checkpoint; a malformed one raises ValueError naming the key path."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    _check_schema(obj, {"format_version": "any"}, "checkpoint")
-    if obj["format_version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint format {obj['format_version']!r} not supported")
-    _check_schema(obj, _CHECKPOINT_SCHEMA, "checkpoint")
-    if obj["featurizer"]["enhancement"] is not None:
-        _check_schema(obj["featurizer"]["enhancement"], _ENHANCEMENT_SCHEMA,
-                      "checkpoint.featurizer.enhancement")
-    return TrainedModel(
-        vae=_decode(obj, "vae", crossvae.vae_from_dict),
-        featurizer=_decode(obj, "featurizer", lambda feat: pipeline.SkeletonFeaturizer(
-            _enhancement_from_dict(feat["enhancement"]), feat["enhance_vectors"])),
-        unseen_clf=_decode(obj, "unseen_classifier", _classifier_from_dict),
-        seen_clf=_decode(obj, "seen_classifier", _classifier_from_dict),
-        gate=_decode(obj, "gate", lambda gate: pipeline.GateModel(
-            np.asarray(gate["weights"], dtype=np.float64), float(gate["bias"]),
-            float(gate["c"]))),
-        loss_log=[],
-        config_hash=obj["config_hash"],
-    )
+    with open(path, "rb") as fh:
+        obj = semantics.parse_json(fh.read(), "checkpoint", ValueError)
+    _expect(obj, "object", "checkpoint")
+    version = _read_key(obj, "format_version", int, "checkpoint")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint format {version!r} not supported")
+    hints = typing.get_type_hints(TrainedModel)
+    return TrainedModel(loss_log=[], **{name: _read_key(obj, key, hints[name], "checkpoint")
+                                        for key, name in _CHECKPOINT_FIELDS.items()})
 
 
 def write_loss_log(path, loss_log: list[dict], hash_: str) -> None:
@@ -508,11 +487,8 @@ def loss_bench(cfg: RunConfig, loss_names: list[str],
     Result: {"rates", "losses", "seeds", "mean": {loss: [per rate]},
     "detail": {loss: {rate: [per seed]}}, "config_hash"}.
     """
-    for name in loss_names:
-        if name not in losses.ALIGN_LOSSES:
-            raise ConfigError(f"unknown alignment loss {name!r}")
-    if "t4" in loss_names:
-        _check_t4_margin(cfg.margin)
+    for name in loss_names:  # every cell's config is valid before any training
+        dataclasses.replace(cfg, align_loss=name)
     detail: dict[str, dict[float, list[float]]] = {
         name: {rate: [] for rate in noise_rates} for name in loss_names}
     for i in range(cfg.bench_seeds):

@@ -19,6 +19,9 @@ its (2B, d) output is also the block its backward pass reads: the ELBO
 writes its reconstruction gradient over the first B rows and the
 alignment loss writes align_weight times its cross-reconstruction
 gradient over the last B. No separate decoder gradient block is built.
+
+VaeParams and its MlpParams are also the checkpoint format: cli writes
+and reads them field by field.
 """
 from __future__ import annotations
 
@@ -247,39 +250,3 @@ def sample_class_latents(params: VaeParams, fused_text: Array, n: int,
         eps = rng.standard_normal((n, params.latent_dim))
     return mu + np.exp(0.5 * lv) * eps
 
-
-# ---- checkpoint codec ----
-
-
-def mlp_to_dict(net: MlpParams) -> dict:
-    return {
-        "activation": net.activation,
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-
-
-def mlp_from_dict(obj: dict) -> MlpParams:
-    return MlpParams([np.asarray(w, dtype=np.float64) for w in obj["weights"]],
-                     [np.asarray(b, dtype=np.float64) for b in obj["biases"]],
-                     obj["activation"])
-
-
-def vae_to_dict(params: VaeParams) -> dict:
-    return {
-        "latent_dim": params.latent_dim,
-        "skel_encoder": mlp_to_dict(params.skel_encoder),
-        "text_encoder": mlp_to_dict(params.text_encoder),
-        "skel_decoder": mlp_to_dict(params.skel_decoder),
-        "text_decoder": mlp_to_dict(params.text_decoder),
-    }
-
-
-def vae_from_dict(obj: dict) -> VaeParams:
-    return VaeParams(
-        skel_encoder=mlp_from_dict(obj["skel_encoder"]),
-        text_encoder=mlp_from_dict(obj["text_encoder"]),
-        skel_decoder=mlp_from_dict(obj["skel_decoder"]),
-        text_decoder=mlp_from_dict(obj["text_decoder"]),
-        latent_dim=int(obj["latent_dim"]),
-    )

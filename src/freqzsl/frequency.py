@@ -95,7 +95,7 @@ class EnhancementConfig:
     """Contiguous band partition of [0, F) with one weight per band.
 
     split_points must start at 0, end at F, and strictly increase; weights
-    live in [0, 1]. low_cutoff is a coefficient index in [0, F).
+    and floor live in [0, 1]. low_cutoff is a coefficient index in [0, F).
     """
 
     split_points: tuple[int, ...]
@@ -122,6 +122,8 @@ class EnhancementConfig:
             raise ValueError("low_cutoff must lie in [0, F)")
         if not (self.ramp > 0 and np.isfinite(self.ramp)):
             raise ValueError("ramp must be positive")
+        if not 0.0 <= self.floor <= 1.0:  # NaN fails it too
+            raise ValueError(f"floor must lie in [0, 1], got {self.floor}")
 
     @property
     def length(self) -> int:

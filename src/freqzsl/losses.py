@@ -50,10 +50,12 @@ class LossConfig:
     margin: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.align_weight < 0 or self.kl_weight < 0 or self.margin < 0:
-            raise ValueError("weights and margin must be non-negative")
+        # written so that NaN fails the check
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        for key in ("align_weight", "kl_weight", "margin"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
 
 
 @dataclass

@@ -1,12 +1,13 @@
 """Command line layer: config parsing and hashing, component wiring,
 checkpoint codec, transform self checks, the subcommands end to end
 through main() on a miniature generated benchmark (with scipy blocked, too),
-and typed errors from malformed and fuzzed data files."""
+and typed errors from malformed and fuzzed data files and checkpoints."""
 
 import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -153,6 +154,9 @@ class TestRunConfigValidation:
         {"seen_lr": float("nan")},
         {"gate_c": 0.0},
         {"align_loss": "t4", "margin": 0.0},
+        {"weight_floor": float("nan")},
+        {"weight_floor": 2.0},
+        {"weight_floor": -1.0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -207,6 +211,31 @@ class TestConfigDomains:
                                     f"margin = {raw}")
         assert code == 2
         assert err.count("\n") == 1 and "margin" in err and "t4" in err
+
+    @pytest.mark.parametrize("raw", ["2", "-1", "1.0001"])
+    def test_weight_floor_outside_unit_interval_exits_two(self, tiny_env, tmp_path, capsys,
+                                                          raw):
+        code, err = self.train_exit(tiny_env, tmp_path, capsys, f"weight_floor = {raw}")
+        assert code == 2
+        assert err.count("\n") == 1 and "weight_floor must be in [0, 1]" in err
+
+    @pytest.mark.parametrize("key", ["temperature", "align_weight", "kl_weight", "margin"])
+    def test_nan_loss_knob_is_config_error(self, key):
+        with pytest.raises(ConfigError, match=key):
+            cli.make_loss_config(RunConfig(**{key: float("nan")}))
+
+    @pytest.mark.parametrize("band_size", [17, 100])
+    def test_band_size_past_the_coefficient_count_exits_two(self, tiny_env, tmp_path, capsys,
+                                                            band_size):
+        # the tiny benchmark's sequences have 16 frames
+        code, err = self.train_exit(tiny_env, tmp_path, capsys, f"band_size = {band_size}")
+        assert code == 2
+        assert err.count("\n") == 1 and f"band_size {band_size} exceeds the 16" in err
+
+    @pytest.mark.parametrize("band_size, n_bands", [(15, 2), (16, 1)])
+    def test_band_size_may_reach_the_coefficient_count(self, band_size, n_bands):
+        enh = cli.build_enhancement(RunConfig(band_size=band_size, low_cutoff=8), 16)
+        assert enh.n_bands == n_bands
 
 
 class TestConfigHash:
@@ -466,6 +495,22 @@ class TestMainEndToEnd:
         (lambda blob: blob["vae"].update(latent_dim=3), "checkpoint.vae: "),
         (lambda blob: blob["seen_classifier"].update(weights=[[1.0], "x"]),
          "checkpoint.seen_classifier: "),
+        (lambda blob: blob["vae"].update(latent_dim=4.0),
+         "checkpoint.vae.latent_dim must be a JSON integer, not number"),
+        (lambda blob: blob["seen_classifier"]["class_ids"].append(True),
+         "checkpoint.seen_classifier.class_ids[3] must be a JSON integer, not boolean"),
+        (lambda blob: blob["vae"]["skel_encoder"]["weights"].insert(0, 1.5),
+         "checkpoint.vae.skel_encoder.weights[0] must be a JSON array, not number"),
+        (lambda blob: blob["featurizer"].update(enhancement=[]),
+         "checkpoint.featurizer.enhancement must be a JSON object, not array"),
+        (lambda blob: blob["gate"].update(weights=[1e400, 10 ** 400]), "checkpoint.gate: "),
+        (lambda blob: blob["gate"].update(bias=10 ** 400),
+         "checkpoint.gate: int too large to convert to float"),
+        (lambda blob: blob.update(format_version=True),
+         "checkpoint.format_version must be a JSON integer, not boolean"),
+        # a floor outside [0, 1] is refused on load as it is in a config
+        *[(lambda blob, floor=floor: blob["featurizer"]["enhancement"].update(floor=floor),
+           "checkpoint.featurizer: floor must lie in [0, 1]") for floor in (math.nan, 2, -1)],
     ])
     def test_eval_names_the_bad_key_of_a_malformed_checkpoint(self, trained, tmp_path,
                                                                capsys, corrupt, named):
@@ -760,3 +805,88 @@ class TestMalformedDataFiles:
             code = cli.main(["train", "--config", cfg, "--data", str(run_data),
                              "--out", str(tmp_path / "run")])
         assert code in (1, 2)
+
+
+# ---- checkpoints: the committed format and malformed files ----
+
+# written by `train` on the checkpoint-determinism criterion's config
+CHECKPOINT_V1 = REPO / "tests" / "data" / "checkpoint-v1.json"
+
+
+def test_v1_checkpoint_round_trips_byte_for_byte(tmp_path):
+    again = tmp_path / "again.json"
+    cli.save_checkpoint(again, cli.load_checkpoint(CHECKPOINT_V1))
+    assert again.read_bytes() == CHECKPOINT_V1.read_bytes()
+
+
+@st.composite
+def mutated_checkpoint(draw):
+    """The v1 checkpoint with one value replaced, or one key or item dropped."""
+    blob = json.loads(CHECKPOINT_V1.read_text(encoding="utf-8"))
+    node = blob
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            continue
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(json_values)
+        return json.dumps(blob).encode()
+
+
+@st.composite
+def spliced_checkpoint(draw):
+    """The v1 checkpoint's bytes with a short run replaced by arbitrary bytes."""
+    raw = CHECKPOINT_V1.read_bytes()
+    start = draw(st.integers(0, len(raw)))
+    stop = draw(st.integers(start, min(len(raw), start + 8)))
+    return raw[:start] + draw(st.binary(max_size=8)) + raw[stop:]
+
+
+CHECKPOINT_FUZZ = {"bytes": st.binary(max_size=200), "json": json_values.map(
+    lambda o: json.dumps(o).encode()), "mutated": mutated_checkpoint(),
+    "spliced": spliced_checkpoint()}
+
+
+class TestMalformedCheckpoints:
+    @pytest.mark.parametrize("content", sorted(CHECKPOINT_FUZZ))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_load_raises_only_value_error_and_eval_exits_one(self, tiny_env, tmp_path,
+                                                             content, data):
+        path = tmp_path / "checkpoint.json"
+        path.write_bytes(data.draw(CHECKPOINT_FUZZ[content]))
+        try:
+            cli.load_checkpoint(path)
+        except ValueError as exc:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["eval", "--checkpoint", str(path), "--data",
+                                 tiny_env["data"], "--out", str(tmp_path / "r.json")])
+            assert code == 1
+            assert err.getvalue() == f"error: {exc}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "export-latents"])
+    @pytest.mark.parametrize("content", ["[" * 100_000, '{"a": ' * 100_000],
+                             ids=["arrays", "objects"])
+    def test_deep_nesting_exits_one_with_one_line(self, tiny_env, tmp_path, capsys,
+                                                  command, content):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(content, encoding="utf-8")
+        code = cli.main([command, "--checkpoint", str(path), "--data", tiny_env["data"],
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint: not valid JSON (maximum recursion")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_without_enhancement_loads_none(self, tmp_path):
+        blob = json.loads(CHECKPOINT_V1.read_text(encoding="utf-8"))
+        blob["featurizer"]["enhancement"] = None
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        assert cli.load_checkpoint(path).featurizer.enhancement is None

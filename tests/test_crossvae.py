@@ -1,8 +1,8 @@
 """Twin-VAE tests: encoder/decoder wiring against the dense-kernel oracle,
 reparameterization statistics (through sample_class_latents), cross
 reconstructions from posterior means, the full stage-2 gradient under frozen noise,
-training-curve descent through the stage-2 loop, and the checkpoint codec
-round trip."""
+training-curve descent through the stage-2 loop, and the VAE's round trip
+through the checkpoint codec."""
 
 import math
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqzsl import crossvae, losses, numkit, pipeline, semantics
+from freqzsl import cli, crossvae, losses, numkit, pipeline, semantics
 
 
 def zero_mlp(sizes):
@@ -492,9 +492,11 @@ class TestSampleClassLatents:
 
 
 class TestCodec:
+    """VaeParams through the checkpoint codec, which works from its fields."""
+
     def test_round_trip_preserves_every_array(self):
         params = tiny_params(25)
-        back = crossvae.vae_from_dict(crossvae.vae_to_dict(params))
+        back = cli._from_json(crossvae.VaeParams, cli._to_json(params), "vae")
         assert back.latent_dim == params.latent_dim
         for a, b in zip(params.param_arrays(), back.param_arrays()):
             np.testing.assert_array_equal(a, b)
@@ -503,7 +505,7 @@ class TestCodec:
         import json
 
         params = tiny_params(26)
-        blob = json.dumps(crossvae.vae_to_dict(params))
-        back = crossvae.vae_from_dict(json.loads(blob))
+        blob = json.dumps(cli._to_json(params))
+        back = cli._from_json(crossvae.VaeParams, json.loads(blob), "vae")
         for a, b in zip(params.param_arrays(), back.param_arrays()):
             np.testing.assert_array_equal(a, b)

@@ -197,6 +197,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             frequency.EnhancementConfig((0, 4), (0.5,), 1, 0.0)
 
+    @pytest.mark.parametrize("floor", [float("nan"), 2.0, -1.0])
+    def test_floor_confined_to_unit_interval(self, floor):
+        with pytest.raises(ValueError, match=r"floor must lie in \[0, 1\]"):
+            frequency.EnhancementConfig((0, 4), (0.5,), 1, 30.0, floor=floor)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             frequency.EnhancementConfig((0, 4), (0.5,), 1, 30.0, mode="spline")

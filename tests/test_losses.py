@@ -376,6 +376,15 @@ class TestLossConfig:
         with pytest.raises(ValueError):
             losses.LossConfig(kl_weight=-1.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("temperature", float("nan")), ("temperature", -1.0),
+        ("align_weight", float("nan")), ("align_weight", -0.1),
+        ("kl_weight", float("nan")), ("margin", float("nan")), ("margin", -1.0),
+    ])
+    def test_out_of_domain_value_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            losses.LossConfig(**{key: value})
+
 
 class TestKl:
     def test_standard_normal_is_zero(self):
