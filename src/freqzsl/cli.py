@@ -34,6 +34,12 @@ class ConfigError(ValueError):
     """Bad config file or option combination; maps to exit code 2."""
 
 
+# least value of each bounded integer key of RunConfig
+_INT_MINIMA = {"latent_dim": 1, "hidden_dim": 1, "hidden_layers": 1, "batch_size": 1,
+               "band_size": 1, "unseen_samples": 1, "bench_seeds": 1, "seed": 0,
+               "stage2_epochs": 0, "unseen_epochs": 0, "seen_epochs": 0}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every knob of a run; defaults follow the reference recipe where one
@@ -96,15 +102,11 @@ class RunConfig:
             raise ConfigError(f"enhance_mode {self.enhance_mode!r} unknown")
         if self.align_loss not in losses.ALIGN_LOSSES:
             raise ConfigError(f"align_loss {self.align_loss!r} unknown")
-        if min(self.latent_dim, self.hidden_dim, self.hidden_layers,
-               self.batch_size, self.band_size) < 1:
-            raise ConfigError("model/batch dimensions must be positive")
-        if min(self.stage2_epochs, self.unseen_epochs, self.seen_epochs) < 0:
-            raise ConfigError("epoch counts must be non-negative")
+        for key, least in _INT_MINIMA.items():
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if not (0.0 < self.gate_holdout < 1.0):
             raise ConfigError("gate_holdout must be in (0, 1)")
-        if self.bench_seeds < 1:
-            raise ConfigError("bench_seeds must be positive")
         for key in ("stage2_lr", "unseen_lr", "seen_lr", "gate_c"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
@@ -589,9 +591,9 @@ def cmd_eval(args) -> int:
     test_unseen = dataset.by_partition("test-unseen")
     if not test_unseen:
         raise ValueError("no test-unseen records")
-    zsl = pipeline.evaluate_zsl(model.vae, model.featurizer, model.unseen_clf,
-                                test_unseen)
     if args.mode == "zsl":
+        zsl = pipeline.evaluate_zsl(model.vae, model.featurizer, model.unseen_clf,
+                                    test_unseen)
         report = pipeline.EvalReport(None, None, None, zsl, {})
     else:
         test_seen = dataset.by_partition("test-seen")
@@ -600,15 +602,14 @@ def cmd_eval(args) -> int:
         report = pipeline.evaluate_gzsl(model.vae, model.featurizer, model.gate,
                                         model.seen_clf, model.unseen_clf,
                                         test_seen, test_unseen)
-        report.zsl_accuracy = zsl
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     pipeline.write_report(out, report, model.config_hash, args.mode)
     if args.mode == "zsl":
-        print(f"zsl unseen accuracy: {zsl:.4f}")
+        print(f"zsl unseen accuracy: {report.zsl_accuracy:.4f}")
     else:
         print(f"gzsl seen {report.seen_accuracy:.4f} unseen {report.unseen_accuracy:.4f} "
-              f"harmonic {report.harmonic:.4f} (zsl {zsl:.4f})")
+              f"harmonic {report.harmonic:.4f} (zsl {report.zsl_accuracy:.4f})")
     print(f"report: {out}")
     return 0
 

@@ -185,12 +185,12 @@ def scaling_profile(config: EnhancementConfig) -> tuple[Array, Array, Array]:
 
 
 def enhance(coeffs: Array, config: EnhancementConfig) -> Array:
-    """Scale each coefficient (trailing axis) by its band's g."""
+    """Scale each coefficient (trailing axis) by its band's g. Finiteness is
+    left to idct, which every caller applies to the product."""
     c = np.asarray(coeffs, dtype=np.float64)
     if c.shape[-1] != config.length:
         raise ValueError(
             f"config partitions {config.length} coefficients, spectrum has {c.shape[-1]}")
-    check_finite("spectrum", c)
     g, _, _ = scaling_profile(config)
     return c * g
 
@@ -200,34 +200,17 @@ def enhance_sequence(x: Array, config: EnhancementConfig) -> Array:
     return idct(enhance(dct_forward(x), config))
 
 
-@dataclass
-class EnhanceCache:
-    """Forward-pass state needed for d(loss)/d(weights)."""
-
-    coeffs: Array
-    dgdw: Array
-    band_index: Array
-    n_bands: int
-
-
-def enhance_sequence_with_cache(x: Array,
-                                config: EnhancementConfig) -> tuple[Array, EnhanceCache]:
-    coeffs = dct_forward(x)
-    g, dgdw, band_index = scaling_profile(config)
-    out = idct(coeffs * g)
-    return out, EnhanceCache(coeffs, dgdw, band_index, config.n_bands)
-
-
-def enhance_weight_grads(cache: EnhanceCache, grad_out: Array) -> Array:
+def enhance_weight_grads(coeffs: Array, grad_out: Array, config: EnhancementConfig) -> Array:
     """Chain grad wrt the enhanced output back to the band weights.
 
-    grad_out has the same shape as the enhanced sequence. The transform is
-    orthonormal, so grad wrt the scaled spectrum is dct_forward(grad_out).
+    coeffs is the unscaled spectrum that was enhanced under config, and
+    grad_out has its shape. The transform is orthonormal, so grad wrt the
+    scaled spectrum is dct_forward(grad_out).
     """
+    _, dgdw, band_index = scaling_profile(config)
     grad_spec = dct_forward(np.asarray(grad_out, dtype=np.float64))
-    per_coeff = (grad_spec * cache.coeffs).reshape(-1, cache.coeffs.shape[-1]).sum(axis=0)
-    return np.bincount(cache.band_index, weights=per_coeff * cache.dgdw,
-                       minlength=cache.n_bands)
+    per_coeff = (grad_spec * coeffs).reshape(-1, coeffs.shape[-1]).sum(axis=0)
+    return np.bincount(band_index, weights=per_coeff * dgdw, minlength=config.n_bands)
 
 
 # ---- learnable weight squash ----
@@ -238,7 +221,7 @@ def weights_from_raw(raw: Array) -> Array:
     return sigmoid(raw)
 
 
-def raw_from_weights(w: Array, clip: float = 1e-9) -> Array:
-    """Logit of w, clipped away from exact 0/1."""
-    w = np.clip(np.asarray(w, dtype=np.float64), clip, 1.0 - clip)
+def raw_from_weights(w: Array) -> Array:
+    """Logit of w, clipped to [1e-9, 1 - 1e-9] so exact 0/1 stay finite."""
+    w = np.clip(np.asarray(w, dtype=np.float64), 1e-9, 1.0 - 1e-9)
     return np.log(w / (1.0 - w))

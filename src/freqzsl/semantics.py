@@ -35,10 +35,9 @@ class EmbeddingRecord:
 
 @dataclass
 class SemanticTable:
-    """All embeddings keyed by (class, kind), with per-kind dims locked."""
+    """All embeddings keyed by (class, kind)."""
 
     vectors: dict[int, dict[str, Array]]
-    dims: dict[str, int]
 
     def classes(self) -> tuple[int, ...]:
         return tuple(sorted(self.vectors))
@@ -116,7 +115,7 @@ def load_embeddings(path) -> SemanticTable:
         for kind in KINDS:
             if kind not in per_class:
                 raise EmbeddingFormatError(f"missing (class {cid}, kind {kind})")
-    return SemanticTable(vectors, dims)
+    return SemanticTable(vectors)
 
 
 def write_embeddings(path, records: Iterable[EmbeddingRecord]) -> int:

@@ -149,8 +149,7 @@ def generate(config: SynthConfig) -> GeneratedDataset:
         for k in range(config.n_classes):
             noise = config.semantic_noise_std * rng.standard_normal(config.embed_dim)
             table_vectors[k][kind] = proj @ protos[k].reshape(-1) + noise
-    table = semantics.SemanticTable(
-        table_vectors, {kind: config.embed_dim for kind in semantics.KINDS})
+    table = semantics.SemanticTable(table_vectors)
 
     if config.label_noise_rate > 0:
         dataset = inject_label_noise(dataset, config.label_noise_rate,

@@ -157,6 +157,8 @@ class TestRunConfigValidation:
         {"weight_floor": float("nan")},
         {"weight_floor": 2.0},
         {"weight_floor": -1.0},
+        {"unseen_samples": 0},
+        {"seed": -1},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -218,6 +220,24 @@ class TestConfigDomains:
         code, err = self.train_exit(tiny_env, tmp_path, capsys, f"weight_floor = {raw}")
         assert code == 2
         assert err.count("\n") == 1 and "weight_floor must be in [0, 1]" in err
+
+    @pytest.mark.parametrize("line", ["unseen_samples = 0", "seed = -1"])
+    def test_out_of_domain_count_exits_two_before_training(self, tiny_env, tmp_path, capsys,
+                                                           monkeypatch, line):
+        trained = []
+        monkeypatch.setattr(pipeline, "run_stage2", lambda *a, **k: trained.append(a))
+        code, err = self.train_exit(tiny_env, tmp_path, capsys, line)
+        key = line.split(" ")[0]
+        assert code == 2
+        assert err.count("\n") == 1 and f"{key} must be >= " in err
+        assert trained == []
+
+    def test_negative_seed_flag_exits_two(self, tiny_env, tmp_path, capsys):
+        code = cli.main(["train", "--config", tiny_env["cfg"], "--seed", "-1",
+                         "--data", tiny_env["data"], "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "config error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("key", ["temperature", "align_weight", "kl_weight", "margin"])
     def test_nan_loss_knob_is_config_error(self, key):
@@ -511,6 +531,16 @@ class TestMainEndToEnd:
         # a floor outside [0, 1] is refused on load as it is in a config
         *[(lambda blob, floor=floor: blob["featurizer"]["enhancement"].update(floor=floor),
            "checkpoint.featurizer: floor must lie in [0, 1]") for floor in (math.nan, 2, -1)],
+        # heads whose labels, rows and biases disagree, and a gate of the wrong width
+        (lambda blob: blob["seen_classifier"]["class_ids"].pop(),
+         "checkpoint.seen_classifier: 2 class ids need 2 weight rows and 2 biases, "
+         "got weights (3, 4) and bias (3,)"),
+        (lambda blob: blob["unseen_classifier"].update(
+            bias=blob["unseen_classifier"]["bias"][:1]),
+         "checkpoint.unseen_classifier: 2 class ids need 2 weight rows and 2 biases, "
+         "got weights (2, 4) and bias (1,)"),
+        (lambda blob: blob["gate"].update(weights=[0.5]),
+         "checkpoint.gate: weights must have shape (2,), got (1,)"),
     ])
     def test_eval_names_the_bad_key_of_a_malformed_checkpoint(self, trained, tmp_path,
                                                                capsys, corrupt, named):
@@ -524,6 +554,38 @@ class TestMainEndToEnd:
         err = capsys.readouterr().err
         assert err.startswith("error: " + named)
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_eval_refuses_a_band_layout_that_does_not_match_the_data(self, trained,
+                                                                     tmp_path, capsys):
+        # one band over one coefficient, on 16-coefficient sequences
+        blob = json.loads(Path(trained["checkpoint"]).read_text())
+        enh = blob["featurizer"]["enhancement"]
+        enh.update(split_points=[0, 1], weights=enh["weights"][:1], low_cutoff=0)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        code = cli.main(["eval", "--checkpoint", str(bad), "--data", trained["data"],
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: config partitions 1 coefficients, spectrum has 16\n"
+
+    def test_gzsl_report_carries_the_zsl_accuracy(self, trained, tmp_path):
+        model = cli.load_checkpoint(trained["checkpoint"])
+        dataset = pipeline.load_feature_file(Path(trained["data"]) / "features.jsonl")
+        unseen = dataset.by_partition("test-unseen")
+        report = pipeline.evaluate_gzsl(model.vae, model.featurizer, model.gate,
+                                        model.seen_clf, model.unseen_clf,
+                                        dataset.by_partition("test-seen"), unseen)
+        assert report.zsl_accuracy == pipeline.evaluate_zsl(
+            model.vae, model.featurizer, model.unseen_clf, unseen)
+        written = {}
+        for mode in ("zsl", "gzsl"):
+            out = tmp_path / f"{mode}.json"
+            assert cli.main(["eval", "--checkpoint", trained["checkpoint"],
+                             "--data", trained["data"], "--mode", mode,
+                             "--out", str(out)]) == 0
+            written[mode] = json.loads(out.read_text())["zsl_accuracy"]
+        assert written["zsl"] == written["gzsl"] == report.zsl_accuracy
 
     def test_export_latents(self, trained, capsys):
         out = trained["root"] / "latents.csv"

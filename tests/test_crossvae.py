@@ -410,8 +410,7 @@ def tiny_stage2_data(f_s, labels):
     text = {0: [0.0, 2.0, 0.0], 1: [0.0, -2.0, 0.0], 2: [2.0, 0.0, 0.0]}
     table = semantics.SemanticTable(
         {c: {"AL": np.asarray(v), "LD": np.ones(1), "GD": np.ones(1)}
-         for c, v in text.items()},
-        {"AL": 3, "LD": 1, "GD": 1})
+         for c, v in text.items()})
     return pipeline.FeatureDataset(recs), table, pipeline.SplitSpec((0, 1), (2,))
 
 

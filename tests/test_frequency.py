@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqzsl import cli, frequency, numkit
+from freqzsl import cli, frequency, numkit, pipeline
 
 
 def naive_dct(x):
@@ -255,8 +255,9 @@ class TestEnhance:
             return float(np.sum((out - target) ** 2))
 
         cfg = base
-        out, cache = frequency.enhance_sequence_with_cache(x, cfg)
-        analytic = frequency.enhance_weight_grads(cache, 2.0 * (out - target))
+        out = frequency.enhance_sequence(x, cfg)
+        analytic = frequency.enhance_weight_grads(frequency.dct_forward(x),
+                                                  2.0 * (out - target), cfg)
         step = 1e-6
         w0 = np.asarray(cfg.weights)
         for k in range(cfg.n_bands):
@@ -272,8 +273,27 @@ class TestEnhance:
         x = rng.standard_normal((3, 16))
         cfg = frequency.EnhancementConfig.per_coefficient(16, 6, 5.0, weight=0.4)
         plain = frequency.enhance_sequence(x, cfg)
-        cached, _ = frequency.enhance_sequence_with_cache(x, cfg)
+        feat = pipeline.SkeletonFeaturizer(enhancement=cfg, enhance_vectors=True)
+        cached = feat.from_spectrum(frequency.dct_forward(x))
         np.testing.assert_array_equal(plain, cached)
+
+    @pytest.mark.parametrize("bad, mode, weight", [
+        *[(bad, mode, 0.5) for bad in (math.nan, math.inf, -math.inf)
+          for mode in ("piecewise", "learnable_only")],
+        (math.nan, "learnable_only", 0.0),  # g = 0: NaN * 0 stays NaN
+    ])
+    def test_non_finite_coefficient_is_refused(self, bad, mode, weight):
+        # enhance leaves the check to idct, which sees the scaled product
+        cfg = frequency.EnhancementConfig.per_coefficient(16, 6, 5.0, weight=weight,
+                                                          mode=mode)
+        x = numkit.make_rng(8).standard_normal((3, 16))
+        coeffs = frequency.dct_forward(x)
+        coeffs[1, 4] = x[1, 4] = bad
+        feat = pipeline.SkeletonFeaturizer(enhancement=cfg, enhance_vectors=True)
+        with pytest.raises(ValueError, match="spectrum contains non-finite"):
+            feat.from_spectrum(coeffs)
+        with pytest.raises(ValueError, match="non-finite"):
+            frequency.enhance_sequence(x, cfg)
 
 
 class TestWeightSquash:

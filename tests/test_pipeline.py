@@ -44,8 +44,7 @@ def make_semantic_table(class_vectors):
     vectors = {cid: {"AL": np.asarray(v, dtype=np.float64),
                      "LD": np.array([1.0]), "GD": np.array([1.0])}
                for cid, v in class_vectors.items()}
-    dims = {"AL": len(next(iter(class_vectors.values()))), "LD": 1, "GD": 1}
-    return semantics.SemanticTable(vectors, dims)
+    return semantics.SemanticTable(vectors)
 
 
 class TestRecordsAndFiles:
@@ -185,33 +184,54 @@ class TestFeaturizer:
         cfg = frequency.EnhancementConfig.per_coefficient(16, 9, 6.0, weight=0.7)
         cfg = cfg.with_weights(numkit.make_rng(31).uniform(0.0, 1.0, 16))
         feat = pipeline.SkeletonFeaturizer(enhancement=cfg)
-        block, cache = feat.from_spectrum(feat.spectrum(recs))
-        direct, direct_cache = frequency.enhance_sequence_with_cache(
-            np.stack([r.sequence for r in recs]), cfg)
-        np.testing.assert_allclose(block, direct.reshape(len(recs), -1), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(cache.coeffs, direct_cache.coeffs, rtol=0, atol=1e-12)
+        block, coeffs = feat.features_with_cache(recs)
+        stacked = np.stack([r.sequence for r in recs])
+        direct = frequency.enhance_sequence(stacked, cfg)
+        np.testing.assert_array_equal(block, direct.reshape(len(recs), -1))
+        np.testing.assert_array_equal(coeffs, frequency.dct_forward(stacked))
 
     def test_band_weight_grad_from_cached_rows_matches_batch_transform(self):
         # a trainer takes the spectrum once and differentiates through its rows
         recs = self.sequence_records(32, n=10)
         cfg = frequency.EnhancementConfig.uniform_bands(16, 3, 9, 6.0, weight=0.4)
         feat = pipeline.SkeletonFeaturizer(enhancement=cfg)
+        trained = feat.with_weights(numkit.make_rng(34).uniform(0.0, 1.0, cfg.n_bands))
         idx = np.array([7, 2, 2, 9, 0])
         grad_out = numkit.make_rng(33).standard_normal((5, 2, 3, 16))
-        _, cache = feat.from_spectrum(feat.spectrum(recs)[idx])
-        _, batch_cache = frequency.enhance_sequence_with_cache(
-            np.stack([recs[i].sequence for i in idx]), cfg)
-        np.testing.assert_allclose(frequency.enhance_weight_grads(cache, grad_out),
-                                   frequency.enhance_weight_grads(batch_cache, grad_out),
-                                   rtol=0, atol=1e-12)
+        rows = feat.spectrum(recs)[idx]
+        batch = frequency.dct_forward(np.stack([recs[i].sequence for i in idx]))
+        np.testing.assert_allclose(
+            frequency.enhance_weight_grads(rows, grad_out, trained.enhancement),
+            frequency.enhance_weight_grads(batch, grad_out, trained.enhancement),
+            rtol=0, atol=1e-12)
 
-    def test_enhancement_argument_overrides_the_weights(self):
+    def test_reweighted_featurizer_maps_the_same_spectrum(self):
         recs = self.sequence_records(34, n=3)
         cfg = frequency.EnhancementConfig.per_coefficient(16, 9, 6.0, weight=0.0)
-        other = cfg.with_weights(np.full(16, 0.8))
         feat = pipeline.SkeletonFeaturizer(enhancement=cfg)
-        block, _ = feat.from_spectrum(feat.spectrum(recs), other)
-        np.testing.assert_array_equal(block, feat.with_weights(other.weights).features(recs))
+        other = feat.with_weights(np.full(16, 0.8))
+        block = other.from_spectrum(feat.spectrum(recs))
+        np.testing.assert_array_equal(
+            block, pipeline.SkeletonFeaturizer(cfg.with_weights(np.full(16, 0.8))).features(recs))
+        assert not np.array_equal(block, feat.features(recs))
+
+    def test_encoding_goes_through_the_traced_featurize_method(self, monkeypatch):
+        # the benchmark's tracer wraps features_with_cache by name
+        assert "features_with_cache" in vars(pipeline.SkeletonFeaturizer)
+        calls = []
+        real = pipeline.SkeletonFeaturizer.features_with_cache
+
+        def spy(self, records):
+            calls.append(len(records))
+            return real(self, records)
+
+        monkeypatch.setattr(pipeline.SkeletonFeaturizer, "features_with_cache", spy)
+        recs = [vector_record("a", 0, "test-unseen", [2.0, 0.0]),
+                vector_record("b", 1, "test-unseen", [0.0, 2.0])]
+        latents = pipeline.encode_latent_means(identity_vae(), pipeline.SkeletonFeaturizer(),
+                                               recs)
+        np.testing.assert_array_equal(latents, [[2.0, 0.0], [0.0, 2.0]])
+        assert calls == [2]
 
 
 class TestSoftmaxClassifier:
@@ -235,6 +255,17 @@ class TestSoftmaxClassifier:
         with pytest.raises(ValueError, match="missing from class_ids"):
             pipeline.train_softmax_classifier(np.zeros((2, 2)), np.array([0, 9]),
                                               (0, 1), epochs=1, lr=0.1)
+
+    @pytest.mark.parametrize("class_ids, weights, bias, match", [
+        ((0, 0), np.zeros((2, 3)), np.zeros(2), "distinct"),
+        ((0, 1), np.zeros(2), np.zeros(2), r"weights \(2,\) and bias \(2,\)"),
+        ((0, 1), np.zeros((3, 3)), np.zeros(2), r"weights \(3, 3\) and bias \(2,\)"),
+        ((0, 1), np.zeros((2, 3)), np.zeros(1), r"weights \(2, 3\) and bias \(1,\)"),
+        ((0, 1), np.zeros((2, 3)), np.zeros((2, 1)), r"weights \(2, 3\) and bias \(2, 1\)"),
+    ])
+    def test_labels_rows_and_bias_must_agree(self, class_ids, weights, bias, match):
+        with pytest.raises(ValueError, match=match):
+            pipeline.SoftmaxClassifier(class_ids, weights, bias)
 
     def test_probabilities_normalize(self):
         clf = pipeline.SoftmaxClassifier((0, 1, 2),
@@ -545,6 +576,14 @@ class TestEvaluation:
                                         test_seen, test_unseen)
         assert report.unseen_accuracy == 0.0
         assert report.harmonic == 0.0
+        # the unseen head alone still names every unseen record
+        assert report.zsl_accuracy == 1.0 == pipeline.evaluate_zsl(
+            params, pipeline.SkeletonFeaturizer(), unseen_clf, test_unseen)
+
+    @pytest.mark.parametrize("weights", [np.zeros(1), np.zeros(3), np.zeros((1, 2))])
+    def test_gate_weights_must_be_a_pair(self, weights):
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            pipeline.GateModel(weights, 0.0, 1.0)
 
     def test_gzsl_empty_partition_rejected(self):
         params, seen_clf, unseen_clf, test_seen, _ = self.gzsl_fixture()
