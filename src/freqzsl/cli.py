@@ -34,116 +34,119 @@ class ConfigError(ValueError):
     """Bad config file or option combination; maps to exit code 2."""
 
 
-# least value of each bounded integer key of RunConfig
-_INT_MINIMA = {"latent_dim": 1, "hidden_dim": 1, "hidden_layers": 1, "batch_size": 1,
-               "band_size": 1, "unseen_samples": 1, "bench_seeds": 1, "seed": 0,
-               "stage2_epochs": 0, "unseen_epochs": 0, "seen_epochs": 0}
+def _key(default, domain):
+    """A RunConfig field and its domain: a tuple of choices, or an interval
+    such as "[0, 1]" or "(0, inf)" whose brackets say which ends are closed.
+    A number must also be finite, so an infinite end admits nothing."""
+    return dataclasses.field(default=default, metadata={"domain": domain})
+
+
+def _check(name: str, value, domain) -> None:
+    """Refuse a value outside its domain with one line naming the key."""
+    if isinstance(domain, tuple):
+        if value not in domain:
+            raise ConfigError(f"{name} must be one of {', '.join(map(str, domain))}, "
+                              f"got {value!r}")
+        return
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    closed_lo, closed_hi = domain[0] == "[", domain[-1] == "]"
+    finite = -math.inf < value < math.inf
+    if not (finite and (lo <= value if closed_lo else lo < value)
+            and (value <= hi if closed_hi else value < hi)):
+        text = f"in {domain}" if hi < math.inf else f"{'>=' if closed_lo else '>'} {lo:g}"
+        raise ConfigError(f"{name} must be {text}, got {value!r}"
+                          + ("" if finite else " (not a finite number)"))
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Every knob of a run; defaults follow the reference recipe where one
     exists (enhancement thresholds, loss weights, batch and stage sizes) and
-    the desk-scale synthetic benchmark elsewhere."""
+    the desk-scale synthetic benchmark elsewhere. Each field declares its
+    domain; the relations between keys are checked after the domains."""
 
     # synthetic benchmark
-    synth_classes: int = 12
-    synth_unseen: int = 2
-    synth_joints: int = 5
-    synth_coords: int = 3
-    synth_frames: int = 64
-    synth_samples_per_class: int = 20
-    synth_test_fraction: float = 0.25
-    synth_low_band_start: int = 1
-    synth_low_band_stop: int = 7
-    synth_proto_rank: int = 4
-    synth_within_class_std: float = 0.08
-    synth_jitter_std: float = 0.0
-    synth_jitter_start: int = 36
-    synth_jitter_low_leak: float = 0.1
-    synth_label_noise: float = 0.0
-    synth_embed_dim: int = 16
-    synth_semantic_noise_std: float = 0.05
+    synth_classes: int = _key(12, "[2, inf)")
+    synth_unseen: int = _key(2, "[1, inf)")
+    synth_joints: int = _key(5, "[1, inf)")
+    synth_coords: int = _key(3, "[1, inf)")
+    synth_frames: int = _key(64, "[1, inf)")
+    synth_samples_per_class: int = _key(20, "[2, inf)")
+    synth_test_fraction: float = _key(0.25, "(0, 1)")
+    synth_low_band_start: int = _key(1, "[0, inf)")
+    synth_low_band_stop: int = _key(7, "[1, inf)")
+    synth_proto_rank: int = _key(4, "[1, inf)")
+    synth_within_class_std: float = _key(0.08, "[0, inf)")
+    synth_jitter_std: float = _key(0.0, "[0, inf)")
+    synth_jitter_start: int = _key(36, "[0, inf)")
+    synth_jitter_low_leak: float = _key(0.1, "[0, inf)")
+    synth_label_noise: float = _key(0.0, "[0, 1]")
+    synth_embed_dim: int = _key(16, "[1, inf)")
+    synth_semantic_noise_std: float = _key(0.05, "[0, inf)")
     # frequency enhancement
-    enhance_mode: str = "piecewise"  # piecewise | learnable_only | off
-    low_cutoff: int = 35
-    ramp: float = 30.0
-    band_size: int = 1
-    weight_floor: float = 0.0
-    init_weight: float = 0.5
-    enhance_vectors: bool = False
-    train_weights: bool = True
+    enhance_mode: str = _key("piecewise", frequency.MODES + ("off",))
+    low_cutoff: int = _key(35, "[0, inf)")
+    ramp: float = _key(30.0, "(0, inf)")
+    band_size: int = _key(1, "[1, inf)")
+    weight_floor: float = _key(0.0, "[0, 1]")
+    init_weight: float = _key(0.5, "[0, 1]")
+    enhance_vectors: bool = _key(False, (False, True))
+    train_weights: bool = _key(True, (False, True))
     # objective
-    temperature: float = 100.0
-    align_weight: float = 0.1
-    kl_weight: float = 1.0
-    margin: float = 1.0
-    align_loss: str = "calibrated"
+    temperature: float = _key(100.0, "(0, inf)")
+    align_weight: float = _key(0.1, "[0, inf)")
+    kl_weight: float = _key(1.0, "[0, inf)")
+    margin: float = _key(1.0, "[0, inf)")
+    align_loss: str = _key("calibrated", losses.ALIGN_LOSSES)
     # model
-    latent_dim: int = 16
-    hidden_dim: int = 64
-    hidden_layers: int = 2
+    latent_dim: int = _key(16, "[1, inf)")
+    hidden_dim: int = _key(64, "[1, inf)")
+    hidden_layers: int = _key(2, "[1, inf)")
     # training
-    stage2_epochs: int = 1900
-    stage2_lr: float = 1e-4
-    batch_size: int = 64
-    unseen_samples: int = 500
-    unseen_epochs: int = 300
-    unseen_lr: float = 1e-3
-    seen_epochs: int = 300
-    seen_lr: float = 1e-3
-    gate_c: float = 1.0
-    gate_holdout: float = 0.2
-    bench_seeds: int = 5
-    seed: int = 0
+    stage2_epochs: int = _key(1900, "[0, inf)")
+    stage2_lr: float = _key(1e-4, "(0, inf)")
+    batch_size: int = _key(64, "[1, inf)")
+    unseen_samples: int = _key(500, "[1, inf)")
+    unseen_epochs: int = _key(300, "[0, inf)")
+    unseen_lr: float = _key(1e-3, "(0, inf)")
+    seen_epochs: int = _key(300, "[0, inf)")
+    seen_lr: float = _key(1e-3, "(0, inf)")
+    gate_c: float = _key(1.0, "(0, inf)")
+    gate_holdout: float = _key(0.2, "(0, 1)")
+    bench_seeds: int = _key(5, "[1, inf)")
+    seed: int = _key(0, "[0, inf)")
 
     def __post_init__(self) -> None:
-        if self.enhance_mode not in ("piecewise", "learnable_only", "off"):
-            raise ConfigError(f"enhance_mode {self.enhance_mode!r} unknown")
-        if self.align_loss not in losses.ALIGN_LOSSES:
-            raise ConfigError(f"align_loss {self.align_loss!r} unknown")
-        for key, least in _INT_MINIMA.items():
-            if getattr(self, key) < least:
-                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
-        if not (0.0 < self.gate_holdout < 1.0):
-            raise ConfigError("gate_holdout must be in (0, 1)")
-        for key in ("stage2_lr", "unseen_lr", "seen_lr", "gate_c"):
-            if not getattr(self, key) > 0:
-                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
-        if not 0.0 <= self.weight_floor <= 1.0:
-            raise ConfigError(f"weight_floor must be in [0, 1], got {self.weight_floor}")
-        # t4 divides by D+ + margin, which is 0 when D+ = D- = 0 unless margin > 0
+        # t4 divides by D+ + margin, which is 0 when D+ = D- = 0 unless margin > 0;
+        # this narrows margin's domain, so it is checked first
         if self.align_loss == "t4" and not self.margin > 0:
             raise ConfigError(f"margin must be > 0 for align_loss t4, got {self.margin}")
+        for field in dataclasses.fields(self):
+            _check(field.name, getattr(self, field.name), field.metadata["domain"])
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+# field type -> (parser of the raw text, what the text must be)
+_PARSERS = {"int": (int, "an integer"), "float": (float, "a number"),
+            "bool": (lambda raw: _BOOLS[raw.lower()], "a boolean")}
 
 
 def _coerce(field: dataclasses.Field, raw: str):
-    if field.type in ("int", int):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{field.name}: {raw!r} is not an integer") from exc
-    if field.type in ("float", float):
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{field.name}: {raw!r} is not a number") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"{field.name}: {raw!r} is not a finite number")
-        return value
-    if field.type in ("bool", bool):
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{field.name}: {raw!r} is not a boolean")
-    return raw
+    if field.type not in _PARSERS:
+        return raw
+    parse, kind = _PARSERS[field.type]
+    try:
+        return parse(raw)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{field.name}: {raw!r} is not {kind}") from exc
+
+
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def parse_config(path) -> RunConfig:
     """Read a flat `key = value` file; '#' starts a comment, blanks ignored."""
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -153,33 +156,15 @@ def parse_config(path) -> RunConfig:
             if "=" not in text:
                 raise ConfigError(f"line {lineno}: expected key = value")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in fields:
+            if key not in _FIELDS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            values[key] = _coerce(fields[key], raw)
+            values[key] = _coerce(_FIELDS[key], raw)
     try:
         return RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def tuned_synth_config() -> RunConfig:
-    """Recipe tuned for the bundled synthetic benchmark.
-
-    RunConfig defaults keep the reference recipe, whose loss weights and
-    learning rates are matched to large pretrained feature scales. The
-    synthetic features have per-dim variance around 5e-3 and cross-modal
-    distances of order 1, so here the pair-sigmoid temperature drops to
-    that distance scale, the KL weight steps back from posterior collapse,
-    and the classifier steps are large enough to reach confident softmax
-    weights on small latents.
-    """
-    return RunConfig(
-        temperature=1.0, kl_weight=0.02, align_weight=1.0,
-        stage2_epochs=1000, stage2_lr=1e-3,
-        unseen_lr=1e-2, seen_lr=1e-2,
-        synth_semantic_noise_std=0.02)
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -223,12 +208,9 @@ def build_enhancement(cfg: RunConfig, length: int) -> frequency.EnhancementConfi
         raise ConfigError(f"low_cutoff {cfg.low_cutoff} outside [0, {length})")
     if cfg.band_size > length:
         raise ConfigError(f"band_size {cfg.band_size} exceeds the {length} coefficients")
-    try:
-        return frequency.EnhancementConfig.uniform_bands(
-            length, cfg.band_size, cfg.low_cutoff, cfg.ramp, cfg.init_weight,
-            cfg.enhance_mode, cfg.weight_floor)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return frequency.EnhancementConfig.uniform_bands(
+        length, cfg.band_size, cfg.low_cutoff, cfg.ramp, cfg.init_weight,
+        cfg.enhance_mode, cfg.weight_floor)
 
 
 def make_featurizer(cfg: RunConfig, dataset: pipeline.FeatureDataset) -> pipeline.SkeletonFeaturizer:
@@ -243,11 +225,7 @@ def make_featurizer(cfg: RunConfig, dataset: pipeline.FeatureDataset) -> pipelin
 
 
 def make_loss_config(cfg: RunConfig) -> losses.LossConfig:
-    try:
-        return losses.LossConfig(cfg.temperature, cfg.align_weight,
-                                 cfg.kl_weight, cfg.margin)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return losses.LossConfig(cfg.temperature, cfg.align_weight, cfg.kl_weight, cfg.margin)
 
 
 # ---- full training run (stages 2-4) ----
@@ -491,6 +469,8 @@ def loss_bench(cfg: RunConfig, loss_names: list[str],
     """
     for name in loss_names:  # every cell's config is valid before any training
         dataclasses.replace(cfg, align_loss=name)
+    for rate in noise_rates:  # label-noise rates, so that key's domain holds
+        _check("--noise-rate", rate, _FIELDS["synth_label_noise"].metadata["domain"])
     detail: dict[str, dict[float, list[float]]] = {
         name: {rate: [] for rate in noise_rates} for name in loss_names}
     for i in range(cfg.bench_seeds):
@@ -519,7 +499,7 @@ def loss_bench(cfg: RunConfig, loss_names: list[str],
 
 
 def _load_cfg(args) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else RunConfig()
+    cfg = parse_config(args.config) if getattr(args, "config", None) else RunConfig()
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
@@ -553,7 +533,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_dct_check(args) -> int:
-    rows = dct_self_checks(args.seed if args.seed is not None else 0)
+    rows = dct_self_checks(_load_cfg(args).seed)
     ok = True
     for name, err, tol, passed in rows:
         ok &= passed

@@ -17,6 +17,7 @@ records, and no unseen class id can enter a training batch.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -396,6 +397,9 @@ def train_gate(seen_clf: SoftmaxClassifier, unseen_latents: Array,
 
 # ---- stage 2: joint VAE + band-weight training ----
 
+# the slices of the flat stage-2 gradient, in VaeParams.nets() order
+_GRAD_PARTS = ("skel_encoder", "text_encoder", "skel_decoder", "text_decoder", "band weights")
+
 
 def encode_latent_means(params: crossvae.VaeParams, featurizer: SkeletonFeaturizer,
                         records: Sequence[FeatureRecord]) -> Array:
@@ -418,7 +422,9 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     epoch. epochs=0 returns the freshly initialized parameters untouched.
     A batch holding a single class is skipped (the alignment loss needs a
     negative per item); if epochs > 0 and every batch is skipped, this
-    raises ValueError rather than return an untrained model.
+    raises ValueError rather than return an untrained model. So does a step
+    whose flat gradient has a non-finite squared norm, before Adam reads it;
+    the error names the epoch, the step and the first failing network.
 
     All trainable arrays (four networks, then the raw band weights) live in
     one contiguous vector that Adam updates in place; the returned params
@@ -453,6 +459,9 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     params = params.with_arrays(views[:n_net])
     raw = views[n_net] if len(views) > n_net else None
     grad, grad_views = numkit.flatten(views)  # same layout; every step overwrites it all
+    # each network's slice of the gradient, then the band weights' (maybe empty)
+    grad_parts = np.split(grad, np.cumsum([sum(a.size for a in net.param_arrays())
+                                           for net in params.nets()]))
     opt = numkit.AdamState(lr=lr)
 
     def step(idx: Array, labels: Array) -> dict:
@@ -472,6 +481,12 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
             d_w = frequency.enhance_weight_grads(rows, d_f_s.reshape(rows.shape),
                                                  feat.enhancement)
             np.multiply(d_w * w, 1.0 - w, out=grad_views[n_net])
+        # Adam squares each entry; one that overflows would freeze its parameter
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.dot(grad, grad)):
+                part = next((name for name, g in zip(_GRAD_PARTS, grad_parts)
+                             if not math.isfinite(np.dot(g, g))), "combined")
+                raise ValueError(f"{part} gradient is non-finite or its square overflows")
         numkit.adam_step(opt, [flat], [grad])
         return breakdown
 
@@ -487,7 +502,11 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
             labels = labels_all[idx]
             if np.all(labels == labels[0]):
                 continue  # alignment needs a valid negative per item
-            for key, val in step(idx, labels).items():
+            try:
+                breakdown = step(idx, labels)
+            except ValueError as exc:
+                raise ValueError(f"stage 2 epoch {epoch} step {steps + batches}: {exc}") from exc
+            for key, val in breakdown.items():
                 sums[key] = sums.get(key, 0.0) + val
             batches += 1
         steps += batches

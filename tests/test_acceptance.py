@@ -10,11 +10,14 @@ import contextlib
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from freqzsl import cli, crossvae, frequency, losses, numkit, pipeline, synthbench
+
+TUNED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synth-tuned.cfg"
 
 
 @contextlib.contextmanager
@@ -231,7 +234,7 @@ def test_criterion_10_clean_zsl():
     with criterion(10, "clean synthetic benchmark (12 classes, 10/2 split, "
                        "no jitter): unseen accuracy >= 0.9 in under 3 min"):
         start = time.perf_counter()
-        cfg = cli.tuned_synth_config()
+        cfg = cli.parse_config(TUNED_CONFIG)
         gen = synthbench.generate(cli.make_synth_config(cfg))
         acc = run_zsl(cfg, gen.dataset, gen.table, gen.split)
         elapsed = time.perf_counter() - start
@@ -244,7 +247,7 @@ def test_criterion_11_label_noise_robustness():
                        "in at least 4 of 5 seeds"):
         wins = 0
         for seed in range(5):
-            cfg = dataclasses.replace(cli.tuned_synth_config(), seed=seed)
+            cfg = dataclasses.replace(cli.parse_config(TUNED_CONFIG), seed=seed)
             gen = synthbench.generate(cli.make_synth_config(cfg))
             noisy = synthbench.inject_label_noise(
                 gen.dataset, 0.2, numkit.make_rng(seed, 17))
@@ -261,7 +264,7 @@ def test_criterion_12_enhancement_ablation():
                        "learnable-only in at least 4 of 5 seeds"):
         wins = 0
         for seed in range(5):
-            cfg = dataclasses.replace(cli.tuned_synth_config(), seed=seed)
+            cfg = dataclasses.replace(cli.parse_config(TUNED_CONFIG), seed=seed)
             jitter = cli.make_synth_config(cfg).jitter_std_for_ratio(0.5)
             cfg = dataclasses.replace(cfg, synth_jitter_std=jitter)
             gen = synthbench.generate(cli.make_synth_config(cfg))

@@ -133,10 +133,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="enhance_mode"):
             cli.parse_config(path)
 
-    def test_bundled_tuned_file_matches_helper(self):
-        cfg = cli.parse_config(REPO / "configs" / "synth-tuned.cfg")
-        assert cfg == cli.tuned_synth_config()
-
 
 class TestRunConfigValidation:
     @pytest.mark.parametrize("kwargs", [
@@ -256,6 +252,101 @@ class TestConfigDomains:
     def test_band_size_may_reach_the_coefficient_count(self, band_size, n_bands):
         enh = cli.build_enhancement(RunConfig(band_size=band_size, low_cutoff=8), 16)
         assert enh.n_bands == n_bands
+
+
+def just_outside(field):
+    """Raw config values just outside a field's domain."""
+    domain = field.metadata["domain"]
+    if isinstance(domain, tuple):
+        return ["maybe" if field.type in ("bool", bool) else "bogus"]
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    if field.type in ("int", int):
+        return [str(int(lo) - (domain[0] == "["))]
+    values = [math.nextafter(lo, -math.inf) if domain[0] == "[" else lo]
+    if hi < math.inf:
+        values.append(math.nextafter(hi, math.inf) if domain[-1] == "]" else hi)
+    return [repr(v) for v in values]
+
+
+OUTSIDE = [(f.name, raw) for f in dataclasses.fields(RunConfig) for raw in just_outside(f)]
+
+
+class TestFieldDomains:
+    """Each RunConfig field declares its domain, and every command refuses a
+    value outside it at parse time with exit 2 and one line naming the key."""
+
+    @staticmethod
+    def run(tiny_env, tmp_path, capsys, command, *lines):
+        keys = tuple(line.split("=")[0] for line in lines)
+        cfg = write_cfg(tmp_path / "bad.cfg",
+                        [x for x in TINY_LINES if not x.startswith(keys)] + list(lines))
+        out = tmp_path / "out"
+        data = [] if command == "synth" else ["--data", tiny_env["data"]]
+        code = cli.main([command, "--config", cfg, *data, "--out", str(out)])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    def test_every_field_declares_a_domain(self):
+        assert all("domain" in f.metadata for f in dataclasses.fields(RunConfig))
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    @pytest.mark.parametrize("key, raw", OUTSIDE)
+    def test_value_just_outside_exits_two_naming_the_key(self, tiny_env, tmp_path, capsys,
+                                                         command, key, raw):
+        code, err = self.run(tiny_env, tmp_path, capsys, command, f"{key} = {raw}")
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"config error: {key}")
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    @pytest.mark.parametrize("line, message", [
+        ("init_weight = 2", "init_weight must be in [0, 1], got 2.0"),
+        ("synth_test_fraction = 3", "synth_test_fraction must be in (0, 1), got 3.0"),
+        ("synth_label_noise = 2", "synth_label_noise must be in [0, 1], got 2.0"),
+        ("synth_within_class_std = -1", "synth_within_class_std must be >= 0, got -1.0"),
+        ("temperature = -1", "temperature must be > 0, got -1.0"),
+        ("ramp = 0", "ramp must be > 0, got 0.0"),
+        ("low_cutoff = -1", "low_cutoff must be >= 0, got -1"),
+        ("enhance_mode = spline",
+         "enhance_mode must be one of piecewise, learnable_only, off, got 'spline'"),
+        ("temperature = nan", "temperature must be > 0, got nan (not a finite number)"),
+    ])
+    def test_refusal_is_the_same_for_every_command(self, tiny_env, tmp_path, capsys, command,
+                                                   line, message):
+        code, err = self.run(tiny_env, tmp_path, capsys, command, line)
+        assert (code, err) == (2, f"config error: {message}\n")
+
+    def test_eval_refuses_an_out_of_domain_config(self, trained, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "bad.cfg", TINY_LINES + ["ramp = 0"])
+        code = cli.main(["eval", "--checkpoint", trained["checkpoint"], "--config", cfg,
+                         "--data", trained["data"], "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: ramp must be > 0, got 0.0\n"
+
+    def test_dct_check_refuses_a_negative_seed(self, capsys):
+        assert cli.main(["dct-check", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("raw", ["-0.1", "1.5", "nan"])
+    def test_loss_bench_refuses_a_noise_rate_before_training(self, tiny_env, tmp_path, capsys,
+                                                             monkeypatch, raw):
+        trained = []
+        monkeypatch.setattr(cli, "train_full", lambda *a: trained.append(a))
+        code = cli.main(["loss-bench", "--config", tiny_env["cfg"], "--noise-rate", "0",
+                         "--noise-rate", raw, "--out", str(tmp_path / "bench")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("config error: --noise-rate must be in [0, 1], got ")
+        assert trained == []
+
+    @pytest.mark.parametrize("key", ["kl_weight", "align_weight"])
+    def test_loss_weight_whose_gradient_square_overflows_exits_one(self, tiny_env, tmp_path,
+                                                                   capsys, key):
+        # a numpy RuntimeWarning would fail this test, so none is printed either
+        code, err = self.run(tiny_env, tmp_path, capsys, "train", f"{key} = 1e300")
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: stage 2 epoch 0 step 0: ") and "gradient" in err
 
 
 class TestConfigHash:

@@ -461,6 +461,39 @@ class TestStage2:
             rng=numkit.make_rng(16), hidden=(4,))
         assert not np.allclose(trained_feat.enhancement.weights, 0.5)
 
+    @pytest.mark.parametrize("where, part", [
+        ("kl_weight", "skel_encoder"), ("first array", "skel_encoder"),
+        ("last array", "text_decoder"), ("band weights", "band weights")])
+    def test_gradient_whose_square_overflows_raises_before_adam(self, monkeypatch, where,
+                                                                part):
+        # each gradient entry stays finite; only its square overflows
+        adam_calls = []
+        monkeypatch.setattr(numkit, "adam_step", lambda *a: adam_calls.append(a))
+        real_loss, real_band = crossvae.stage2_loss, frequency.enhance_weight_grads
+
+        def loss(*args, **kwargs):
+            out = real_loss(*args, **kwargs)
+            grads = args[9]
+            if where.endswith("array"):
+                grads[0 if where == "first array" else -1][...] = 1e200
+            return out
+
+        monkeypatch.setattr(crossvae, "stage2_loss", loss)
+        if where == "band weights":
+            monkeypatch.setattr(frequency, "enhance_weight_grads",
+                                lambda *a: np.full_like(real_band(*a), 1e200))
+        dataset, table, split = self.small_problem()
+        enh = frequency.EnhancementConfig.per_coefficient(2, 1, 4.0, weight=0.5)
+        kl = 1e300 if where == "kl_weight" else 1.0
+        with pytest.raises(ValueError, match=rf"^stage 2 epoch 0 step 0: {part} gradient "
+                                             "is non-finite or its square overflows$"):
+            pipeline.run_stage2(
+                dataset, table, split,
+                pipeline.SkeletonFeaturizer(enhancement=enh, enhance_vectors=True),
+                losses.LossConfig(temperature=1.0, kl_weight=kl), epochs=2, lr=1e-2,
+                batch_size=16, latent_dim=2, rng=numkit.make_rng(17), hidden=(4,))
+        assert adam_calls == []
+
     def test_frozen_weights_stay_put(self):
         dataset, table, split = self.small_problem()
         enh = frequency.EnhancementConfig.per_coefficient(2, 1, 4.0, weight=0.5)
