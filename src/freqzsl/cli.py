@@ -28,10 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import crossvae, frequency, losses, numkit, pipeline, semantics, synthbench
-
-
-class ConfigError(ValueError):
-    """Bad config file or option combination; maps to exit code 2."""
+from .synthbench import ConfigError
 
 
 def _key(default, domain):
@@ -63,7 +60,7 @@ class RunConfig:
     """Every knob of a run; defaults follow the reference recipe where one
     exists (enhancement thresholds, loss weights, batch and stage sizes) and
     the desk-scale synthetic benchmark elsewhere. Each field declares its
-    domain; the relations between keys are checked after the domains."""
+    domain. synthbench.generate checks how the synth_* keys relate."""
 
     # synthetic benchmark
     synth_classes: int = _key(12, "[2, inf)")
@@ -176,31 +173,6 @@ def config_hash(cfg: RunConfig) -> str:
 # ---- config -> component wiring ----
 
 
-def make_synth_config(cfg: RunConfig) -> synthbench.SynthConfig:
-    try:
-        return synthbench.SynthConfig(
-            n_classes=cfg.synth_classes,
-            n_unseen=cfg.synth_unseen,
-            joints=cfg.synth_joints,
-            coords=cfg.synth_coords,
-            frames=cfg.synth_frames,
-            samples_per_class=cfg.synth_samples_per_class,
-            test_fraction=cfg.synth_test_fraction,
-            low_band=tuple(range(cfg.synth_low_band_start, cfg.synth_low_band_stop)),
-            proto_rank=cfg.synth_proto_rank,
-            within_class_std=cfg.synth_within_class_std,
-            jitter_std=cfg.synth_jitter_std,
-            jitter_start=cfg.synth_jitter_start,
-            jitter_low_leak=cfg.synth_jitter_low_leak,
-            label_noise_rate=cfg.synth_label_noise,
-            embed_dim=cfg.synth_embed_dim,
-            semantic_noise_std=cfg.synth_semantic_noise_std,
-            seed=cfg.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def build_enhancement(cfg: RunConfig, length: int) -> frequency.EnhancementConfig | None:
     if cfg.enhance_mode == "off":
         return None
@@ -224,10 +196,6 @@ def make_featurizer(cfg: RunConfig, dataset: pipeline.FeatureDataset) -> pipelin
     return pipeline.SkeletonFeaturizer(enh, cfg.enhance_vectors)
 
 
-def make_loss_config(cfg: RunConfig) -> losses.LossConfig:
-    return losses.LossConfig(cfg.temperature, cfg.align_weight, cfg.kl_weight, cfg.margin)
-
-
 # ---- full training run (stages 2-4) ----
 
 
@@ -245,41 +213,37 @@ class TrainedModel:
 def train_full(cfg: RunConfig, dataset: pipeline.FeatureDataset,
                table: semantics.SemanticTable,
                split: pipeline.SplitSpec) -> TrainedModel:
-    """Stages 2-4 end to end; deterministic given cfg (includes the seed)."""
-    featurizer = make_featurizer(cfg, dataset)
-    loss_cfg = make_loss_config(cfg)
+    """Stages 2-4 end to end; deterministic given cfg (includes the seed).
+    As in a stage-2 step, numpy's warnings are off and checks report instead."""
     rng = numkit.make_rng(cfg.seed, 1)
     params, featurizer, loss_log = pipeline.run_stage2(
-        dataset, table, split, featurizer, loss_cfg,
-        epochs=cfg.stage2_epochs, lr=cfg.stage2_lr, batch_size=cfg.batch_size,
-        latent_dim=cfg.latent_dim, rng=rng,
-        hidden=(cfg.hidden_dim,) * cfg.hidden_layers,
-        align_loss=cfg.align_loss, train_weights=cfg.train_weights)
+        dataset, table, split, make_featurizer(cfg, dataset), cfg, rng)
 
-    unseen_clf = pipeline.synthesize_unseen_classifier(
-        params, table, split.unseen, n_samples=cfg.unseen_samples,
-        epochs=cfg.unseen_epochs, lr=cfg.unseen_lr, rng=rng)
+    with np.errstate(all="ignore"):
+        unseen_clf = pipeline.synthesize_unseen_classifier(
+            params, table, split.unseen, n_samples=cfg.unseen_samples,
+            epochs=cfg.unseen_epochs, lr=cfg.unseen_lr, rng=rng)
 
-    train_records = dataset.by_partition("train-seen")
-    n_hold = max(1, int(round(cfg.gate_holdout * len(train_records))))
-    if n_hold >= len(train_records):
-        raise ConfigError("gate_holdout leaves no records to fit the seen classifier")
-    hold_idx = set(rng.choice(len(train_records), size=n_hold, replace=False).tolist())
-    fit_records = [r for i, r in enumerate(train_records) if i not in hold_idx]
-    hold_records = [r for i, r in enumerate(train_records) if i in hold_idx]
+        train_records = dataset.by_partition("train-seen")
+        n_hold = max(1, int(round(cfg.gate_holdout * len(train_records))))
+        if n_hold >= len(train_records):
+            raise ConfigError("gate_holdout leaves no records to fit the seen classifier")
+        hold_idx = set(rng.choice(len(train_records), size=n_hold, replace=False).tolist())
+        fit_records = [r for i, r in enumerate(train_records) if i not in hold_idx]
+        hold_records = [r for i, r in enumerate(train_records) if i in hold_idx]
 
-    seen_clf = pipeline.train_seen_classifier(
-        params, featurizer, fit_records, split.seen,
-        epochs=cfg.seen_epochs, lr=cfg.seen_lr)
+        seen_clf = pipeline.train_seen_classifier(
+            params, featurizer, fit_records, split.seen,
+            epochs=cfg.seen_epochs, lr=cfg.seen_lr)
 
-    # match the synthesized count to the holdout so the logistic fit is balanced
-    n_per_class = max(1, -(-n_hold // len(split.unseen)))
-    gate_unseen = np.concatenate([
-        crossvae.sample_class_latents(params, semantics.fuse(table, cid),
-                                      n_per_class, rng)
-        for cid in split.unseen])
-    heldout_latents = pipeline.encode_latent_means(params, featurizer, hold_records)
-    gate = pipeline.train_gate(seen_clf, gate_unseen, heldout_latents, cfg.gate_c)
+        # match the synthesized count to the holdout so the logistic fit is balanced
+        n_per_class = max(1, -(-n_hold // len(split.unseen)))
+        gate_unseen = np.concatenate([
+            crossvae.sample_class_latents(params, semantics.fuse(table, cid),
+                                          n_per_class, rng)
+            for cid in split.unseen])
+        heldout_latents = pipeline.encode_latent_means(params, featurizer, hold_records)
+        gate = pipeline.train_gate(seen_clf, gate_unseen, heldout_latents, cfg.gate_c)
     return TrainedModel(params, featurizer, unseen_clf, seen_clf, gate,
                         loss_log, config_hash(cfg))
 
@@ -476,7 +440,7 @@ def loss_bench(cfg: RunConfig, loss_names: list[str],
     for i in range(cfg.bench_seeds):
         run_seed = cfg.seed + i
         base = dataclasses.replace(cfg, seed=run_seed, synth_label_noise=0.0)
-        gen = synthbench.generate(make_synth_config(base))
+        gen = synthbench.generate(base)
         for rate in noise_rates:
             noisy = gen.dataset if rate == 0 else synthbench.inject_label_noise(
                 gen.dataset, rate, numkit.make_rng(run_seed, 17))
@@ -517,7 +481,7 @@ def _load_data(args) -> tuple[pipeline.FeatureDataset, semantics.SemanticTable, 
 def cmd_synth(args) -> int:
     cfg = _load_cfg(args)
     h = config_hash(cfg)
-    gen = synthbench.generate(make_synth_config(cfg))
+    gen = synthbench.generate(cfg)
     out = Path(args.out)
     paths = synthbench.write_benchmark(gen, out, h)
     manifest = {"config_hash": h, "records": len(gen.dataset.records),

@@ -27,11 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import losses, numkit
 from .numkit import Array, MlpParams
+
+if TYPE_CHECKING:
+    from .cli import RunConfig
 
 
 @dataclass(frozen=True)
@@ -71,14 +75,6 @@ class VaeParams:
             raise ValueError("skeleton decoder must reproduce the skeleton feature dim")
         if self.text_decoder.out_dim != self.text_encoder.in_dim:
             raise ValueError("text decoder must reproduce the text feature dim")
-
-    @property
-    def skel_dim(self) -> int:
-        return self.skel_encoder.in_dim
-
-    @property
-    def text_dim(self) -> int:
-        return self.text_encoder.in_dim
 
     def nets(self) -> tuple[MlpParams, MlpParams, MlpParams, MlpParams]:
         return (self.skel_encoder, self.text_encoder,
@@ -130,11 +126,18 @@ def encode(params: VaeParams, modality: str, x: Array) -> LatentGaussian:
 # ---- stage-2 objective with full hand backprop ----
 
 
+def _forward(params: VaeParams, net: str, x: Array):
+    """mlp_forward through the named network; an input it refuses names it."""
+    try:
+        return numkit.mlp_forward(getattr(params, net), x)
+    except ValueError as exc:
+        raise ValueError(f"{net} {exc}") from None
+
+
 def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
-                negatives: Array, eps_s: Array, eps_t: Array,
-                cfg: losses.LossConfig, align_loss: str = "calibrated",
+                negatives: Array, eps_s: Array, eps_t: Array, cfg: RunConfig,
                 grads_out: list[Array] | None = None, feature_grads: bool = True):
-    """Evaluate the joint objective and all gradients for one batch.
+    """The joint objective under cfg's loss knobs, and all its gradients, for one batch.
 
     Returns (breakdown, param_grads, grad_f_s, grad_f_t) where breakdown
     holds the scalar pieces, param_grads matches params.param_arrays()
@@ -158,8 +161,8 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
             outs.append(grads_out[k:k + 2 * len(net.weights)])
             k += 2 * len(net.weights)
 
-    out_s, cache_enc_s = numkit.mlp_forward(params.skel_encoder, f_s)
-    out_t, cache_enc_t = numkit.mlp_forward(params.text_encoder, f_t)
+    out_s, cache_enc_s = _forward(params, "skel_encoder", f_s)
+    out_t, cache_enc_t = _forward(params, "text_encoder", f_t)
     mu_s, lv_s = out_s[:, :ld], out_s[:, ld:]
     mu_t, lv_t = out_t[:, :ld], out_t[:, ld:]
 
@@ -170,10 +173,10 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
     noise_t *= eps_t
 
     # one pass per decoder over [self-reconstruction latents; cross latents]
-    dec_s, cache_dec_s = numkit.mlp_forward(params.skel_decoder,
-                                            np.concatenate([mu_s + noise_s, mu_t]))
-    dec_t, cache_dec_t = numkit.mlp_forward(params.text_decoder,
-                                            np.concatenate([mu_t + noise_t, mu_s]))
+    dec_s, cache_dec_s = _forward(params, "skel_decoder",
+                                  np.concatenate([mu_s + noise_s, mu_t]))
+    dec_t, cache_dec_t = _forward(params, "text_decoder",
+                                  np.concatenate([mu_t + noise_t, mu_s]))
 
     # the losses overwrite each decoder output with its gradient, row block by row block
     a = cfg.align_weight
@@ -183,7 +186,7 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
                          in_place=True, x_grad=False)
     batch = losses.AlignmentBatch(f_t, f_s, dec_t[b:], dec_s[b:], labels, negatives,
                                   anchor_grads=feature_grads)
-    align = losses.alignment_loss(batch, align_loss, cfg, grad_scale=a, in_place=True)
+    align = losses.alignment_loss(batch, cfg, grad_scale=a, in_place=True)
 
     vae_value = elbo_s.value + elbo_t.value
     total = losses.total_objective(vae_value, align.value, a)
@@ -248,5 +251,7 @@ def sample_class_latents(params: VaeParams, fused_text: Array, n: int,
         if rng is None:
             raise ValueError("need rng or explicit eps")
         eps = rng.standard_normal((n, params.latent_dim))
-    return mu + np.exp(0.5 * lv) * eps
+    z = mu + np.exp(0.5 * lv) * eps
+    numkit.check_finite("sampled latents", z)
+    return z
 

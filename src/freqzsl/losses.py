@@ -34,28 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .numkit import Array, check_finite, sigmoid
 
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Objective knobs: T (temperature), alpha (align weight), beta (KL), m (margin)."""
-
-    temperature: float = 100.0
-    align_weight: float = 0.1
-    kl_weight: float = 1.0
-    margin: float = 1.0
-
-    def __post_init__(self) -> None:
-        # written so that NaN fails the check
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        for key in ("align_weight", "kl_weight", "margin"):
-            if not getattr(self, key) >= 0:
-                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
+if TYPE_CHECKING:
+    from .cli import RunConfig
 
 
 @dataclass
@@ -142,19 +128,19 @@ def _scatter_matrix(index: Array, n: int) -> Array:
 # ---- per-item rules: (D+, D-, B, cfg) -> (batch value, dL/dD+, dL/dD-) ----
 
 
-def _calibrated(dp: Array, dn: Array, b: int, cfg: LossConfig):
+def _calibrated(dp: Array, dn: Array, b: int, cfg: RunConfig):
     ell = pair_sigmoid(dn - dp, cfg.temperature)
     coef = ell * (1.0 - ell) / b
     return cfg.temperature / b * float(np.sum(ell)), coef, -coef
 
 
-def _t1(dp: Array, dn: Array, b: int, cfg: LossConfig):
+def _t1(dp: Array, dn: Array, b: int, cfg: RunConfig):
     slack = dp - dn + cfg.margin
     active = (slack > 0).astype(np.float64)
     return float(np.sum(np.maximum(slack, 0.0))) / b, active / b, -active / b
 
 
-def _t2(dp: Array, dn: Array, b: int, cfg: LossConfig):
+def _t2(dp: Array, dn: Array, b: int, cfg: RunConfig):
     t = cfg.temperature
     ell = pair_sigmoid(dn - dp, t)
     # log l(a) = -log(1 + exp(a/T)); logaddexp keeps it finite where l underflows
@@ -169,7 +155,7 @@ def _half_inverse(d: Array) -> Array:
     return np.divide(0.5, d, out=np.zeros_like(d), where=d > 0)
 
 
-def _t3(dp: Array, dn: Array, b: int, cfg: LossConfig):
+def _t3(dp: Array, dn: Array, b: int, cfg: RunConfig):
     t = cfg.temperature
     sp, sn = np.sqrt(dp), np.sqrt(dn)
     # exp(d+) / (exp(d+) + exp(d-)) = sigmoid(d+ - d-)
@@ -178,10 +164,7 @@ def _t3(dp: Array, dn: Array, b: int, cfg: LossConfig):
     return t / b * float(np.sum(r * r)), coef * _half_inverse(sp), -coef * _half_inverse(sn)
 
 
-def _t4(dp: Array, dn: Array, b: int, cfg: LossConfig):
-    if cfg.margin <= 0:
-        raise ValueError(f"t4 needs margin > 0, got {cfg.margin}: "
-                         "D+ = D- = 0 would give 0/0")
+def _t4(dp: Array, dn: Array, b: int, cfg: RunConfig):
     denom = dp + cfg.margin
     slack = 1.0 - dn / denom
     active = slack > 0
@@ -194,9 +177,9 @@ _RULES = {"calibrated": _calibrated, "t1": _t1, "t2": _t2, "t3": _t3, "t4": _t4}
 ALIGN_LOSSES = tuple(_RULES)
 
 
-def alignment_loss(batch: AlignmentBatch, name: str, cfg: LossConfig,
+def alignment_loss(batch: AlignmentBatch, cfg: RunConfig,
                    grad_scale: float = 1.0, in_place: bool = False) -> LossValue:
-    """The named loss (see ALIGN_LOSSES) summed over both modal directions.
+    """The loss cfg.align_loss names, summed over both modal directions.
 
     Each direction takes its rule's dL/dD+ = cp and dL/dD- = cn back through
     the squared distances: the anchor gradient (if the batch wants it) is
@@ -211,9 +194,6 @@ def alignment_loss(batch: AlignmentBatch, name: str, cfg: LossConfig,
     pass. Raises ValueError if a distance is not finite, which any
     non-finite entry of an anchor or a reconstruction makes it.
     """
-    if name not in _RULES:
-        raise ValueError(f"unknown alignment loss {name!r}")
-    rule = _RULES[name]
     b = batch.size
     scatter = _scatter_matrix(batch.negatives, b)
     grads: dict[str, Array] = {}
@@ -228,7 +208,7 @@ def alignment_loss(batch: AlignmentBatch, name: str, cfg: LossConfig,
         dn = np.einsum("ij,ij->i", v, v)
         if not math.isfinite(dp.sum() + dn.sum()):
             raise ValueError(f"{anchor_key} or {recon_key} contains non-finite entries")
-        value, cp, cn = rule(dp, dn, b, cfg)
+        value, cp, cn = _RULES[cfg.align_loss](dp, dn, b, cfg)
         total += value
         # the 2 of d||r||^2/dr and grad_scale go into the per-row coefficients
         cp = (2.0 * grad_scale) * cp

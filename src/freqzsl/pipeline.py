@@ -20,12 +20,15 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from . import crossvae, frequency, losses, numkit, semantics
 from .numkit import Array
+
+if TYPE_CHECKING:
+    from .cli import RunConfig
 
 PARTITIONS = ("train-seen", "test-seen", "test-unseen")
 
@@ -313,7 +316,14 @@ def train_softmax_classifier(latents: Array, labels: Array,
     for _ in range(epochs):
         p = clf.predict_proba(x)
         diff = (p - onehot) / n
-        numkit.adam_step(opt, [clf.weights, clf.bias], [diff.T @ x, diff.sum(axis=0)])
+        g_w, g_b = diff.T @ x, diff.sum(axis=0)
+        # Adam squares each entry; one that overflows would freeze its weight
+        if not math.isfinite(np.vdot(g_w, g_w) + np.vdot(g_b, g_b)):
+            raise ValueError("classifier gradient is non-finite or its square overflows")
+        numkit.adam_step(opt, [clf.weights, clf.bias], [g_w, g_b])
+    # an Adam overflow leaves a weight non-finite, which fails the next epoch's check
+    # or, after the last epoch, this one
+    numkit.check_finite("classifier weights", np.append(clf.weights, clf.bias))
     return clf
 
 
@@ -411,20 +421,20 @@ def encode_latent_means(params: crossvae.VaeParams, featurizer: SkeletonFeaturiz
 
 def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
                split: SplitSpec, featurizer: SkeletonFeaturizer,
-               cfg: losses.LossConfig, *, epochs: int, lr: float,
-               batch_size: int, latent_dim: int, rng: np.random.Generator,
-               hidden: tuple[int, ...] = (128, 128),
-               align_loss: str = "calibrated", train_weights: bool = True):
-    """Jointly train the twin VAEs and (if enhancing) the band weights.
+               cfg: RunConfig, rng: np.random.Generator):
+    """Jointly train the twin VAEs and (if enhancing and cfg.train_weights)
+    the band weights, with cfg's stage-2 schedule, network sizes and loss.
 
     Returns (params, featurizer, loss_log): the featurizer carries the final
     trained weights, and loss_log has one row of batch-mean scalars per
-    epoch. epochs=0 returns the freshly initialized parameters untouched.
+    epoch. Zero epochs return the freshly initialized parameters untouched.
     A batch holding a single class is skipped (the alignment loss needs a
     negative per item); if epochs > 0 and every batch is skipped, this
-    raises ValueError rather than return an untrained model. So does a step
-    whose flat gradient has a non-finite squared norm, before Adam reads it;
-    the error names the epoch, the step and the first failing network.
+    raises ValueError rather than return an untrained model. A step runs
+    with numpy's warnings off: a non-finite network input or loss, or a flat
+    gradient whose squared norm is not finite, raises ValueError naming the
+    epoch, the step and the network before Adam reads it; so does a
+    parameter an Adam overflow left non-finite, at the latest after the loop.
 
     All trainable arrays (four networks, then the raw band weights) live in
     one contiguous vector that Adam updates in place; the returned params
@@ -448,21 +458,25 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     text_all = np.stack([fused[c] for c in labels_all.tolist()])
     coeffs = featurizer.spectrum(records)
 
-    params = crossvae.init_vae_params(coeffs[0].size, text_all.shape[1], latent_dim,
-                                      rng, hidden)
+    params = crossvae.init_vae_params(coeffs[0].size, text_all.shape[1], cfg.latent_dim,
+                                      rng, (cfg.hidden_dim,) * cfg.hidden_layers)
     arrays = params.param_arrays()
     n_net = len(arrays)
-    if train_weights and featurizer._enhances(coeffs):
+    if cfg.train_weights and featurizer._enhances(coeffs):
         arrays.append(frequency.raw_from_weights(np.asarray(featurizer.enhancement.weights)))
     flat, views = numkit.flatten(arrays)
     del arrays  # the pre-flattening arrays go with the old params on the next line
     params = params.with_arrays(views[:n_net])
     raw = views[n_net] if len(views) > n_net else None
     grad, grad_views = numkit.flatten(views)  # same layout; every step overwrites it all
-    # each network's slice of the gradient, then the band weights' (maybe empty)
-    grad_parts = np.split(grad, np.cumsum([sum(a.size for a in net.param_arrays())
-                                           for net in params.nets()]))
-    opt = numkit.AdamState(lr=lr)
+    # where each network's slice of a flat vector ends; the band weights' comes last
+    ends = np.cumsum([sum(a.size for a in net.param_arrays()) for net in params.nets()])
+
+    def failing_part(vec: Array, ok) -> str:
+        return next((name for name, part in zip(_GRAD_PARTS, np.split(vec, ends))
+                     if not ok(part)), "combined")
+
+    opt = numkit.AdamState(lr=cfg.stage2_lr)
 
     def step(idx: Array, labels: Array) -> dict:
         """One Adam step on one batch; its temporaries are freed on return."""
@@ -472,38 +486,37 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
             feat = featurizer.with_weights(w)
         f_s = feat.from_spectrum(rows)
         negatives = losses.sample_negatives(labels, rng)
-        eps_s = rng.standard_normal((len(idx), latent_dim))
-        eps_t = rng.standard_normal((len(idx), latent_dim))
+        eps_s = rng.standard_normal((len(idx), cfg.latent_dim))
+        eps_t = rng.standard_normal((len(idx), cfg.latent_dim))
         breakdown, _, d_f_s, _ = crossvae.stage2_loss(
-            params, f_s, text_all[idx], labels, negatives, eps_s, eps_t, cfg, align_loss,
+            params, f_s, text_all[idx], labels, negatives, eps_s, eps_t, cfg,
             grad_views[:n_net], feature_grads=raw is not None)
         if raw is not None:
             d_w = frequency.enhance_weight_grads(rows, d_f_s.reshape(rows.shape),
                                                  feat.enhancement)
             np.multiply(d_w * w, 1.0 - w, out=grad_views[n_net])
         # Adam squares each entry; one that overflows would freeze its parameter
-        with np.errstate(over="ignore"):
-            if not math.isfinite(np.dot(grad, grad)):
-                part = next((name for name, g in zip(_GRAD_PARTS, grad_parts)
-                             if not math.isfinite(np.dot(g, g))), "combined")
-                raise ValueError(f"{part} gradient is non-finite or its square overflows")
+        if not math.isfinite(np.dot(grad, grad)):
+            part = failing_part(grad, lambda g: math.isfinite(np.dot(g, g)))
+            raise ValueError(f"{part} gradient is non-finite or its square overflows")
         numkit.adam_step(opt, [flat], [grad])
         return breakdown
 
     n = len(records)
     loss_log: list[dict] = []
     steps = 0
-    for epoch in range(epochs):
+    for epoch in range(cfg.stage2_epochs):
         order = rng.permutation(n)
         sums: dict[str, float] = {}
         batches = 0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
             labels = labels_all[idx]
             if np.all(labels == labels[0]):
                 continue  # alignment needs a valid negative per item
             try:
-                breakdown = step(idx, labels)
+                with np.errstate(all="ignore"):
+                    breakdown = step(idx, labels)
             except ValueError as exc:
                 raise ValueError(f"stage 2 epoch {epoch} step {steps + batches}: {exc}") from exc
             for key, val in breakdown.items():
@@ -513,11 +526,15 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
         row = {"epoch": epoch}
         row.update({k: v / max(batches, 1) for k, v in sums.items()})
         loss_log.append(row)
-    if epochs > 0 and steps == 0:
+    if cfg.stage2_epochs > 0 and steps == 0:
         raise ValueError(
-            f"stage 2 took no step in {epochs} epochs: every batch held a single "
-            f"class (batch_size {batch_size}, {len(set(labels_all.tolist()))} seen "
+            f"stage 2 took no step in {cfg.stage2_epochs} epochs: every batch held a "
+            f"single class (batch_size {cfg.batch_size}, {len(set(labels_all.tolist()))} seen "
             "class(es) in train-seen), and the alignment loss needs two per batch")
+    # a parameter that tanh saturates can pass every step's checks while non-finite
+    if not np.isfinite(flat).all():
+        part = failing_part(flat, lambda p: np.isfinite(p).all())
+        raise ValueError(f"stage 2 left non-finite {part} parameters: an Adam step overflowed")
     if raw is not None:
         featurizer = featurizer.with_weights(frequency.weights_from_raw(raw))
     return params, featurizer, loss_log

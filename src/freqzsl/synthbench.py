@@ -3,12 +3,12 @@ in a low frequency band, plus matching semantic embeddings and a split.
 
 Each class k draws a unit-norm prototype of sinusoid amplitudes, one per
 (joint, coordinate, low-band coefficient). Prototypes live in a shared
-random subspace of rank `proto_rank`: unseen classes are then linear
+random subspace of rank `synth_proto_rank`: unseen classes are then linear
 blends of directions the seen classes exercise, which is what makes
 zero-shot transfer learnable at this scale (mirroring how real action
 semantics are low-dimensional). A sample perturbs the low-band
 coefficients (the within-class variation) and optionally adds jitter:
-Gaussian spectral noise concentrated above `jitter_start`, with a small
+Gaussian spectral noise concentrated above `synth_jitter_start`, with a small
 leak fraction into the low band so extreme jitter can actually swamp the
 signal. Sequences are the inverse transform of that spectrum, so a clean
 sample keeps 100% of its energy inside the configured low band.
@@ -21,65 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import frequency, numkit, pipeline, semantics
 from .numkit import Array
 
+if TYPE_CHECKING:
+    from .cli import RunConfig
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Benchmark knobs; defaults give 12 classes, 10 seen / 2 unseen."""
 
-    n_classes: int = 12
-    n_unseen: int = 2
-    joints: int = 5
-    coords: int = 3
-    frames: int = 64
-    samples_per_class: int = 20
-    test_fraction: float = 0.25
-    low_band: tuple[int, ...] = tuple(range(1, 7))
-    proto_rank: int = 4
-    within_class_std: float = 0.08
-    jitter_std: float = 0.0
-    jitter_start: int = 36
-    jitter_low_leak: float = 0.1
-    label_noise_rate: float = 0.0
-    embed_dim: int = 16
-    semantic_noise_std: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_classes < 2 or not (0 < self.n_unseen < self.n_classes):
-            raise ValueError("need >= 2 classes and 0 < n_unseen < n_classes")
-        if min(self.joints, self.coords, self.frames, self.embed_dim) < 1:
-            raise ValueError("dimensions must be positive")
-        if self.samples_per_class < 2:
-            raise ValueError("need >= 2 samples per class (train and test)")
-        if not self.low_band or any(not 0 <= i < self.frames for i in self.low_band):
-            raise ValueError("low_band indices must lie in [0, frames)")
-        if len(set(self.low_band)) != len(self.low_band):
-            raise ValueError("low_band has duplicate indices")
-        if not (1 <= self.proto_rank <= self.joints * self.coords * len(self.low_band)):
-            raise ValueError("proto_rank must be in [1, joints*coords*len(low_band)]")
-        if not (0 <= self.jitter_start <= self.frames):
-            raise ValueError("jitter_start must lie in [0, frames]")
-        if not (0.0 < self.test_fraction < 1.0):
-            raise ValueError("test_fraction must be in (0, 1)")
-        if not (0.0 <= self.label_noise_rate <= 1.0):
-            raise ValueError("label_noise_rate must be in [0, 1]")
-        if min(self.within_class_std, self.jitter_std, self.jitter_low_leak,
-               self.semantic_noise_std) < 0:
-            raise ValueError("noise scales must be non-negative")
-
-    def jitter_std_for_ratio(self, ratio: float) -> float:
-        """Jitter std whose per-coefficient amplitude is `ratio` times the
-        signal's per-coefficient RMS (a unit-norm prototype spread over
-        joints*coords*len(low_band) entries). At ratio 1 each corrupted
-        coefficient fluctuates as strongly as a typical signal coefficient."""
-        n_signal = self.joints * self.coords * len(self.low_band)
-        return float(ratio / math.sqrt(n_signal))
+class ConfigError(ValueError):
+    """Bad config file or option combination; maps to exit code 2 (cli re-exports it)."""
 
 
 @dataclass
@@ -90,71 +44,86 @@ class GeneratedDataset:
     table: semantics.SemanticTable
     split: pipeline.SplitSpec
     prototypes: dict[int, Array]
-    config: SynthConfig
+    config: RunConfig
 
 
 # rng stream ids; one substream per concern keeps draws order-independent
 _STREAM_PROTO, _STREAM_SPLIT, _STREAM_SAMPLES, _STREAM_SEMANTIC, _STREAM_NOISE = range(5)
 
 
-def generate(config: SynthConfig) -> GeneratedDataset:
-    """Build the full benchmark deterministically from config.seed."""
-    j, c, f = config.joints, config.coords, config.frames
-    band = np.asarray(config.low_band, dtype=np.intp)
+def generate(cfg: RunConfig) -> GeneratedDataset:
+    """Build the full benchmark deterministically from cfg's synth_* keys and
+    seed. RunConfig checks each key's domain; the relations between the keys
+    are checked here, and a config that breaks one raises ConfigError."""
+    j, c, f = cfg.synth_joints, cfg.synth_coords, cfg.synth_frames
+    band = np.arange(cfg.synth_low_band_start, cfg.synth_low_band_stop)
     n_band = band.size
-
-    rng = numkit.make_rng(config.seed, _STREAM_PROTO)
     flat_dim = j * c * n_band
-    basis = np.linalg.qr(rng.standard_normal((flat_dim, config.proto_rank)))[0].T
+    if not cfg.synth_unseen < cfg.synth_classes:
+        raise ConfigError(f"synth_unseen must be < synth_classes ({cfg.synth_classes}), "
+                          f"got {cfg.synth_unseen}")
+    if not (0 < n_band and cfg.synth_low_band_stop <= f):
+        raise ConfigError("synth_low_band_start and synth_low_band_stop must give a "
+                          f"non-empty band within the {f} synth_frames, got "
+                          f"[{cfg.synth_low_band_start}, {cfg.synth_low_band_stop})")
+    if not cfg.synth_proto_rank <= flat_dim:
+        raise ConfigError(f"synth_proto_rank must be <= synth_joints * synth_coords * "
+                          f"band width ({flat_dim}), got {cfg.synth_proto_rank}")
+    if not cfg.synth_jitter_start <= f:
+        raise ConfigError(f"synth_jitter_start must be <= synth_frames ({f}), "
+                          f"got {cfg.synth_jitter_start}")
+
+    rng = numkit.make_rng(cfg.seed, _STREAM_PROTO)
+    basis = np.linalg.qr(rng.standard_normal((flat_dim, cfg.synth_proto_rank)))[0].T
     protos: dict[int, Array] = {}
-    for k in range(config.n_classes):
-        p = (rng.standard_normal(config.proto_rank) @ basis).reshape(j, c, n_band)
+    for k in range(cfg.synth_classes):
+        p = (rng.standard_normal(cfg.synth_proto_rank) @ basis).reshape(j, c, n_band)
         protos[k] = p / np.linalg.norm(p)
 
-    rng = numkit.make_rng(config.seed, _STREAM_SPLIT)
-    perm = rng.permutation(config.n_classes)
-    unseen = tuple(sorted(int(k) for k in perm[:config.n_unseen]))
-    seen = tuple(sorted(int(k) for k in perm[config.n_unseen:]))
+    rng = numkit.make_rng(cfg.seed, _STREAM_SPLIT)
+    perm = rng.permutation(cfg.synth_classes)
+    unseen = tuple(sorted(int(k) for k in perm[:cfg.synth_unseen]))
+    seen = tuple(sorted(int(k) for k in perm[cfg.synth_unseen:]))
     split = pipeline.SplitSpec(seen, unseen)
 
-    n_test = max(1, min(round(config.test_fraction * config.samples_per_class),
-                        config.samples_per_class - 1))
-    rng = numkit.make_rng(config.seed, _STREAM_SAMPLES)
+    per_class = cfg.synth_samples_per_class
+    n_test = max(1, min(round(cfg.synth_test_fraction * per_class), per_class - 1))
+    jitter, start = cfg.synth_jitter_std, cfg.synth_jitter_start
+    rng = numkit.make_rng(cfg.seed, _STREAM_SAMPLES)
     records = []
-    for k in range(config.n_classes):
-        for s in range(config.samples_per_class):
+    for k in range(cfg.synth_classes):
+        for s in range(per_class):
             spec = np.zeros((j, c, f))
-            spec[..., band] = protos[k] + config.within_class_std * rng.standard_normal(
+            spec[..., band] = protos[k] + cfg.synth_within_class_std * rng.standard_normal(
                 (j, c, n_band))
-            if config.jitter_std > 0:
-                if config.jitter_start < f:
-                    spec[..., config.jitter_start:] += (
-                        config.jitter_std
-                        * rng.standard_normal((j, c, f - config.jitter_start)))
-                spec[..., band] += (config.jitter_std * config.jitter_low_leak
+            if jitter > 0:
+                if start < f:
+                    spec[..., start:] += jitter * rng.standard_normal((j, c, f - start))
+                spec[..., band] += (jitter * cfg.synth_jitter_low_leak
                                     * rng.standard_normal((j, c, n_band)))
             seq = frequency.idct(spec)
             if k in unseen:
                 part = "test-unseen"
             else:
-                part = "train-seen" if s < config.samples_per_class - n_test else "test-seen"
+                part = "train-seen" if s < per_class - n_test else "test-seen"
             records.append(pipeline.FeatureRecord(
                 f"c{k:03d}s{s:03d}", k, part, sequence=seq))
     dataset = pipeline.FeatureDataset(records)
 
-    rng = numkit.make_rng(config.seed, _STREAM_SEMANTIC)
-    table_vectors: dict[int, dict[str, Array]] = {k: {} for k in range(config.n_classes)}
+    rng = numkit.make_rng(cfg.seed, _STREAM_SEMANTIC)
+    dim = cfg.synth_embed_dim
+    table_vectors: dict[int, dict[str, Array]] = {k: {} for k in range(cfg.synth_classes)}
     for kind in semantics.KINDS:
-        proj = rng.standard_normal((config.embed_dim, flat_dim)) / math.sqrt(flat_dim)
-        for k in range(config.n_classes):
-            noise = config.semantic_noise_std * rng.standard_normal(config.embed_dim)
+        proj = rng.standard_normal((dim, flat_dim)) / math.sqrt(flat_dim)
+        for k in range(cfg.synth_classes):
+            noise = cfg.synth_semantic_noise_std * rng.standard_normal(dim)
             table_vectors[k][kind] = proj @ protos[k].reshape(-1) + noise
     table = semantics.SemanticTable(table_vectors)
 
-    if config.label_noise_rate > 0:
-        dataset = inject_label_noise(dataset, config.label_noise_rate,
-                                     numkit.make_rng(config.seed, _STREAM_NOISE))
-    return GeneratedDataset(dataset, table, split, protos, config)
+    if cfg.synth_label_noise > 0:
+        dataset = inject_label_noise(dataset, cfg.synth_label_noise,
+                                     numkit.make_rng(cfg.seed, _STREAM_NOISE))
+    return GeneratedDataset(dataset, table, split, protos, cfg)
 
 
 def inject_label_noise(dataset: pipeline.FeatureDataset, rate: float,

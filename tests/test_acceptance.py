@@ -1,5 +1,6 @@
 """Release gate: the thirteen acceptance criteria, one test per criterion,
-in order, each printing a single PASS or FAIL line (visible under -s / -rA).
+in order, each printing a single PASS or FAIL line (visible under -s / -rA),
+plus a check of the jitter scale that criterion 12 sets.
 
 Criteria 1-9 are deterministic numeric checks and finish in seconds.
 Criteria 10-12 train full pipelines on the synthetic benchmark with the
@@ -140,12 +141,13 @@ def test_criterion_05_pair_sum_and_triplet_witnesses():
         # on role-exchanged batches the calibrated loss is flat (counter-
         # balancing) while each triplet baseline moves: a concrete witness
         # that their per-pair function violates the sum identity
-        cfg = losses.LossConfig(temperature=1.0, align_weight=1.0, margin=1.0)
-        cal = [losses.alignment_loss(exchanged_batch(g), "calibrated", cfg).value
+        cfg = cli.RunConfig(temperature=1.0, align_weight=1.0, margin=1.0)
+        cal = [losses.alignment_loss(exchanged_batch(g), cfg).value
                for g in (1.0, 2.0)]
         assert abs(cal[0] - cal[1]) < 1e-9
         for name in ("t1", "t2", "t3", "t4"):
-            v = [losses.alignment_loss(exchanged_batch(g), name, cfg).value
+            named = dataclasses.replace(cfg, align_loss=name)
+            v = [losses.alignment_loss(exchanged_batch(g), named).value
                  for g in (1.0, 2.0)]
             assert abs(v[0] - v[1]) > 1e-3, name
 
@@ -167,11 +169,12 @@ def test_criterion_06_exchangeability_balance():
 def test_criterion_07_gradient_checks():
     with criterion(7, "central differences < 1e-4 rel: calibrated loss, all "
                       "four triplets, ELBO, full stage-2 objective"):
-        cfg = losses.LossConfig(temperature=4.0, align_weight=0.7, margin=1.0)
+        cfg = cli.RunConfig(temperature=4.0, align_weight=0.7, margin=1.0)
         batch = random_batch(107)
         for name in losses.ALIGN_LOSSES:
+            named = dataclasses.replace(cfg, align_loss=name)
             check_batch_grads(
-                lambda b, n=name: losses.alignment_loss(b, n, cfg), batch)
+                lambda b, c=named: losses.alignment_loss(b, c), batch)
 
         rng = numkit.make_rng(108)
         arrays = [rng.standard_normal((5, 4)) for _ in range(4)]
@@ -192,7 +195,7 @@ def test_criterion_07_gradient_checks():
         negatives = losses.sample_negatives(labels, rng)
         eps_s = rng.standard_normal((4, 2))
         eps_t = rng.standard_normal((4, 2))
-        stage_cfg = losses.LossConfig(temperature=5.0, align_weight=0.4)
+        stage_cfg = cli.RunConfig(temperature=5.0, align_weight=0.4)
 
         def stage2_fn(arrs):
             p = params.with_arrays(arrs)
@@ -235,7 +238,7 @@ def test_criterion_10_clean_zsl():
                        "no jitter): unseen accuracy >= 0.9 in under 3 min"):
         start = time.perf_counter()
         cfg = cli.parse_config(TUNED_CONFIG)
-        gen = synthbench.generate(cli.make_synth_config(cfg))
+        gen = synthbench.generate(cfg)
         acc = run_zsl(cfg, gen.dataset, gen.table, gen.split)
         elapsed = time.perf_counter() - start
         assert acc >= 0.9, acc
@@ -248,7 +251,7 @@ def test_criterion_11_label_noise_robustness():
         wins = 0
         for seed in range(5):
             cfg = dataclasses.replace(cli.parse_config(TUNED_CONFIG), seed=seed)
-            gen = synthbench.generate(cli.make_synth_config(cfg))
+            gen = synthbench.generate(cfg)
             noisy = synthbench.inject_label_noise(
                 gen.dataset, 0.2, numkit.make_rng(seed, 17))
             cal = run_zsl(dataclasses.replace(cfg, align_loss="calibrated"),
@@ -259,15 +262,34 @@ def test_criterion_11_label_noise_robustness():
         assert wins >= 4, wins
 
 
+def jitter_std_for_ratio(cfg, ratio):
+    """Jitter std whose per-coefficient amplitude is `ratio` times the
+    signal's per-coefficient RMS (a unit-norm prototype spread over
+    joints*coords*band-width entries). At ratio 1 each corrupted
+    coefficient fluctuates as strongly as a typical signal coefficient."""
+    width = cfg.synth_low_band_stop - cfg.synth_low_band_start
+    n_signal = cfg.synth_joints * cfg.synth_coords * width
+    return float(ratio / math.sqrt(n_signal))
+
+
+def test_jitter_ratio_uses_per_coefficient_scale():
+    cfg = cli.RunConfig(synth_joints=2, synth_coords=2, synth_low_band_start=1,
+                        synth_low_band_stop=5)
+    n_signal = 2 * 2 * 4
+    assert jitter_std_for_ratio(cfg, 1.0) == pytest.approx(
+        1.0 / np.sqrt(n_signal), abs=1e-15)
+    assert jitter_std_for_ratio(cfg, 0.0) == 0.0
+
+
 def test_criterion_12_enhancement_ablation():
     with criterion(12, "jitter at 50% of signal scale: piecewise mode >= "
                        "learnable-only in at least 4 of 5 seeds"):
         wins = 0
         for seed in range(5):
             cfg = dataclasses.replace(cli.parse_config(TUNED_CONFIG), seed=seed)
-            jitter = cli.make_synth_config(cfg).jitter_std_for_ratio(0.5)
+            jitter = jitter_std_for_ratio(cfg, 0.5)
             cfg = dataclasses.replace(cfg, synth_jitter_std=jitter)
-            gen = synthbench.generate(cli.make_synth_config(cfg))
+            gen = synthbench.generate(cfg)
             piece = run_zsl(dataclasses.replace(cfg, enhance_mode="piecewise"),
                             gen.dataset, gen.table, gen.split)
             learn = run_zsl(

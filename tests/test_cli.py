@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from freqzsl import cli, crossvae, frequency, pipeline, semantics, synthbench
+from freqzsl import cli, crossvae, frequency, losses, pipeline, semantics, synthbench
 from freqzsl.cli import ConfigError, RunConfig
 
 REPO = Path(__file__).resolve().parents[1]
@@ -238,7 +238,7 @@ class TestConfigDomains:
     @pytest.mark.parametrize("key", ["temperature", "align_weight", "kl_weight", "margin"])
     def test_nan_loss_knob_is_config_error(self, key):
         with pytest.raises(ConfigError, match=key):
-            cli.make_loss_config(RunConfig(**{key: float("nan")}))
+            RunConfig(**{key: float("nan")})
 
     @pytest.mark.parametrize("band_size", [17, 100])
     def test_band_size_past_the_coefficient_count_exits_two(self, tiny_env, tmp_path, capsys,
@@ -349,6 +349,46 @@ class TestFieldDomains:
         assert err.startswith("error: stage 2 epoch 0 step 0: ") and "gradient" in err
 
 
+RELATIONS = [  # TINY_LINES has 5 classes, 16 frames, 2 joints and 2 coords
+    ("synth_unseen = 5", "config error: synth_unseen must be < synth_classes (5), got 5\n"),
+    ("synth_low_band_stop = 17", "config error: synth_low_band_start and synth_low_band_stop "
+                                 "must give a non-empty band within the 16 synth_frames, "
+                                 "got [1, 17)\n"),
+    ("synth_proto_rank = 17", "config error: synth_proto_rank must be <= synth_joints * "
+                              "synth_coords * band width (16), got 17\n"),
+    ("synth_jitter_start = 17", "config error: synth_jitter_start must be <= synth_frames "
+                                "(16), got 17\n"),
+]
+
+
+class TestKeyRelations:
+    """The synth_* keys must also fit together. `synth` and `loss-bench`
+    refuse a config whose keys do not, with exit 2 and one line naming the
+    key; `train` reads no synth_* key, so it accepts the same config."""
+
+    @pytest.mark.parametrize("command", ["synth", "loss-bench"])
+    @pytest.mark.parametrize("line, message", RELATIONS)
+    def test_broken_relation_exits_two_naming_the_key(self, tmp_path, capsys, command, line,
+                                                      message):
+        key = line.split(" ")[0]
+        cfg = write_cfg(tmp_path / "bad.cfg",
+                        [x for x in TINY_LINES if not x.startswith(key)] + [line])
+        extra = ["--loss", "calibrated", "--noise-rate", "0"] if command == "loss-bench" else []
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", cfg, *extra, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (2, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [line for line, _ in RELATIONS])
+    def test_train_accepts_the_same_config(self, tiny_env, tmp_path, capsys, line):
+        key = line.split(" ")[0]
+        cfg = write_cfg(tmp_path / "bad.cfg",
+                        [x for x in TINY_LINES if not x.startswith(key)] + [line])
+        code = cli.main(["train", "--config", cfg, "--data", tiny_env["data"],
+                         "--out", str(tmp_path / "run")])
+        assert (code, capsys.readouterr().err) == (0, "")
+
+
 class TestConfigHash:
     def test_shape_and_stability(self):
         h = cli.config_hash(RunConfig())
@@ -397,20 +437,22 @@ class TestWiring:
             cli.build_enhancement(RunConfig(ramp=-1.0), 64)
 
     def test_make_synth_config_maps_fields(self):
-        cfg = RunConfig(synth_low_band_start=2, synth_low_band_stop=6, seed=9)
-        sc = cli.make_synth_config(cfg)
-        assert sc.low_band == (2, 3, 4, 5)
-        assert sc.seed == 9
-        assert sc.n_classes == cfg.synth_classes
-        assert sc.label_noise_rate == cfg.synth_label_noise
+        # the band keys place a clean sample's energy in coefficients 2-5
+        cfg = RunConfig(synth_classes=4, synth_samples_per_class=2, synth_frames=16,
+                        synth_low_band_start=2, synth_low_band_stop=6,
+                        synth_jitter_start=8, seed=9)
+        spec = frequency.dct_forward(synthbench.generate(cfg).dataset.records[0].sequence)
+        energy = np.sum(spec * spec, axis=(0, 1))
+        assert np.all(energy[2:6] > 0)
+        assert np.sum(energy[2:6]) == pytest.approx(np.sum(energy), rel=1e-12)
 
     def test_make_synth_config_rejects_bad_values(self):
         with pytest.raises(ConfigError):
-            cli.make_synth_config(RunConfig(synth_proto_rank=0))
+            synthbench.generate(RunConfig(synth_proto_rank=0))
 
     def test_featurizer_for_sequences_enhances_frame_axis(self):
         cfg = cli.parse_config(write_cfg(Path("/tmp") / "t.cfg", TINY_LINES))
-        gen = synthbench.generate(cli.make_synth_config(cfg))
+        gen = synthbench.generate(cfg)
         feat = cli.make_featurizer(cfg, gen.dataset)
         assert feat.enhancement is not None
         assert len(frequency.scaling_profile(feat.enhancement)[0]) == 16
@@ -431,7 +473,7 @@ class TestWiring:
 
     def test_make_loss_config_rejects_bad_temperature(self):
         with pytest.raises(ConfigError):
-            cli.make_loss_config(RunConfig(temperature=-1.0))
+            RunConfig(temperature=-1.0)
 
 
 class TestSelfChecks:
@@ -813,6 +855,53 @@ def test_train_without_band_weights_is_bit_reproducible(tiny_env, tmp_path, monk
         blobs.append((out / "checkpoint.json").read_bytes())
     assert blobs[0] == blobs[1]
     assert asked == {False}
+
+
+# criterion 13's config cut to 5 stage-2 epochs; it trains in a few tens of ms
+SHORT_LINES = [line for line in DETERMINISM_LINES if not line.startswith("stage2_epochs")] + [
+    "stage2_epochs = 5"]
+
+
+def train_quietly(tiny_env, out, lines):
+    """`train` on criterion 13's data (tiny_env's synth keys are the same);
+    returns the exit code and stderr."""
+    cfg = write_cfg(out.parent / f"{out.name}.cfg", lines)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["train", "--config", cfg, "--data", tiny_env["data"],
+                         "--out", str(out)])
+    return code, err.getvalue()
+
+
+class TestInDomainRuns:
+    """An in-domain config never ends in a traceback or a numpy warning: train
+    exits 0, or exits 1 with one line. numpy RuntimeWarnings are errors in
+    this suite, so a warning would escape main and fail the test."""
+
+    @pytest.mark.parametrize("lr", ["1e3", "1e6"])
+    def test_diverging_learning_rate_exits_one_naming_the_network(self, tiny_env, tmp_path,
+                                                                  lr):
+        code, err = train_quietly(tiny_env, tmp_path / "run",
+                                  SHORT_LINES + [f"stage2_lr = {lr}"])
+        assert (code, err) == (
+            1, "error: stage 2 epoch 1 step 1: skel_decoder input contains non-finite entries\n")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(knobs=st.fixed_dictionaries({
+        key: st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+                       st.integers(-300, 299))
+        for key in ("temperature", "align_weight", "kl_weight", "margin", "stage2_lr")}),
+        align_loss=st.sampled_from(losses.ALIGN_LOSSES))
+    def test_loss_knobs_and_learning_rate(self, tiny_env, tmp_path, knobs, align_loss):
+        lines = [line for line in SHORT_LINES if line.split(" ")[0] not in knobs]
+        lines += [f"{key} = {value!r}" for key, value in knobs.items()]
+        code, err = train_quietly(tiny_env, tmp_path / "run",
+                                  lines + [f"align_loss = {align_loss}"])
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1 and err.count("\n") == 1 and err.startswith("error: "), err
 
 
 SYNTH_TRAIN_EVAL_WITHOUT_SCIPY = """

@@ -4,6 +4,7 @@ reconstructions from posterior means, the full stage-2 gradient under frozen noi
 training-curve descent through the stage-2 loop, and the VAE's round trip
 through the checkpoint codec."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqzsl import cli, crossvae, losses, numkit, pipeline, semantics
+from freqzsl.cli import RunConfig
 
 
 def zero_mlp(sizes):
@@ -105,17 +107,17 @@ def align_with_hand_decoded_means(params, f_s, f_t, labels, negatives, cfg):
     g_s_t, _ = numkit.mlp_forward(params.text_decoder, mu_s)
     g_t_s, _ = numkit.mlp_forward(params.skel_decoder, mu_t)
     batch = losses.AlignmentBatch(f_t, f_s, g_s_t, g_t_s, labels, negatives)
-    return losses.alignment_loss(batch, "calibrated", cfg).value, g_s_t, g_t_s
+    return losses.alignment_loss(batch, cfg).value, g_s_t, g_t_s
 
 
 class TestCrossReconstruct:
     """stage2_loss aligns text decoded from skeleton means, and back."""
 
     def align_terms(self, params, seed):
-        f_s, f_t, labels, negatives, rng = make_batch(seed, text_dim=params.text_dim)
+        f_s, f_t, labels, negatives, rng = make_batch(seed, text_dim=params.text_encoder.in_dim)
         eps_s = rng.standard_normal((4, params.latent_dim))
         eps_t = rng.standard_normal((4, params.latent_dim))
-        cfg = losses.LossConfig(temperature=5.0)
+        cfg = RunConfig(temperature=5.0)
         breakdown, _, _, _ = crossvae.stage2_loss(params, f_s, f_t, labels, negatives,
                                                   eps_s, eps_t, cfg)
         want = align_with_hand_decoded_means(params, f_s, f_t, labels, negatives, cfg)
@@ -157,7 +159,7 @@ class TestStage2Loss:
         f_s, f_t, labels, negatives, rng = make_batch(10)
         eps_s = rng.standard_normal((4, 2))
         eps_t = rng.standard_normal((4, 2))
-        cfg = losses.LossConfig(temperature=10.0, align_weight=0.3)
+        cfg = RunConfig(temperature=10.0, align_weight=0.3)
         breakdown, _, _, _ = crossvae.stage2_loss(
             params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg)
         assert breakdown["vae"] == pytest.approx(
@@ -170,8 +172,8 @@ class TestStage2Loss:
         f_s, f_t, labels, negatives, rng = make_batch(12)
         eps_s = rng.standard_normal((4, 2))
         eps_t = rng.standard_normal((4, 2))
-        on = losses.LossConfig(align_weight=0.5)
-        off = losses.LossConfig(align_weight=0.0)
+        on = RunConfig(align_weight=0.5)
+        off = RunConfig(align_weight=0.0)
         _, g_on, _, _ = crossvae.stage2_loss(params, f_s, f_t, labels, negatives,
                                              eps_s, eps_t, on)
         _, g_off, _, _ = crossvae.stage2_loss(params, f_s, f_t, labels, negatives,
@@ -179,8 +181,9 @@ class TestStage2Loss:
         # gradients differ when alignment is on, and the off case must equal
         # a pure twin-VAE step: recompute with alignment fully removed
         assert any(not np.array_equal(a, b) for a, b in zip(g_on, g_off))
-        _, g_off2, _, _ = crossvae.stage2_loss(params, f_s, f_t, labels, negatives,
-                                               eps_s, eps_t, off, align_loss="t1")
+        _, g_off2, _, _ = crossvae.stage2_loss(
+            params, f_s, f_t, labels, negatives, eps_s, eps_t,
+            dataclasses.replace(off, align_loss="t1"))
         for a, b in zip(g_off, g_off2):
             np.testing.assert_array_equal(a, b)
 
@@ -190,12 +193,12 @@ class TestStage2Loss:
         f_s, f_t, labels, negatives, rng = make_batch(14)
         eps_s = rng.standard_normal((4, 2))
         eps_t = rng.standard_normal((4, 2))
-        cfg = losses.LossConfig(temperature=5.0, align_weight=0.4, margin=1.0)
+        cfg = RunConfig(temperature=5.0, align_weight=0.4, margin=1.0, align_loss=align_loss)
 
         def loss_fn(arrays):
             p = params.with_arrays(arrays)
             breakdown, grads, _, _ = crossvae.stage2_loss(
-                p, f_s, f_t, labels, negatives, eps_s, eps_t, cfg, align_loss)
+                p, f_s, f_t, labels, negatives, eps_s, eps_t, cfg)
             return breakdown["total"], grads
 
         report = numkit.grad_check(loss_fn, params.param_arrays())
@@ -208,12 +211,12 @@ class TestStage2Loss:
         f_s, f_t, labels, negatives, rng = make_batch(18, b=6, classes=3)
         eps_s = rng.standard_normal((6, 2))
         eps_t = rng.standard_normal((6, 2))
-        cfg = losses.LossConfig(temperature=5.0, align_weight=0.4, margin=1.0)
+        cfg = RunConfig(temperature=5.0, align_weight=0.4, margin=1.0, align_loss=align_loss)
         ref_breakdown, ref, _, _ = crossvae.stage2_loss(
-            params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg, align_loss)
+            params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg)
         _, views = numkit.flatten([np.full_like(a, np.nan) for a in params.param_arrays()])
         breakdown, got, d_f_s, d_f_t = crossvae.stage2_loss(
-            params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg, align_loss,
+            params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg,
             grads_out=views, feature_grads=False)
         assert d_f_s is None and d_f_t is None
         assert breakdown == ref_breakdown
@@ -226,7 +229,7 @@ class TestStage2Loss:
         f_s, f_t, labels, negatives, rng = make_batch(16)
         eps_s = rng.standard_normal((4, 2))
         eps_t = rng.standard_normal((4, 2))
-        cfg = losses.LossConfig(temperature=5.0, align_weight=0.4)
+        cfg = RunConfig(temperature=5.0, align_weight=0.4)
 
         def loss_fn(arrays):
             breakdown, _, d_f_s, d_f_t = crossvae.stage2_loss(
@@ -237,8 +240,7 @@ class TestStage2Loss:
         assert report.max_rel_error < 1e-4
 
 
-def unfused_stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg,
-                        align_loss):
+def unfused_stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg):
     """The stage-2 objective assembled block by block: separate ELBO,
     alignment and decoder gradient blocks, align_weight applied afterwards.
     The per-item rules are the library's; the chain around them is spelled
@@ -261,8 +263,8 @@ def unfused_stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg,
     def align(anchor, recon):
         u = anchor - recon
         v = anchor - recon[negatives]
-        value, cp, cn = losses._RULES[align_loss](np.sum(u * u, axis=1),
-                                                  np.sum(v * v, axis=1), b, cfg)
+        value, cp, cn = losses._RULES[cfg.align_loss](np.sum(u * u, axis=1),
+                                                      np.sum(v * v, axis=1), b, cfg)
         g_anchor = 2.0 * (cp[:, None] * u + cn[:, None] * v)
         g_recon = -2.0 * cp[:, None] * u - scatter(2.0 * cn[:, None] * v)
         return value, g_anchor, g_recon
@@ -316,12 +318,12 @@ def test_stage2_loss_matches_the_unfused_assembly(seed, b, dims, hidden, align_l
                                                   classes=min(b, 3))
     eps_s = rng.standard_normal((b, latent_dim))
     eps_t = rng.standard_normal((b, latent_dim))
-    cfg = losses.LossConfig(temperature, align_weight, kl_weight, margin)
-    want = unfused_stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg,
-                               align_loss)
+    cfg = RunConfig(temperature=temperature, align_weight=align_weight,
+                    kl_weight=kl_weight, margin=margin, align_loss=align_loss)
+    want = unfused_stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg)
     _, views = numkit.flatten([np.full_like(a, np.nan) for a in params.param_arrays()])
     got = crossvae.stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg,
-                               align_loss, grads_out=views, feature_grads=feature_grads)
+                               grads_out=views, feature_grads=feature_grads)
 
     def close(x, y):
         assert np.max(np.abs(np.asarray(x) - y)) <= 1e-12 * np.max(np.abs(y))
@@ -366,7 +368,7 @@ class TestNonFiniteStep:
         monkeypatch.setattr(numkit, "adam_step", adam)
         monkeypatch.setattr(numkit, "mlp_forward", forward)
         with pytest.raises(ValueError) as info:
-            train_tiny(data, losses.LossConfig(), epochs=4, lr=1e-3, hidden=(6,), seed=31)
+            train_tiny(data, RunConfig(), epochs=4, lr=1e-3, hidden=(6,), seed=31)
         return info.value, adam_calls
 
     @pytest.mark.parametrize("rows", ["self", "cross"])
@@ -396,7 +398,7 @@ class TestNonFiniteStep:
         grad, grad_views = numkit.flatten(views)
         with pytest.raises(ValueError, match="non-finite"):
             crossvae.stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t,
-                                 losses.LossConfig(), grads_out=grad_views)
+                                 RunConfig(), grads_out=grad_views)
             numkit.adam_step(numkit.AdamState(), [flat], [grad])
         np.testing.assert_array_equal(flat, before)
 
@@ -416,9 +418,12 @@ def tiny_stage2_data(f_s, labels):
 
 def train_tiny(data, cfg, *, epochs, lr, hidden, seed):
     dataset, table, split = data
+    (width,) = hidden
+    cfg = dataclasses.replace(cfg, stage2_epochs=epochs, stage2_lr=lr,
+                              batch_size=len(dataset.records), latent_dim=2,
+                              hidden_dim=width, hidden_layers=1)
     return pipeline.run_stage2(dataset, table, split, pipeline.SkeletonFeaturizer(), cfg,
-                               epochs=epochs, lr=lr, batch_size=len(dataset.records),
-                               latent_dim=2, rng=numkit.make_rng(seed), hidden=hidden)
+                               numkit.make_rng(seed))
 
 
 class TestTrainStep:
@@ -431,7 +436,7 @@ class TestTrainStep:
         centers = np.array([[2.0, 0, 0, 0], [-2.0, 0, 0, 0]])
         data = tiny_stage2_data(centers[labels] + 0.05 * rng.standard_normal((16, 4)),
                                 labels)
-        cfg = losses.LossConfig(temperature=1.0, align_weight=0.1, kl_weight=0.1)
+        cfg = RunConfig(temperature=1.0, align_weight=0.1, kl_weight=0.1)
         _, _, log = train_tiny(data, cfg, epochs=200, lr=1e-2, hidden=(16,), seed=17)
         curve = [row["total"] for row in log]
         head = float(np.mean(curve[:20]))
@@ -443,7 +448,7 @@ class TestTrainStep:
         data = tiny_stage2_data(rng.standard_normal((8, 4)), np.array([0, 1] * 4))
 
         def run():
-            params, _, log = train_tiny(data, losses.LossConfig(), epochs=10, lr=1e-3,
+            params, _, log = train_tiny(data, RunConfig(), epochs=10, lr=1e-3,
                                         hidden=(8,), seed=18)
             return [row["total"] for row in log], params.param_arrays()
 
@@ -457,7 +462,7 @@ class TestTrainStep:
         f_s = rng.standard_normal((6, 3))
         data = tiny_stage2_data(f_s, np.array([0, 1] * 3))
         f_t = np.stack([semantics.fuse(data[1], c) for c in (0, 1)] * 3)
-        cfg = losses.LossConfig(kl_weight=1.0, align_weight=0.0)
+        cfg = RunConfig(kl_weight=1.0, align_weight=0.0)
         # a run of k epochs is the first k steps of a longer run with the same seed
         for epochs in (1, 5, 10, 20):
             params, _, _ = train_tiny(data, cfg, epochs=epochs, lr=1e-3, hidden=(6,),
@@ -474,6 +479,12 @@ class TestSampleClassLatents:
         z = crossvae.sample_class_latents(params, fused, 1, eps=np.zeros((1, 2)))
         latent = crossvae.encode(params, "text", fused)
         np.testing.assert_allclose(z[0], latent.mu, atol=1e-15)
+
+    def test_overflowing_sample_raises(self):
+        # exp(0.5 * 2000) overflows; the warning is off, the check still fires
+        params = fixed_posterior_params(np.zeros(2), np.full(2, 2000.0))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="sampled latents"):
+            crossvae.sample_class_latents(params, np.ones(3), 4, numkit.make_rng(24))
 
     def test_sample_covariance_tracks_posterior(self):
         params = tiny_params(22)

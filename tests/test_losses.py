@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqzsl import losses, numkit
+from freqzsl.cli import RunConfig
 
 E = math.e
 
@@ -57,8 +58,8 @@ def random_batch(seed, b=6, d=3, classes=3):
 
 
 def align(batch, name, **cfg):
-    """alignment_loss under a LossConfig built from keyword overrides."""
-    return losses.alignment_loss(batch, name, losses.LossConfig(**cfg))
+    """alignment_loss under a RunConfig built from keyword overrides."""
+    return losses.alignment_loss(batch, RunConfig(align_loss=name, **cfg))
 
 
 def check_batch_grads(loss_of_batch, batch, tol=1e-4):
@@ -335,9 +336,9 @@ class TestTripletBaselines:
             direct["t2"] += np.mean(np.log(ell))
             direct["t3"] += t * np.mean(r * r)
             direct["t4"] += np.mean(np.maximum(1.0 - dn / (dp + m), 0.0))
-        cfg = losses.LossConfig(temperature=t, margin=m)
         for name, want in direct.items():
-            assert losses.alignment_loss(batch, name, cfg).value == pytest.approx(
+            cfg = RunConfig(temperature=t, margin=m, align_loss=name)
+            assert losses.alignment_loss(batch, cfg).value == pytest.approx(
                 want, rel=1e-12, abs=1e-12), name
 
     @pytest.mark.parametrize("loss_of_batch", [
@@ -358,23 +359,25 @@ class TestTripletBaselines:
             align(random_batch(12), "t4", margin=0.0)
 
     def test_unknown_loss_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown alignment loss"):
-            losses.alignment_loss(random_batch(10), "t9", losses.LossConfig())
+        with pytest.raises(ValueError, match="align_loss must be one of"):
+            align(random_batch(10), "t9")
 
 
 class TestLossConfig:
+    """The objective's keys of RunConfig, which the losses read."""
+
     def test_defaults_carry_published_values(self):
-        cfg = losses.LossConfig()
+        cfg = RunConfig()
         assert cfg.temperature == 100.0
         assert cfg.align_weight == 0.1
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ValueError):
-            losses.LossConfig(temperature=0.0)
+            RunConfig(temperature=0.0)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            losses.LossConfig(kl_weight=-1.0)
+            RunConfig(kl_weight=-1.0)
 
     @pytest.mark.parametrize("key, value", [
         ("temperature", float("nan")), ("temperature", -1.0),
@@ -383,7 +386,7 @@ class TestLossConfig:
     ])
     def test_out_of_domain_value_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=key):
-            losses.LossConfig(**{key: value})
+            RunConfig(**{key: value})
 
 
 class TestKl:

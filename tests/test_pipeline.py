@@ -9,13 +9,19 @@ import math
 import numpy as np
 import pytest
 
-from freqzsl import crossvae, frequency, losses, numkit, pipeline, semantics
+from freqzsl import crossvae, frequency, numkit, pipeline, semantics
+from freqzsl.cli import RunConfig
 
 
 def zero_mlp(sizes):
     """All-zero affine stack: every input maps to a zero output."""
     ws = [np.zeros((nout, nin)) for nin, nout in zip(sizes[:-1], sizes[1:])]
     return numkit.MlpParams(ws, [np.zeros(nout) for nout in sizes[1:]])
+
+
+def stage2_config(**kw):
+    """RunConfig for run_stage2 on the tiny problems: 2 latent dims, 4 hidden units."""
+    return RunConfig(**{"latent_dim": 2, "hidden_dim": 4, "hidden_layers": 1, **kw})
 
 
 def identity_encoder(d, latent_dim):
@@ -256,6 +262,30 @@ class TestSoftmaxClassifier:
             pipeline.train_softmax_classifier(np.zeros((2, 2)), np.array([0, 9]),
                                               (0, 1), epochs=1, lr=0.1)
 
+    @pytest.mark.parametrize("scale", [1e160, np.inf])
+    def test_gradient_whose_square_overflows_raises_before_adam(self, monkeypatch, scale):
+        adam_calls = []
+        monkeypatch.setattr(numkit, "adam_step", lambda *a: adam_calls.append(a))
+        latents = np.array([[scale, 0.0], [-scale, 0.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="classifier gradient is non-finite or its square overflows"):
+            pipeline.train_softmax_classifier(latents, np.array([0, 1]), (0, 1),
+                                              epochs=3, lr=0.1)
+        assert adam_calls == []
+
+    def test_weight_left_non_finite_by_the_last_step_raises(self, monkeypatch):
+        real_adam = numkit.adam_step
+
+        def overflowing_adam(state, params, grads):
+            real_adam(state, params, grads)
+            if state.step_count == 3:
+                params[1][0] = np.inf
+
+        monkeypatch.setattr(numkit, "adam_step", overflowing_adam)
+        with pytest.raises(ValueError, match="classifier weights contains non-finite"):
+            pipeline.train_softmax_classifier(np.eye(2), np.array([0, 1]), (0, 1),
+                                              epochs=3, lr=0.1)
+
     @pytest.mark.parametrize("class_ids, weights, bias, match", [
         ((0, 0), np.zeros((2, 3)), np.zeros(2), "distinct"),
         ((0, 1), np.zeros(2), np.zeros(2), r"weights \(2,\) and bias \(2,\)"),
@@ -368,15 +398,11 @@ class TestStage2:
     def test_zero_epochs_returns_untrained_init(self):
         dataset, table, split = self.small_problem()
         feat = pipeline.SkeletonFeaturizer()
-        cfg = losses.LossConfig(temperature=1.0)
+        cfg = stage2_config(temperature=1.0, stage2_epochs=0, stage2_lr=1e-3, batch_size=8)
         p0, _, log0 = pipeline.run_stage2(dataset, table, split, feat, cfg,
-                                          epochs=0, lr=1e-3, batch_size=8,
-                                          latent_dim=2, rng=numkit.make_rng(12),
-                                          hidden=(4,))
+                                          numkit.make_rng(12))
         p1, _, _ = pipeline.run_stage2(dataset, table, split, feat, cfg,
-                                       epochs=0, lr=1e-3, batch_size=8,
-                                       latent_dim=2, rng=numkit.make_rng(12),
-                                       hidden=(4,))
+                                       numkit.make_rng(12))
         assert log0 == []
         for a, b in zip(p0.param_arrays(), p1.param_arrays()):
             np.testing.assert_array_equal(a, b)
@@ -390,17 +416,17 @@ class TestStage2:
             split = pipeline.SplitSpec((0,), (2,))
         with pytest.raises(ValueError, match="no step.*single class"):
             pipeline.run_stage2(dataset, table, split, pipeline.SkeletonFeaturizer(),
-                                losses.LossConfig(), epochs=3, lr=1e-3,
-                                batch_size=batch_size, latent_dim=2,
-                                rng=numkit.make_rng(12), hidden=(4,))
+                                stage2_config(stage2_epochs=3, stage2_lr=1e-3,
+                                              batch_size=batch_size),
+                                numkit.make_rng(12))
 
     def test_trained_arrays_are_views_of_one_vector(self):
         dataset, table, split = self.small_problem()
         params, _, _ = pipeline.run_stage2(dataset, table, split,
                                            pipeline.SkeletonFeaturizer(),
-                                           losses.LossConfig(), epochs=2, lr=1e-3,
-                                           batch_size=16, latent_dim=2,
-                                           rng=numkit.make_rng(12), hidden=(4,))
+                                           stage2_config(stage2_epochs=2, stage2_lr=1e-3,
+                                                         batch_size=16),
+                                           numkit.make_rng(12))
         arrays = params.param_arrays()
         base = arrays[0].base
         assert base is not None and base.size == sum(a.size for a in arrays)
@@ -412,19 +438,18 @@ class TestStage2:
         enh = frequency.EnhancementConfig.per_coefficient(2, 1, 4.0, weight=0.5)
         _, trained_feat, log = pipeline.run_stage2(
             dataset, table, split, pipeline.SkeletonFeaturizer(enhancement=enh),
-            losses.LossConfig(temperature=1.0), epochs=2, lr=1e-2, batch_size=16,
-            latent_dim=2, rng=numkit.make_rng(17), hidden=(4,))
+            stage2_config(temperature=1.0, stage2_epochs=2, stage2_lr=1e-2, batch_size=16),
+            numkit.make_rng(17))
         assert len(log) == 2
         assert trained_feat.enhancement.weights == (0.5, 0.5)
 
     def test_loss_decreases_over_training(self):
         dataset, table, split = self.small_problem()
-        cfg = losses.LossConfig(temperature=1.0, align_weight=0.1, kl_weight=0.1)
+        cfg = stage2_config(temperature=1.0, align_weight=0.1, kl_weight=0.1,
+                            stage2_epochs=120, stage2_lr=1e-2, batch_size=16, hidden_dim=8)
         _, _, log = pipeline.run_stage2(dataset, table, split,
                                         pipeline.SkeletonFeaturizer(), cfg,
-                                        epochs=120, lr=1e-2, batch_size=16,
-                                        latent_dim=2, rng=numkit.make_rng(13),
-                                        hidden=(8,))
+                                        numkit.make_rng(13))
         assert len(log) == 120
         assert log[-1]["total"] < log[0]["total"]
 
@@ -434,9 +459,8 @@ class TestStage2:
         with pytest.raises(KeyError, match=r"\[1\]"):
             pipeline.run_stage2(dataset, table, split,
                                 pipeline.SkeletonFeaturizer(),
-                                losses.LossConfig(), epochs=1, lr=1e-3,
-                                batch_size=8, latent_dim=2,
-                                rng=numkit.make_rng(14), hidden=(4,))
+                                stage2_config(stage2_epochs=1, stage2_lr=1e-3, batch_size=8),
+                                numkit.make_rng(14))
 
     def test_trained_band_weights_move(self):
         rng = numkit.make_rng(15)
@@ -456,9 +480,9 @@ class TestStage2:
         enh = frequency.EnhancementConfig.per_coefficient(8, 3, 4.0, weight=0.5)
         feat = pipeline.SkeletonFeaturizer(enhancement=enh)
         _, trained_feat, _ = pipeline.run_stage2(
-            dataset, table, split, feat, losses.LossConfig(temperature=1.0),
-            epochs=20, lr=1e-2, batch_size=12, latent_dim=2,
-            rng=numkit.make_rng(16), hidden=(4,))
+            dataset, table, split, feat,
+            stage2_config(temperature=1.0, stage2_epochs=20, stage2_lr=1e-2, batch_size=12),
+            numkit.make_rng(16))
         assert not np.allclose(trained_feat.enhancement.weights, 0.5)
 
     @pytest.mark.parametrize("where, part", [
@@ -473,7 +497,7 @@ class TestStage2:
 
         def loss(*args, **kwargs):
             out = real_loss(*args, **kwargs)
-            grads = args[9]
+            grads = args[8]
             if where.endswith("array"):
                 grads[0 if where == "first array" else -1][...] = 1e200
             return out
@@ -490,18 +514,53 @@ class TestStage2:
             pipeline.run_stage2(
                 dataset, table, split,
                 pipeline.SkeletonFeaturizer(enhancement=enh, enhance_vectors=True),
-                losses.LossConfig(temperature=1.0, kl_weight=kl), epochs=2, lr=1e-2,
-                batch_size=16, latent_dim=2, rng=numkit.make_rng(17), hidden=(4,))
+                stage2_config(temperature=1.0, kl_weight=kl, stage2_epochs=2,
+                              stage2_lr=1e-2, batch_size=16),
+                numkit.make_rng(17))
         assert adam_calls == []
+
+    @pytest.mark.parametrize("lr", [1e3, 1e6])
+    def test_diverging_step_raises_naming_the_network_before_adam(self, monkeypatch, lr):
+        # numpy's overflow warnings are off in a step (here they would be
+        # errors); each value they would have flagged must still stop the run
+        grads_seen, real_adam = [], numkit.adam_step
+
+        def adam(state, params, grads):
+            grads_seen.append(all(np.isfinite(g).all() for g in grads))
+            real_adam(state, params, grads)
+
+        monkeypatch.setattr(numkit, "adam_step", adam)
+        dataset, table, split = self.small_problem()
+        with pytest.raises(ValueError, match=r"^stage 2 epoch \d+ step \d+: (skel|text)_"
+                                             r"(en|de)coder (input|gradient) "):
+            pipeline.run_stage2(dataset, table, split, pipeline.SkeletonFeaturizer(),
+                                stage2_config(stage2_epochs=50, stage2_lr=lr, batch_size=16),
+                                numkit.make_rng(12))
+        assert grads_seen and all(grads_seen)
+
+    def test_parameter_left_non_finite_by_the_last_step_raises(self, monkeypatch):
+        real_adam = numkit.adam_step
+
+        def overflowing_adam(state, params, grads):
+            real_adam(state, params, grads)
+            params[0][-1] = np.inf  # the last array is the text decoder's bias
+
+        monkeypatch.setattr(numkit, "adam_step", overflowing_adam)
+        dataset, table, split = self.small_problem()
+        with pytest.raises(ValueError, match="^stage 2 left non-finite text_decoder parameters"):
+            pipeline.run_stage2(dataset, table, split, pipeline.SkeletonFeaturizer(),
+                                stage2_config(stage2_epochs=1, batch_size=16),
+                                numkit.make_rng(12))
 
     def test_frozen_weights_stay_put(self):
         dataset, table, split = self.small_problem()
         enh = frequency.EnhancementConfig.per_coefficient(2, 1, 4.0, weight=0.5)
         feat = pipeline.SkeletonFeaturizer(enhancement=enh, enhance_vectors=True)
         _, trained_feat, _ = pipeline.run_stage2(
-            dataset, table, split, feat, losses.LossConfig(temperature=1.0),
-            epochs=5, lr=1e-2, batch_size=16, latent_dim=2,
-            rng=numkit.make_rng(17), hidden=(4,), train_weights=False)
+            dataset, table, split, feat,
+            stage2_config(temperature=1.0, stage2_epochs=5, stage2_lr=1e-2, batch_size=16,
+                          train_weights=False),
+            numkit.make_rng(17))
         assert trained_feat.enhancement.weights == (0.5, 0.5)
 
 

@@ -8,48 +8,64 @@ import numpy as np
 import pytest
 
 from freqzsl import frequency, numkit, pipeline, semantics, synthbench
+from freqzsl.cli import RunConfig
 
 
 def small_config(**kw):
-    base = dict(n_classes=6, n_unseen=2, joints=2, coords=2, frames=32,
-                samples_per_class=6, low_band=tuple(range(1, 5)), proto_rank=3,
-                jitter_start=16, embed_dim=8, seed=0)
+    base = dict(synth_classes=6, synth_unseen=2, synth_joints=2, synth_coords=2,
+                synth_frames=32, synth_samples_per_class=6, synth_low_band_start=1,
+                synth_low_band_stop=5, synth_proto_rank=3, synth_jitter_start=16,
+                synth_embed_dim=8, seed=0)
     base.update(kw)
-    return synthbench.SynthConfig(**base)
+    return RunConfig(**base)
+
+
+def low_band(cfg):
+    return np.arange(cfg.synth_low_band_start, cfg.synth_low_band_stop)
 
 
 class TestConfig:
+    """RunConfig refuses a synth_* key outside its domain; generate refuses
+    keys that do not fit together."""
+
     def test_defaults_shape_the_published_benchmark(self):
-        cfg = synthbench.SynthConfig()
-        assert cfg.n_classes == 12 and cfg.n_unseen == 2
-        assert cfg.frames == 64
+        cfg = RunConfig()
+        assert cfg.synth_classes == 12 and cfg.synth_unseen == 2
+        assert cfg.synth_frames == 64
 
     def test_unseen_count_bounds(self):
         with pytest.raises(ValueError):
-            small_config(n_unseen=0)
+            synthbench.generate(small_config(synth_unseen=0))
         with pytest.raises(ValueError):
-            small_config(n_unseen=6)
+            synthbench.generate(small_config(synth_unseen=6))
 
     def test_band_indices_must_fit_frames(self):
         with pytest.raises(ValueError, match="low_band"):
-            small_config(low_band=(1, 40))
+            synthbench.generate(small_config(synth_low_band_stop=40))
 
     def test_proto_rank_bounds(self):
         with pytest.raises(ValueError, match="proto_rank"):
-            small_config(proto_rank=0)
+            synthbench.generate(small_config(synth_proto_rank=0))
         with pytest.raises(ValueError, match="proto_rank"):
-            small_config(proto_rank=17)  # 2 * 2 * 4 = 16 available dims
+            # 2 * 2 * 4 = 16 available dims
+            synthbench.generate(small_config(synth_proto_rank=17))
 
     def test_noise_rate_bounds(self):
         with pytest.raises(ValueError):
-            small_config(label_noise_rate=1.5)
+            synthbench.generate(small_config(synth_label_noise=1.5))
 
-    def test_jitter_ratio_uses_per_coefficient_scale(self):
-        cfg = small_config()
-        n_signal = cfg.joints * cfg.coords * len(cfg.low_band)
-        assert cfg.jitter_std_for_ratio(1.0) == pytest.approx(
-            1.0 / np.sqrt(n_signal), abs=1e-15)
-        assert cfg.jitter_std_for_ratio(0.0) == 0.0
+    @pytest.mark.parametrize("key, value", [
+        ("synth_unseen", 6), ("synth_low_band_stop", 33), ("synth_low_band_stop", 1),
+        ("synth_proto_rank", 17), ("synth_jitter_start", 33)])
+    def test_broken_relation_is_a_config_error_naming_its_key(self, key, value):
+        with pytest.raises(synthbench.ConfigError, match=key):
+            synthbench.generate(small_config(**{key: value}))
+
+    def test_relations_at_their_limits_are_accepted(self):
+        gen = synthbench.generate(small_config(
+            synth_unseen=5, synth_low_band_start=0, synth_low_band_stop=32,
+            synth_proto_rank=2 * 2 * 32, synth_jitter_start=32, synth_jitter_std=0.1))
+        assert len(gen.split.unseen) == 5
 
 
 class TestGenerate:
@@ -73,14 +89,14 @@ class TestGenerate:
     def test_partition_counts(self):
         cfg = small_config()
         gen = synthbench.generate(cfg)
-        n_test = max(1, min(round(cfg.test_fraction * cfg.samples_per_class),
-                            cfg.samples_per_class - 1))
-        n_seen = cfg.n_classes - cfg.n_unseen
+        per_class = cfg.synth_samples_per_class
+        n_test = max(1, min(round(cfg.synth_test_fraction * per_class), per_class - 1))
+        n_seen = cfg.synth_classes - cfg.synth_unseen
         assert len(gen.dataset.by_partition("train-seen")) == n_seen * (
-            cfg.samples_per_class - n_test)
+            per_class - n_test)
         assert len(gen.dataset.by_partition("test-seen")) == n_seen * n_test
         assert len(gen.dataset.by_partition("test-unseen")) == (
-            cfg.n_unseen * cfg.samples_per_class)
+            cfg.synth_unseen * per_class)
 
     def test_split_hygiene_holds(self):
         gen = synthbench.generate(small_config())
@@ -97,15 +113,15 @@ class TestGenerate:
                 assert not np.allclose(protos[i], protos[j])
 
     def test_prototypes_span_limited_rank(self):
-        cfg = small_config(proto_rank=3)
+        cfg = small_config(synth_proto_rank=3)
         gen = synthbench.generate(cfg)
         mat = np.stack([p.reshape(-1) for p in gen.prototypes.values()])
         assert np.linalg.matrix_rank(mat, tol=1e-10) == 3
 
     def test_clean_samples_concentrate_energy_in_band(self):
-        cfg = small_config(jitter_std=0.0)
+        cfg = small_config(synth_jitter_std=0.0)
         gen = synthbench.generate(cfg)
-        band = np.asarray(cfg.low_band)
+        band = low_band(cfg)
         for rec in gen.dataset.records:
             spec = frequency.dct_forward(rec.sequence)
             total = float(np.sum(spec * spec))
@@ -113,11 +129,11 @@ class TestGenerate:
             assert inside / total >= 0.99
 
     def test_jitter_lands_mostly_outside_band(self):
-        cfg = small_config(jitter_std=0.0)
-        noisy_cfg = small_config(jitter_std=0.3, jitter_start=16)
+        cfg = small_config(synth_jitter_std=0.0)
+        noisy_cfg = small_config(synth_jitter_std=0.3, synth_jitter_start=16)
         clean = synthbench.generate(cfg)
         noisy = synthbench.generate(noisy_cfg)
-        band = np.asarray(cfg.low_band)
+        band = low_band(cfg)
         # same sample streams, so the jitter is the spectral difference
         added_in, added_total = 0.0, 0.0
         for rc, rn in zip(clean.dataset.records, noisy.dataset.records):
@@ -137,7 +153,7 @@ class TestGenerate:
     def test_semantic_embeddings_track_prototypes(self):
         # noiseless embeddings are linear in the prototype, so two very
         # different prototypes give different embeddings
-        gen = synthbench.generate(small_config(semantic_noise_std=0.0))
+        gen = synthbench.generate(small_config(synth_semantic_noise_std=0.0))
         e0 = gen.table.get(0, "AL")
         e1 = gen.table.get(1, "AL")
         assert not np.allclose(e0, e1)
@@ -163,7 +179,7 @@ class TestLabelNoise:
         assert flips == int(rate * n_train)
 
     def test_full_rate_two_class_pool_flips_everything(self):
-        cfg = small_config(n_classes=3, n_unseen=1, proto_rank=2)
+        cfg = small_config(synth_classes=3, synth_unseen=1, synth_proto_rank=2)
         gen = synthbench.generate(cfg)
         out = synthbench.inject_label_noise(gen.dataset, 1.0, numkit.make_rng(2))
         train_pool = {r.class_id for r in gen.dataset.by_partition("train-seen")}
@@ -198,7 +214,7 @@ def oracle_nearest_prototype(gen):
     """Nearest-prototype accuracies (overall, test-seen, test-unseen): each
     test sample goes to the class whose exact prototype is nearest its
     jitter-free low-band coefficients, a construction-aware upper bound."""
-    band = np.asarray(gen.config.low_band, dtype=np.intp)
+    band = low_band(gen.config)
     class_ids = sorted(gen.prototypes)
     proto_mat = np.stack([gen.prototypes[k].reshape(-1) for k in class_ids])
     hits = {"test-seen": [], "test-unseen": []}
@@ -224,9 +240,9 @@ class TestOracle:
         assert report.test_seen == 1.0 and report.test_unseen == 1.0
 
     def test_extreme_jitter_drives_oracle_to_chance(self):
-        cfg = small_config(n_classes=4, n_unseen=1, proto_rank=2,
-                           samples_per_class=40, jitter_std=6.0,
-                           jitter_start=0, jitter_low_leak=1.0)
+        cfg = small_config(synth_classes=4, synth_unseen=1, synth_proto_rank=2,
+                           synth_samples_per_class=40, synth_jitter_std=6.0,
+                           synth_jitter_start=0, synth_jitter_low_leak=1.0)
         report = oracle_nearest_prototype(synthbench.generate(cfg))
         n_test = 4 * 40 - len(synthbench.generate(cfg).dataset.by_partition("train-seen"))
         sigma = np.sqrt(0.25 * 0.75 / n_test)
@@ -236,8 +252,8 @@ class TestOracle:
         clean = oracle_nearest_prototype(
             synthbench.generate(small_config())).overall
         noisy = oracle_nearest_prototype(
-            synthbench.generate(small_config(jitter_std=4.0, jitter_start=0,
-                                             jitter_low_leak=1.0))).overall
+            synthbench.generate(small_config(synth_jitter_std=4.0, synth_jitter_start=0,
+                                             synth_jitter_low_leak=1.0))).overall
         assert noisy < clean
 
 
