@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import sys
 import types
 import typing
@@ -258,51 +259,83 @@ _CHECKPOINT_FIELDS = {"config_hash": "config_hash", "vae": "vae", "featurizer": 
                       "gate": "gate"}
 
 
-def _to_json(value):
-    """JSON data for a model value: a dataclass becomes one key per field."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_to_json(item) for item in value]
-    return value
+def _compact_json_pieces(value):
+    """Yield json.dumps(value, sort_keys=True, separators=(",", ":")) in pieces.
 
-
-def _compact_json_pieces(obj):
-    """Yield json.dumps(obj, sort_keys=True, separators=(",", ":")) in pieces.
-
-    Objects and lists of containers are laid out here; each flat list or
-    scalar is one json.dumps call, which runs the C encoder (json.dump
-    streams through the pure-Python one). Piece by piece, no string grows to
-    the size of the file, so writing a checkpoint does not raise peak memory.
-    Keys must be strings.
+    A dataclass is laid out as an object of its fields, and an ndarray of two
+    or more dimensions one row at a time: each row or scalar is one
+    json.dumps call on row.tolist(), which runs the C encoder (json.dump
+    streams through the pure-Python one). So writing a model builds neither
+    a tree of its floats nor a string the size of the file. Keys must be
+    strings.
     """
-    if isinstance(obj, dict):
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
         yield "{"
-        for i, key in enumerate(sorted(obj)):
+        for i, key in enumerate(sorted(value)):
             yield ("," if i else "") + json.dumps(key) + ":"
-            yield from _compact_json_pieces(obj[key])
+            yield from _compact_json_pieces(value[key])
         yield "}"
-    elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
-        for i, item in enumerate(obj):
-            yield "," if i else "["
+    elif isinstance(value, list) or (isinstance(value, np.ndarray) and value.ndim > 1):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ","
             yield from _compact_json_pieces(item)
         yield "]"
     else:
-        yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        yield json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def save_checkpoint(path, model: TrainedModel) -> None:
-    obj = {key: _to_json(getattr(model, name)) for key, name in _CHECKPOINT_FIELDS.items()}
+    obj = {key: getattr(model, name) for key, name in _CHECKPOINT_FIELDS.items()}
     obj["format_version"] = CHECKPOINT_VERSION
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_compact_json_pieces(obj))
         fh.write("\n")
 
 
-# JSON kind of a decoded value; bool before integer, since bool is an int
-_JSON_KINDS = {"object": dict, "array": list, "string": str, "boolean": bool,
+def _float_array(value):
+    """value as a float64 ndarray if it is a non-empty, rectangular JSON array
+    of numbers, else value itself.
+
+    A flat array is converted only if every item is a float, so a tuple[int]
+    or tuple[float] field still refuses an int, a bool or a string under its
+    own key path. A nested array is converted by the np.asarray(dtype=float64)
+    call that _from_json makes for an ndarray field; any other field refuses
+    it as an array either way, so converting it early changes no outcome.
+    """
+    if type(value) is not list or not value:
+        return value
+    if type(value[0]) is not list and operator.countOf(map(type, value), float) != len(value):
+        return value
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # ragged, or items that are no numbers
+        return value
+    return arr if arr.size else value
+
+
+def _float_arrays(obj: dict) -> dict:
+    """json object_hook: each float array among obj's values, or among the
+    items of a value that is a list of arrays (a network's layer weights),
+    becomes a float64 ndarray as soon as obj is parsed, so a checkpoint is
+    read without a tree of Python floats the size of the model. Everything
+    else is left as parsed, for _from_json to decode or refuse."""
+    for key, value in obj.items():
+        value = _float_array(value)
+        if type(value) is list and all(type(item) is list for item in value):
+            value = [_float_array(item) for item in value]
+        obj[key] = value
+    return obj
+
+
+# JSON kind of a decoded value; bool before integer, since bool is an int, and
+# an ndarray is an array that _float_arrays converted while parsing
+_JSON_KINDS = {"object": dict, "array": (list, np.ndarray), "string": str, "boolean": bool,
                "integer": int, "number": float}
 _KIND_OF_TYPE = {t: k for k, t in _JSON_KINDS.items()}
 
@@ -332,7 +365,7 @@ def _read_key(obj: dict, key: str, hint, path: str):
 
 
 def _from_json(hint, value, path: str):
-    """Decode what _to_json wrote for a value of type hint.
+    """Decode what _compact_json_pieces wrote for a value of type hint.
 
     A missing key or a value of the wrong JSON kind raises ValueError naming
     its key path.
@@ -359,9 +392,13 @@ def _from_json(hint, value, path: str):
 
 
 def load_checkpoint(path) -> TrainedModel:
-    """Read a checkpoint; a malformed one raises ValueError naming the key path."""
+    """Read a checkpoint; a malformed one raises ValueError naming the key path.
+
+    The file's bytes are dropped once decoded, and each float array becomes
+    an ndarray as soon as its object is parsed (_float_arrays).
+    """
     with open(path, "rb") as fh:
-        obj = semantics.parse_json(fh.read(), "checkpoint", ValueError)
+        obj = semantics.parse_json(fh, "checkpoint", ValueError, _float_arrays)
     _expect(obj, "object", "checkpoint")
     version = _read_key(obj, "format_version", int, "checkpoint")
     if version != CHECKPOINT_VERSION:
@@ -433,8 +470,9 @@ def loss_bench(cfg: RunConfig, loss_names: list[str],
     """
     for name in loss_names:  # every cell's config is valid before any training
         dataclasses.replace(cfg, align_loss=name)
-    for rate in noise_rates:  # label-noise rates, so that key's domain holds
+    for rate in noise_rates:  # label-noise rates, so that key's domain and relation hold
         _check("--noise-rate", rate, _FIELDS["synth_label_noise"].metadata["domain"])
+        synthbench.check_label_noise("--noise-rate", rate, cfg)
     detail: dict[str, dict[float, list[float]]] = {
         name: {rate: [] for rate in noise_rates} for name in loss_names}
     for i in range(cfg.bench_seeds):
@@ -476,6 +514,14 @@ def _load_data(args) -> tuple[pipeline.FeatureDataset, semantics.SemanticTable, 
     split = pipeline.load_split_file(data / "split.json")
     pipeline.validate_split(dataset, split)
     return dataset, table, split
+
+
+def _check_feature_width(model: TrainedModel, dataset: pipeline.FeatureDataset) -> None:
+    """Refuse records that do not flatten to the skeleton encoder's input width."""
+    width, want = math.prod(dataset.payload_shape), model.vae.skel_encoder.in_dim
+    if width != want:
+        raise ValueError(f"data records flatten to {width} features, the checkpoint's "
+                         f"skeleton encoder takes {want}")
 
 
 def cmd_synth(args) -> int:
@@ -532,6 +578,7 @@ def cmd_eval(args) -> int:
             print(f"warning: checkpoint config hash {model.config_hash[:12]} does not "
                   f"match --config hash {want[:12]}", file=sys.stderr)
     dataset, table, split = _load_data(args)
+    _check_feature_width(model, dataset)
     test_unseen = dataset.by_partition("test-unseen")
     if not test_unseen:
         raise ValueError("no test-unseen records")
@@ -586,6 +633,7 @@ def cmd_loss_bench(args) -> int:
 def cmd_export_latents(args) -> int:
     model = load_checkpoint(args.checkpoint)
     dataset, _, _ = _load_data(args)
+    _check_feature_width(model, dataset)
     n = pipeline.export_latents(model.vae, model.featurizer, dataset.records, args.out)
     print(f"wrote {n} latent rows to {args.out}")
     return 0

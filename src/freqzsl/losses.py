@@ -191,8 +191,9 @@ def alignment_loss(batch: AlignmentBatch, cfg: RunConfig,
     are folded into cp and cn. With in_place=True each reconstruction
     gradient is written over the batch's own reconstruction array, so a
     caller can hand the rows it decoded straight to the decoder's backward
-    pass. Raises ValueError if a distance is not finite, which any
-    non-finite entry of an anchor or a reconstruction makes it.
+    pass. Raises ValueError if a squared distance is not finite: a
+    non-finite entry of an anchor or a reconstruction makes it so, and so
+    do finite entries whose squared differences overflow.
     """
     b = batch.size
     scatter = _scatter_matrix(batch.negatives, b)
@@ -207,7 +208,8 @@ def alignment_loss(batch: AlignmentBatch, cfg: RunConfig,
         dp = np.einsum("ij,ij->i", u, u)
         dn = np.einsum("ij,ij->i", v, v)
         if not math.isfinite(dp.sum() + dn.sum()):
-            raise ValueError(f"{anchor_key} or {recon_key} contains non-finite entries")
+            raise ValueError(f"a distance between {anchor_key} and {recon_key} rows is "
+                             "non-finite or its square overflows")
         value, cp, cn = _RULES[cfg.align_loss](dp, dn, b, cfg)
         total += value
         # the 2 of d||r||^2/dr and grad_scale go into the per-row coefficients

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -46,14 +46,19 @@ class SemanticTable:
         return self.vectors[class_id][kind]
 
 
-def parse_json(raw: bytes, where: str, error: type[ValueError]):
+def parse_json(raw: bytes | BinaryIO, where: str, error: type[ValueError],
+               object_hook=None):
     """Decode one UTF-8 JSON document; any failure raises `error` naming `where`.
 
-    Besides malformed JSON this covers bytes that are not UTF-8, integers
-    past Python's digit limit and nesting past the recursion limit.
+    raw is the document's bytes, or a binary file read to its end; a file's
+    bytes are dropped once decoded, before parsing starts. object_hook goes
+    to json.loads. Besides malformed JSON this covers bytes that are not
+    UTF-8, integers past Python's digit limit and nesting past the recursion
+    limit.
     """
     try:
-        return json.loads(raw.decode("utf-8"))
+        text = (raw if isinstance(raw, bytes) else raw.read()).decode("utf-8")
+        return json.loads(text, object_hook=object_hook)
     except UnicodeDecodeError as exc:
         raise error(f"{where}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:

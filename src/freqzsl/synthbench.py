@@ -72,6 +72,7 @@ def generate(cfg: RunConfig) -> GeneratedDataset:
     if not cfg.synth_jitter_start <= f:
         raise ConfigError(f"synth_jitter_start must be <= synth_frames ({f}), "
                           f"got {cfg.synth_jitter_start}")
+    check_label_noise("synth_label_noise", cfg.synth_label_noise, cfg)
 
     rng = numkit.make_rng(cfg.seed, _STREAM_PROTO)
     basis = np.linalg.qr(rng.standard_normal((flat_dim, cfg.synth_proto_rank)))[0].T
@@ -124,6 +125,15 @@ def generate(cfg: RunConfig) -> GeneratedDataset:
         dataset = inject_label_noise(dataset, cfg.synth_label_noise,
                                      numkit.make_rng(cfg.seed, _STREAM_NOISE))
     return GeneratedDataset(dataset, table, split, protos, cfg)
+
+
+def check_label_noise(name: str, rate: float, cfg: RunConfig) -> None:
+    """A label-noise rate above 0 moves records to another seen class, so it
+    needs two of them; name is the key or option that set the rate."""
+    seen = cfg.synth_classes - cfg.synth_unseen
+    if rate > 0 and seen < 2:
+        raise ConfigError(f"{name} > 0 needs at least 2 seen classes (synth_classes - "
+                          f"synth_unseen), got {seen}")
 
 
 def inject_label_noise(dataset: pipeline.FeatureDataset, rate: float,

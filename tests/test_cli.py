@@ -12,6 +12,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +390,32 @@ class TestKeyRelations:
                          "--out", str(tmp_path / "run")])
         assert (code, capsys.readouterr().err) == (0, "")
 
+    # two of TINY_LINES' five classes are unseen, so three leave one seen class
+    ONE_SEEN = [x for x in TINY_LINES if not x.startswith("synth_classes")] + [
+        "synth_classes = 3", "synth_label_noise = 0.5"]
+
+    @pytest.mark.parametrize("command, flags, key", [
+        ("synth", [], "synth_label_noise"),
+        ("loss-bench", ["--loss", "calibrated", "--noise-rate", "0", "--noise-rate", "0.5"],
+         "--noise-rate")])
+    def test_label_noise_with_one_seen_class_exits_two_before_training(
+            self, tmp_path, capsys, monkeypatch, command, flags, key):
+        trained = []
+        monkeypatch.setattr(cli, "train_full", lambda *a: trained.append(a))
+        cfg = write_cfg(tmp_path / "noise.cfg", self.ONE_SEEN)
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", cfg, *flags, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"config error: {key} > 0 needs at least 2 seen classes (synth_classes - "
+               "synth_unseen), got 1\n")
+        assert not out.exists() and trained == []
+
+    def test_train_accepts_label_noise_with_one_seen_class(self, tiny_env, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "noise.cfg", self.ONE_SEEN)
+        code = cli.main(["train", "--config", cfg, "--data", tiny_env["data"],
+                         "--out", str(tmp_path / "run")])
+        assert (code, capsys.readouterr().err) == (0, "")
+
 
 class TestConfigHash:
     def test_shape_and_stability(self):
@@ -506,6 +534,32 @@ class TestSelfChecks:
         assert "FAIL" in capsys.readouterr().out
 
 
+def tuned_size_model() -> cli.TrainedModel:
+    """A model the size of the tuned recipe's on the bundled benchmark (5 x 3 x
+    64 sequences, two hidden layers of 64, 16 latents, 10 seen and 2 unseen
+    classes), every value drawn so that each float prints at full length."""
+    rng = np.random.default_rng(0)
+    vae = crossvae.init_vae_params(960, 48, 16, rng, hidden=(64, 64))
+    vae = vae.with_arrays([rng.standard_normal(a.shape) for a in vae.param_arrays()])
+    enh = frequency.EnhancementConfig.per_coefficient(64, 35, 30.0).with_weights(
+        rng.uniform(0.0, 1.0, 64))
+    return cli.TrainedModel(
+        vae, pipeline.SkeletonFeaturizer(enh),
+        pipeline.SoftmaxClassifier((3, 7), rng.standard_normal((2, 16)), rng.standard_normal(2)),
+        pipeline.SoftmaxClassifier(tuple(range(10)), rng.standard_normal((10, 16)),
+                                   rng.standard_normal(10)),
+        pipeline.GateModel(rng.standard_normal(2), 0.5, 1.0), [], "0" * 64)
+
+
+def traced_peak(call):
+    """(result, peak bytes allocated while call() ran), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCheckpoint:
     def test_round_trip(self, trained, tmp_path):
         model = cli.load_checkpoint(trained["checkpoint"])
@@ -554,6 +608,19 @@ class TestCheckpoint:
     def test_piecewise_writer_matches_json_dumps(self, obj):
         pieces = "".join(cli._compact_json_pieces(obj))
         assert pieces == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    def test_codec_builds_no_model_sized_tree(self, tmp_path):
+        # a tree of the model's floats as Python objects takes more than the
+        # file; the writer goes a row at a time, and the reader holds the text
+        # and the arrays but only one object's floats at a time
+        model, path = tuned_size_model(), tmp_path / "checkpoint.json"
+        _, save_peak = traced_peak(lambda: cli.save_checkpoint(path, model))
+        size = path.stat().st_size
+        loaded, load_peak = traced_peak(lambda: cli.load_checkpoint(path))
+        assert save_peak < 0.25 * size
+        assert load_peak < 2.5 * size
+        for a, b in zip(model.vae.param_arrays(), loaded.vae.param_arrays()):
+            np.testing.assert_array_equal(a, b)
 
     def test_rejects_unknown_format_version(self, trained, tmp_path):
         blob = json.loads(Path(trained["checkpoint"]).read_text())
@@ -701,6 +768,23 @@ class TestMainEndToEnd:
         assert code == 1
         assert capsys.readouterr().err == \
             "error: config partitions 1 coefficients, spectrum has 16\n"
+
+    @pytest.mark.parametrize("command", ["eval", "export-latents"])
+    def test_data_of_another_feature_width_exits_one_naming_both(self, trained, tmp_path,
+                                                                 capsys, command):
+        # the checkpoint was trained on 2 joints x 2 coords x 16 frames = 64 features
+        cfg = write_cfg(tmp_path / "joints.cfg", [
+            x for x in TINY_LINES if not x.startswith("synth_joints")] + ["synth_joints = 3"])
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--config", cfg, "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = cli.main([command, "--checkpoint", trained["checkpoint"], "--data", str(data),
+                         "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: data records flatten to 96 features, the checkpoint's skeleton "
+               "encoder takes 64\n")
+        assert not out.exists()
 
     def test_gzsl_report_carries_the_zsl_accuracy(self, trained, tmp_path):
         model = cli.load_checkpoint(trained["checkpoint"])
@@ -886,12 +970,16 @@ class TestInDomainRuns:
         assert (code, err) == (
             1, "error: stage 2 epoch 1 step 1: skel_decoder input contains non-finite entries\n")
 
+    # the loss knobs, the learning rate and the featurizer's ramp span every
+    # decade of a float; the band weights' floor and start span [0, 1]
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(knobs=st.fixed_dictionaries({
-        key: st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
-                       st.integers(-300, 299))
-        for key in ("temperature", "align_weight", "kl_weight", "margin", "stage2_lr")}),
+        **{key: st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+                          st.integers(-300, 299))
+           for key in ("temperature", "align_weight", "kl_weight", "margin", "stage2_lr",
+                       "ramp")},
+        **{key: st.floats(0.0, 1.0) for key in ("weight_floor", "init_weight")}}),
         align_loss=st.sampled_from(losses.ALIGN_LOSSES))
     def test_loss_knobs_and_learning_rate(self, tiny_env, tmp_path, knobs, align_loss):
         lines = [line for line in SHORT_LINES if line.split(" ")[0] not in knobs]
@@ -1088,6 +1176,32 @@ def spliced_checkpoint(draw):
     return raw[:start] + draw(st.binary(max_size=8)) + raw[stop:]
 
 
+def array_paths(node, path=()):
+    """Key paths to every JSON array in node, at any depth."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        yield path
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from array_paths(child, (*path, key))
+
+
+@st.composite
+def array_item_replaced(draw):
+    """The v1 checkpoint with one item of one of its arrays (a weight row, a
+    bias, a class id, a split point...) replaced by a scalar or a short list."""
+    blob = json.loads(CHECKPOINT_V1.read_text(encoding="utf-8"))
+    node = blob
+    for key in draw(st.sampled_from(list(array_paths(blob)))):
+        node = node[key]
+    node[draw(st.integers(0, len(node) - 1))] = draw(
+        json_scalars | st.lists(json_scalars, max_size=3))
+    return json.dumps(blob).encode()
+
+
 CHECKPOINT_FUZZ = {"bytes": st.binary(max_size=200), "json": json_values.map(
     lambda o: json.dumps(o).encode()), "mutated": mutated_checkpoint(),
     "spliced": spliced_checkpoint()}
@@ -1125,6 +1239,24 @@ class TestMalformedCheckpoints:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint: not valid JSON (maximum recursion")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("content", ["mutated", "array-item"])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_arrays_converted_while_parsing_decode_as_lists_do(self, tmp_path, content, data):
+        # the reference reads the whole tree of plain lists, as _from_json alone did
+        path = tmp_path / "checkpoint.json"
+        strategy = mutated_checkpoint() if content == "mutated" else array_item_replaced()
+        path.write_bytes(data.draw(strategy))
+        outcomes = []
+        for hook in (cli._float_arrays, lambda obj: obj):
+            with unittest.mock.patch.object(cli, "_float_arrays", hook):
+                try:
+                    outcomes.append("".join(cli._compact_json_pieces(cli.load_checkpoint(path))))
+                except ValueError as exc:
+                    outcomes.append(f"ValueError: {exc}")
+        assert outcomes[0] == outcomes[1]
 
     def test_without_enhancement_loads_none(self, tmp_path):
         blob = json.loads(CHECKPOINT_V1.read_text(encoding="utf-8"))

@@ -362,6 +362,15 @@ class TestTripletBaselines:
         with pytest.raises(ValueError, match="align_loss must be one of"):
             align(random_batch(10), "t9")
 
+    @pytest.mark.parametrize("entry", [1e200, math.nan], ids=["finite-overflow", "nan"])
+    def test_distance_check_names_its_arrays_whichever_the_cause(self, entry):
+        batch = random_batch(13)
+        batch.f_s[0, 0] = entry  # a finite 1e200 leaves every entry finite; its square is inf
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="^a distance between f_s and g_t_s rows is non-finite or its "
+                                  "square overflows$"):
+            align(batch, "calibrated")
+
 
 class TestLossConfig:
     """The objective's keys of RunConfig, which the losses read."""

@@ -61,6 +61,15 @@ class TestConfig:
         with pytest.raises(synthbench.ConfigError, match=key):
             synthbench.generate(small_config(**{key: value}))
 
+    def test_label_noise_needs_two_seen_classes(self):
+        with pytest.raises(synthbench.ConfigError, match="^synth_label_noise > 0 needs at "
+                                                         "least 2 seen classes"):
+            synthbench.generate(small_config(synth_unseen=5, synth_label_noise=0.5))
+        # one seen class is fine without noise, and two can swap labels
+        synthbench.generate(small_config(synth_unseen=5))
+        gen = synthbench.generate(small_config(synth_unseen=4, synth_label_noise=0.5))
+        assert len(gen.split.seen) == 2
+
     def test_relations_at_their_limits_are_accepted(self):
         gen = synthbench.generate(small_config(
             synth_unseen=5, synth_low_band_start=0, synth_low_band_stop=32,
