@@ -109,8 +109,6 @@ class RunConfig:
     unseen_lr: float = _key(1e-3, "(0, inf)")
     seen_epochs: int = _key(300, "[0, inf)")
     seen_lr: float = _key(1e-3, "(0, inf)")
-    gate_c: float = _key(1.0, "(0, inf)")
-    gate_holdout: float = _key(0.2, "(0, 1)")
     bench_seeds: int = _key(5, "[1, inf)")
     seed: int = _key(0, "[0, inf)")
 
@@ -206,9 +204,11 @@ class TrainedModel:
     featurizer: pipeline.SkeletonFeaturizer
     unseen_clf: pipeline.SoftmaxClassifier
     seen_clf: pipeline.SoftmaxClassifier
-    gate: pipeline.GateModel
     loss_log: list[dict]
     config_hash: str
+    # not a field, so no checkpoint holds it, and nothing reads it: callers
+    # written for the fitted gate pass it to pipeline.evaluate_gzsl
+    gate = None
 
 
 def train_full(cfg: RunConfig, dataset: pipeline.FeatureDataset,
@@ -221,42 +221,20 @@ def train_full(cfg: RunConfig, dataset: pipeline.FeatureDataset,
         dataset, table, split, make_featurizer(cfg, dataset), cfg, rng)
 
     with np.errstate(all="ignore"):
-        unseen_clf = pipeline.synthesize_unseen_classifier(
-            params, table, split.unseen, n_samples=cfg.unseen_samples,
-            epochs=cfg.unseen_epochs, lr=cfg.unseen_lr, rng=rng)
-
-        train_records = dataset.by_partition("train-seen")
-        n_hold = max(1, int(round(cfg.gate_holdout * len(train_records))))
-        if n_hold >= len(train_records):
-            raise ConfigError("gate_holdout leaves no records to fit the seen classifier")
-        hold_idx = set(rng.choice(len(train_records), size=n_hold, replace=False).tolist())
-        fit_records = [r for i, r in enumerate(train_records) if i not in hold_idx]
-        hold_records = [r for i, r in enumerate(train_records) if i in hold_idx]
-
+        unseen_clf = pipeline.synthesize_unseen_classifier(params, table, split.unseen,
+                                                           cfg, rng)
         seen_clf = pipeline.train_seen_classifier(
-            params, featurizer, fit_records, split.seen,
-            epochs=cfg.seen_epochs, lr=cfg.seen_lr)
-
-        # match the synthesized count to the holdout so the logistic fit is balanced
-        n_per_class = max(1, -(-n_hold // len(split.unseen)))
-        gate_unseen = np.concatenate([
-            crossvae.sample_class_latents(params, semantics.fuse(table, cid),
-                                          n_per_class, rng)
-            for cid in split.unseen])
-        heldout_latents = pipeline.encode_latent_means(params, featurizer, hold_records)
-        gate = pipeline.train_gate(seen_clf, gate_unseen, heldout_latents, cfg.gate_c)
-    return TrainedModel(params, featurizer, unseen_clf, seen_clf, gate,
-                        loss_log, config_hash(cfg))
+            params, featurizer, dataset.by_partition("train-seen"), split.seen, cfg)
+    return TrainedModel(params, featurizer, unseen_clf, seen_clf, loss_log, config_hash(cfg))
 
 
 # ---- checkpoint format ----
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 1 also held a gate section
 
 # checkpoint key -> TrainedModel field; the loss log is written on its own
 _CHECKPOINT_FIELDS = {"config_hash": "config_hash", "vae": "vae", "featurizer": "featurizer",
-                      "unseen_classifier": "unseen_clf", "seen_classifier": "seen_clf",
-                      "gate": "gate"}
+                      "unseen_classifier": "unseen_clf", "seen_classifier": "seen_clf"}
 
 
 def _compact_json_pieces(value):
@@ -298,19 +276,25 @@ def save_checkpoint(path, model: TrainedModel) -> None:
         fh.write("\n")
 
 
+def _all_floats(items) -> bool:
+    return operator.countOf(map(type, items), float) == len(items)
+
+
 def _float_array(value):
     """value as a float64 ndarray if it is a non-empty, rectangular JSON array
-    of numbers, else value itself.
+    of floats or of arrays of floats, else value itself.
 
-    A flat array is converted only if every item is a float, so a tuple[int]
-    or tuple[float] field still refuses an int, a bool or a string under its
-    own key path. A nested array is converted by the np.asarray(dtype=float64)
-    call that _from_json makes for an ndarray field; any other field refuses
-    it as an array either way, so converting it early changes no outcome.
+    Only floats are converted, so a tuple[int] or tuple[float] field still
+    refuses an int, a bool or a string under its own key path, and an ndarray
+    field refuses a null or a string under the path of the item (_from_json).
+    A nested array is converted as the np.asarray(dtype=float64) call that
+    _from_json makes for an ndarray field would; any other field refuses it
+    as an array either way, so converting it early changes no outcome.
     """
     if type(value) is not list or not value:
         return value
-    if type(value[0]) is not list and operator.countOf(map(type, value), float) != len(value):
+    if not (_all_floats(value) or all(type(row) is list and _all_floats(row)
+                                      for row in value)):
         return value
     try:
         arr = np.array(value, dtype=np.float64)
@@ -364,6 +348,16 @@ def _read_key(obj: dict, key: str, hint, path: str):
     return _from_json(hint, obj[key], f"{path}.{key}")
 
 
+def _expect_numbers(items: list, path: str) -> None:
+    """Refuse an item of a (nested) JSON array that is not a number; a row
+    that _float_arrays converted holds floats only."""
+    for i, item in enumerate(items):
+        if type(item) is list:
+            _expect_numbers(item, f"{path}[{i}]")
+        elif type(item) is not np.ndarray:
+            _expect(item, "number", f"{path}[{i}]")
+
+
 def _from_json(hint, value, path: str):
     """Decode what _compact_json_pieces wrote for a value of type hint.
 
@@ -386,7 +380,14 @@ def _from_json(hint, value, path: str):
         return origin(_from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value))
     if hint is np.ndarray:
         _expect(value, "array", path)
-        return _construct(path, np.asarray, value, dtype=np.float64)
+        if type(value) is list:  # _float_arrays left it: one item is no float
+            _expect_numbers(value, path)
+        arr = _construct(path, np.asarray, value, dtype=np.float64)
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            index = "".join(f"[{i}]" for i in bad[0])
+            raise ValueError(f"{path}{index} must be a finite number, not {arr[tuple(bad[0])]}")
+        return arr
     _expect(value, _KIND_OF_TYPE[hint], path)
     return _construct(path, float, value) if hint is float else value
 

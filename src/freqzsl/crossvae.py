@@ -100,9 +100,9 @@ class VaeParams:
 
 
 def init_vae_params(skel_dim: int, text_dim: int, latent_dim: int,
-                    rng: np.random.Generator,
-                    hidden: tuple[int, ...] = (128, 128)) -> VaeParams:
-    """Fresh networks; draw order is fixed so a seed pins every weight."""
+                    rng: np.random.Generator, hidden: tuple[int, ...]) -> VaeParams:
+    """Fresh networks with the given hidden widths; draw order is fixed so a
+    seed pins every weight."""
     h = tuple(hidden)
     return VaeParams(
         skel_encoder=numkit.init_mlp((skel_dim, *h, 2 * latent_dim), rng),

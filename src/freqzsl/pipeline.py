@@ -7,9 +7,10 @@ embedding file, and a seen/unseen class split. Stage 2 jointly trains the
 twin VAEs and the frequency-band weights on seen-class batches. Stage 3
 trains a softmax classifier over unseen classes purely from latents sampled
 out of each unseen class's text posterior. Stage 4 trains a seen-class
-softmax classifier on skeleton latent means plus a two-feature logistic
-gate (top-1 seen probability, prediction entropy) that routes each test
-sample to the seen or unseen classifier.
+softmax classifier on the skeleton latent means of every train-seen record.
+GZSL evaluation routes each test sample to whichever head is the more
+confident: the seen head when its top-1 probability is at least the unseen
+head's, the unseen head otherwise.
 
 Split hygiene is enforced, not assumed: training touches only train-seen
 records, and no unseen class id can enter a training batch.
@@ -327,84 +328,6 @@ def train_softmax_classifier(latents: Array, labels: Array,
     return clf
 
 
-# ---- gate ----
-
-GATE_MAX_STEPS = 100  # Newton steps; converging fits take a handful
-
-
-@dataclass
-class GateModel:
-    """Binary logistic head over (top-1 seen probability, prediction entropy)."""
-
-    weights: Array
-    bias: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if np.shape(self.weights) != (2,):
-            raise ValueError(f"weights must have shape (2,), got {np.shape(self.weights)}")
-
-    def predict_proba_seen(self, feats: Array) -> Array:
-        return numkit.sigmoid(np.asarray(feats, dtype=np.float64) @ self.weights + self.bias)
-
-
-def gate_features(seen_clf: SoftmaxClassifier, latents: Array) -> Array:
-    """(N, 2) block: max seen-class probability and prediction entropy."""
-    p = seen_clf.predict_proba(np.atleast_2d(latents))
-    top1 = p.max(axis=-1)
-    ent = -np.sum(np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0), axis=-1)
-    return np.stack([top1, ent], axis=-1)
-
-
-def train_gate(seen_clf: SoftmaxClassifier, unseen_latents: Array,
-               heldout_seen_latents: Array, c: float = 1.0) -> GateModel:
-    """L2-regularized logistic regression by damped Newton, seen side positive.
-
-    Objective 0.5 ||w||^2 + c * sum softplus(-y z) with z = x w + b and the
-    intercept unregularized; c plays the usual inverse-regularization role.
-    With two features the Hessian is 3 x 3, so each step is one linear
-    solve and a backtracking (Armijo) line search. Once the Newton decrement
-    is negligible the last step is taken in full and the fit stops; it
-    raises ValueError if GATE_MAX_STEPS steps do not get there.
-    """
-    f_pos = gate_features(seen_clf, heldout_seen_latents)
-    f_neg = gate_features(seen_clf, unseen_latents)
-    x = np.concatenate([f_pos, f_neg])
-    x = np.concatenate([x, np.ones((len(x), 1))], axis=1)  # intercept column
-    y = np.concatenate([np.ones(len(f_pos)), -np.ones(len(f_neg))])
-    reg = np.array([1.0, 1.0, 0.0])  # the intercept is not regularized
-
-    def objective(theta):
-        m = -y * (x @ theta)
-        value = 0.5 * float(theta[:-1] @ theta[:-1]) + c * float(np.logaddexp(0.0, m).sum())
-        return value, m
-
-    theta = np.zeros(x.shape[1])
-    value, m = objective(theta)
-    for _ in range(GATE_MAX_STEPS):
-        s = numkit.sigmoid(m)
-        grad = reg * theta - x.T @ (c * y * s)
-        hess = (x.T * (c * s * (1.0 - s))) @ x + np.diag(reg)
-        step = np.linalg.solve(hess, grad)
-        decrement = float(grad @ step)  # twice the objective drop the step predicts
-        if decrement <= 1e-12 * max(1.0, value):
-            # a few float64 ulps of the objective: the quadratic model is exact
-            # to rounding here, so the full step lands on the minimum
-            theta = theta - step
-            return GateModel(theta[:-1].copy(), float(theta[-1]), c)
-        t = 1.0
-        while True:
-            trial_value, trial_m = objective(theta - t * step)
-            if trial_value <= value - 0.25 * t * decrement:
-                break
-            t *= 0.5
-            if t < 1e-10:
-                raise ValueError("gate fit: line search cannot lower the objective")
-        theta = theta - t * step
-        value, m = trial_value, trial_m
-    raise ValueError(f"gate fit did not converge in {GATE_MAX_STEPS} Newton steps")
-
-
 # ---- stage 2: joint VAE + band-weight training ----
 
 # the slices of the flat stage-2 gradient, in VaeParams.nets() order
@@ -545,39 +468,36 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
 
 def synthesize_unseen_classifier(params: crossvae.VaeParams,
                                  table: semantics.SemanticTable,
-                                 unseen_ids: Sequence[int], *,
-                                 n_samples: int = 500, epochs: int = 300,
-                                 lr: float = 1e-3,
+                                 unseen_ids: Sequence[int], cfg: RunConfig,
                                  rng: np.random.Generator) -> SoftmaxClassifier:
-    """Train the unseen-class softmax head on latents drawn per class posterior."""
+    """Train the unseen-class softmax head on cfg.unseen_samples latents drawn
+    per class posterior, with cfg's unseen-head schedule."""
     unseen_ids = tuple(int(c) for c in unseen_ids)
     if not unseen_ids:
         raise ValueError("no unseen classes given")
-    if n_samples < 1:
-        raise ValueError("need at least one latent sample per class")
     xs, ys = [], []
     for cid in unseen_ids:
         xs.append(crossvae.sample_class_latents(params, semantics.fuse(table, cid),
-                                                n_samples, rng))
-        ys.extend([cid] * n_samples)
+                                                cfg.unseen_samples, rng))
+        ys.extend([cid] * cfg.unseen_samples)
     return train_softmax_classifier(np.concatenate(xs), np.asarray(ys), unseen_ids,
-                                    epochs=epochs, lr=lr)
+                                    epochs=cfg.unseen_epochs, lr=cfg.unseen_lr)
 
 
-# ---- stage 4: seen classifier and gate ----
+# ---- stage 4: seen classifier ----
 
 
 def train_seen_classifier(params: crossvae.VaeParams, featurizer: SkeletonFeaturizer,
                           records: Sequence[FeatureRecord],
-                          class_ids: Sequence[int], *, epochs: int = 300,
-                          lr: float = 1e-3) -> SoftmaxClassifier:
-    """Softmax head over skeleton latent means of seen-class training records."""
+                          class_ids: Sequence[int], cfg: RunConfig) -> SoftmaxClassifier:
+    """Softmax head over skeleton latent means of seen-class training records,
+    with cfg's seen-head schedule."""
     if not records:
         raise ValueError("no training records")
     latents = encode_latent_means(params, featurizer, records)
     labels = np.asarray([r.class_id for r in records])
     return train_softmax_classifier(latents, labels, tuple(int(c) for c in class_ids),
-                                    epochs=epochs, lr=lr)
+                                    epochs=cfg.seen_epochs, lr=cfg.seen_lr)
 
 
 # ---- evaluation ----
@@ -616,21 +536,34 @@ def evaluate_zsl(params: crossvae.VaeParams, featurizer: SkeletonFeaturizer,
 
 
 def evaluate_gzsl(params: crossvae.VaeParams, featurizer: SkeletonFeaturizer,
-                  gate: GateModel, seen_clf: SoftmaxClassifier,
+                  gate: None, seen_clf: SoftmaxClassifier,
                   unseen_clf: SoftmaxClassifier,
                   test_seen: Sequence[FeatureRecord],
                   test_unseen: Sequence[FeatureRecord]) -> EvalReport:
-    """Gate-routed evaluation over both test partitions; zsl_accuracy is the
-    unseen head alone on test_unseen, as evaluate_zsl computes it."""
+    """Evaluation over both test partitions, each record routed to the seen
+    head when its top-1 seen probability is at least its top-1 unseen
+    probability (a tie goes to seen), else to the unseen head. zsl_accuracy
+    is the unseen head alone on test_unseen, as evaluate_zsl computes it.
+
+    gate is not read. It keeps the positional order of callers written when
+    a fitted gate did the routing (TrainedModel.gate is None).
+
+    A head over one class has top-1 probability 1 on every record and would
+    take them all, so this raises ValueError for one.
+    """
     if not test_seen or not test_unseen:
         raise ValueError("both test partitions must be non-empty")
+    for side, clf in (("seen", seen_clf), ("unseen", unseen_clf)):
+        if len(clf.class_ids) < 2:
+            raise ValueError(f"gzsl routing needs 2 or more {side} classes: a one-class "
+                             f"{side} head has top-1 probability 1 and takes every record")
     correct: dict[int, int] = {}
     totals: dict[int, int] = {}
     group_acc = []
     for group_records in (test_seen, test_unseen):
         latents = encode_latent_means(params, featurizer, group_records)
-        p_seen = gate.predict_proba_seen(gate_features(seen_clf, latents))
-        route_seen = p_seen >= 0.5
+        route_seen = (seen_clf.predict_proba(latents).max(axis=-1)
+                      >= unseen_clf.predict_proba(latents).max(axis=-1))
         unseen_pred = unseen_clf.predict(latents)
         pred = np.where(route_seen, seen_clf.predict(latents), unseen_pred)
         truth = np.asarray([r.class_id for r in group_records])

@@ -1,6 +1,7 @@
 """Release gate: the thirteen acceptance criteria, one test per criterion,
 in order, each printing a single PASS or FAIL line (visible under -s / -rA),
-plus a check of the jitter scale that criterion 12 sets.
+plus a check of the jitter scale that criterion 12 sets and a GZSL floor
+on the harmonic mean of max-probability routing.
 
 Criteria 1-9 are deterministic numeric checks and finish in seconds.
 Criteria 10-12 train full pipelines on the synthetic benchmark with the
@@ -297,6 +298,26 @@ def test_criterion_12_enhancement_ablation():
                 gen.dataset, gen.table, gen.split)
             wins += piece >= learn
         assert wins >= 4, wins
+
+
+# Outside the numbered criteria. On this setting (the tuned recipe cut to
+# 100 stage-2 epochs, seeds 0-4) max-probability routing measured H = 0.958,
+# 0.533, 0.529, 0.769 and 0.902, and the fitted gate it replaced 0.750,
+# 0.048, 0.498, 0 and 0.570 (GZSL_14.json).
+GZSL_FLOOR = 0.5
+
+
+def test_gzsl_harmonic_mean_clears_its_floor():
+    harmonic = []
+    for seed in range(5):
+        cfg = dataclasses.replace(cli.parse_config(TUNED_CONFIG), seed=seed, stage2_epochs=100)
+        gen = synthbench.generate(cfg)
+        model = cli.train_full(cfg, gen.dataset, gen.table, gen.split)
+        harmonic.append(pipeline.evaluate_gzsl(
+            model.vae, model.featurizer, None, model.seen_clf, model.unseen_clf,
+            gen.dataset.by_partition("test-seen"), gen.dataset.by_partition("test-unseen"),
+        ).harmonic)
+    assert sum(h >= GZSL_FLOOR for h in harmonic) >= 4, harmonic
 
 
 def test_criterion_13_checkpoint_determinism(tmp_path):

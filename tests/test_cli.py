@@ -144,19 +144,19 @@ class TestRunConfigValidation:
         {"batch_size": 0},
         {"band_size": 0},
         {"stage2_epochs": -1},
-        {"gate_holdout": 0.0},
-        {"gate_holdout": 1.0},
         {"bench_seeds": 0},
         {"stage2_lr": 0.0},
         {"unseen_lr": -1.0},
         {"seen_lr": float("nan")},
-        {"gate_c": 0.0},
         {"align_loss": "t4", "margin": 0.0},
         {"weight_floor": float("nan")},
         {"weight_floor": 2.0},
         {"weight_floor": -1.0},
         {"unseen_samples": 0},
         {"seed": -1},
+        {"unseen_epochs": -1},
+        {"seen_epochs": -1},
+        {"seen_lr": 0.0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -187,7 +187,7 @@ class TestConfigDomains:
         return code, err
 
     def test_float_keys_are_found(self):
-        assert {"stage2_lr", "unseen_lr", "seen_lr", "gate_c", "margin",
+        assert {"stage2_lr", "unseen_lr", "seen_lr", "margin",
                 "temperature"} <= set(FLOAT_KEYS)
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
@@ -198,12 +198,16 @@ class TestConfigDomains:
         assert err.count("\n") == 1 and key in err and "not a finite number" in err
 
     @pytest.mark.parametrize("raw", ["0", "-1e-3"])
-    @pytest.mark.parametrize("key", ["stage2_lr", "unseen_lr", "seen_lr", "gate_c"])
-    def test_non_positive_rate_or_gate_c_exits_two(self, tiny_env, tmp_path, capsys, key,
-                                                   raw):
+    @pytest.mark.parametrize("key", ["stage2_lr", "unseen_lr", "seen_lr"])
+    def test_non_positive_rate_exits_two(self, tiny_env, tmp_path, capsys, key, raw):
         code, err = self.train_exit(tiny_env, tmp_path, capsys, f"{key} = {raw}")
         assert code == 2
         assert err.count("\n") == 1 and f"{key} must be > 0" in err
+
+    @pytest.mark.parametrize("key", ["gate_c", "gate_holdout"])
+    def test_keys_of_the_removed_gate_are_unknown(self, tiny_env, tmp_path, capsys, key):
+        code, err = self.train_exit(tiny_env, tmp_path, capsys, f"{key} = 0.5")
+        assert (code, err.count("\n")) == (2, 1) and f"unknown key {key!r}" in err
 
     @pytest.mark.parametrize("raw", ["0", "-2"])
     def test_t4_with_non_positive_margin_exits_two(self, tiny_env, tmp_path, capsys, raw):
@@ -317,6 +321,11 @@ class TestFieldDomains:
         code, err = self.run(tiny_env, tmp_path, capsys, command, line)
         assert (code, err) == (2, f"config error: {message}\n")
 
+    @pytest.mark.parametrize("key", ["gate_c", "gate_holdout"])
+    def test_synth_refuses_the_keys_of_the_removed_gate(self, tiny_env, tmp_path, capsys, key):
+        code, err = self.run(tiny_env, tmp_path, capsys, "synth", f"{key} = 0.5")
+        assert (code, err.count("\n")) == (2, 1) and f"unknown key {key!r}" in err
+
     def test_eval_refuses_an_out_of_domain_config(self, trained, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "bad.cfg", TINY_LINES + ["ramp = 0"])
         code = cli.main(["eval", "--checkpoint", trained["checkpoint"], "--config", cfg,
@@ -429,7 +438,7 @@ class TestConfigHash:
         {"enhance_mode": "off"},
         {"train_weights": False},
         {"synth_classes": 13},
-        {"gate_holdout": 0.3},
+        {"seen_lr": 0.02},
         {"align_loss": "t2"},
     ])
     def test_sensitive_to_each_field(self, kwargs):
@@ -548,7 +557,7 @@ def tuned_size_model() -> cli.TrainedModel:
         pipeline.SoftmaxClassifier((3, 7), rng.standard_normal((2, 16)), rng.standard_normal(2)),
         pipeline.SoftmaxClassifier(tuple(range(10)), rng.standard_normal((10, 16)),
                                    rng.standard_normal(10)),
-        pipeline.GateModel(rng.standard_normal(2), 0.5, 1.0), [], "0" * 64)
+        [], "0" * 64)
 
 
 def traced_peak(call):
@@ -583,14 +592,12 @@ class TestCheckpoint:
             pipeline.SkeletonFeaturizer(
                 rebuilt.enhancement.with_weights(model.featurizer.enhancement.weights),
                 cfg.enhance_vectors).features([raw]))
-        # gate operates on the (top-1 prob, entropy) summary pair
-        assert model.gate.weights.shape == (2,)
 
     def test_checkpoint_json_shape(self, trained):
         blob = json.loads(Path(trained["checkpoint"]).read_text())
         assert blob["format_version"] == cli.CHECKPOINT_VERSION
-        assert set(blob) >= {"config_hash", "vae", "featurizer",
-                            "unseen_classifier", "seen_classifier", "gate"}
+        assert set(blob) == {"format_version", "config_hash", "vae", "featurizer",
+                             "unseen_classifier", "seen_classifier"}
         assert blob["featurizer"]["enhancement"]["mode"] == "piecewise"
 
     def test_bytes_equal_one_shot_compact_json(self, trained):
@@ -621,6 +628,15 @@ class TestCheckpoint:
         assert load_peak < 2.5 * size
         for a, b in zip(model.vae.param_arrays(), loaded.vae.param_arrays()):
             np.testing.assert_array_equal(a, b)
+
+    def test_model_holds_no_gate(self, trained, tmp_path):
+        # TrainedModel.gate is a class attribute for callers that still pass
+        # it to evaluate_gzsl; no field, and so no checkpoint key, holds one
+        assert "gate" not in {f.name for f in dataclasses.fields(cli.TrainedModel)}
+        again = tmp_path / "again.json"
+        cli.save_checkpoint(again, cli.load_checkpoint(trained["checkpoint"]))
+        assert "gate" not in json.loads(again.read_text())
+        assert cli.load_checkpoint(again).gate is None
 
     def test_rejects_unknown_format_version(self, trained, tmp_path):
         blob = json.loads(Path(trained["checkpoint"]).read_text())
@@ -708,13 +724,13 @@ class TestMainEndToEnd:
         (lambda blob: blob.pop("featurizer"), "checkpoint has no key 'featurizer'"),
         (lambda blob: blob["vae"]["text_decoder"].pop("biases"),
          "checkpoint.vae.text_decoder has no key 'biases'"),
-        (lambda blob: blob["gate"].update(bias="0.5"),
-         "checkpoint.gate.bias must be a JSON number, not string"),
+        (lambda blob: blob["featurizer"]["enhancement"].update(ramp="30"),
+         "checkpoint.featurizer.enhancement.ramp must be a JSON number, not string"),
         (lambda blob: blob["featurizer"]["enhancement"].pop("ramp"),
          "checkpoint.featurizer.enhancement has no key 'ramp'"),
         (lambda blob: blob["vae"].update(latent_dim=3), "checkpoint.vae: "),
         (lambda blob: blob["seen_classifier"].update(weights=[[1.0], "x"]),
-         "checkpoint.seen_classifier: "),
+         "checkpoint.seen_classifier.weights[1] must be a JSON number, not string"),
         (lambda blob: blob["vae"].update(latent_dim=4.0),
          "checkpoint.vae.latent_dim must be a JSON integer, not number"),
         (lambda blob: blob["seen_classifier"]["class_ids"].append(True),
@@ -723,15 +739,24 @@ class TestMainEndToEnd:
          "checkpoint.vae.skel_encoder.weights[0] must be a JSON array, not number"),
         (lambda blob: blob["featurizer"].update(enhancement=[]),
          "checkpoint.featurizer.enhancement must be a JSON object, not array"),
-        (lambda blob: blob["gate"].update(weights=[1e400, 10 ** 400]), "checkpoint.gate: "),
-        (lambda blob: blob["gate"].update(bias=10 ** 400),
-         "checkpoint.gate: int too large to convert to float"),
+        (lambda blob: blob["unseen_classifier"].update(bias=[1e400, 10 ** 400]),
+         "checkpoint.unseen_classifier: int too large to convert to float"),
+        (lambda blob: blob["featurizer"]["enhancement"].update(ramp=10 ** 400),
+         "checkpoint.featurizer: int too large to convert to float"),
+        # an array item that is null, a string or not finite would be read as a
+        # float (nan, 1.5, nan) and score garbage
+        (lambda blob: blob["seen_classifier"]["weights"][0].__setitem__(1, None),
+         "checkpoint.seen_classifier.weights[0][1] must be a JSON number, not null"),
+        (lambda blob: blob["unseen_classifier"]["bias"].__setitem__(1, math.nan),
+         "checkpoint.unseen_classifier.bias[1] must be a finite number, not nan"),
+        (lambda blob: blob["unseen_classifier"]["bias"].__setitem__(0, "1.5"),
+         "checkpoint.unseen_classifier.bias[0] must be a JSON number, not string"),
         (lambda blob: blob.update(format_version=True),
          "checkpoint.format_version must be a JSON integer, not boolean"),
         # a floor outside [0, 1] is refused on load as it is in a config
         *[(lambda blob, floor=floor: blob["featurizer"]["enhancement"].update(floor=floor),
            "checkpoint.featurizer: floor must lie in [0, 1]") for floor in (math.nan, 2, -1)],
-        # heads whose labels, rows and biases disagree, and a gate of the wrong width
+        # heads whose labels, rows and biases disagree
         (lambda blob: blob["seen_classifier"]["class_ids"].pop(),
          "checkpoint.seen_classifier: 2 class ids need 2 weight rows and 2 biases, "
          "got weights (3, 4) and bias (3,)"),
@@ -739,8 +764,6 @@ class TestMainEndToEnd:
             bias=blob["unseen_classifier"]["bias"][:1]),
          "checkpoint.unseen_classifier: 2 class ids need 2 weight rows and 2 biases, "
          "got weights (2, 4) and bias (1,)"),
-        (lambda blob: blob["gate"].update(weights=[0.5]),
-         "checkpoint.gate: weights must have shape (2,), got (1,)"),
     ])
     def test_eval_names_the_bad_key_of_a_malformed_checkpoint(self, trained, tmp_path,
                                                                capsys, corrupt, named):
@@ -790,6 +813,7 @@ class TestMainEndToEnd:
         model = cli.load_checkpoint(trained["checkpoint"])
         dataset = pipeline.load_feature_file(Path(trained["data"]) / "features.jsonl")
         unseen = dataset.by_partition("test-unseen")
+        # perfbench's check eval still passes the unread model.gate in this position
         report = pipeline.evaluate_gzsl(model.vae, model.featurizer, model.gate,
                                         model.seen_clf, model.unseen_clf,
                                         dataset.by_partition("test-seen"), unseen)
@@ -803,6 +827,23 @@ class TestMainEndToEnd:
                              "--out", str(out)]) == 0
             written[mode] = json.loads(out.read_text())["zsl_accuracy"]
         assert written["zsl"] == written["gzsl"] == report.zsl_accuracy
+
+    def test_gzsl_refuses_a_one_class_unseen_head_and_zsl_scores_it(self, tiny_env, tmp_path,
+                                                                     capsys):
+        cfg = write_cfg(tmp_path / "one.cfg", [
+            x for x in TINY_LINES if not x.startswith("synth_unseen")] + ["synth_unseen = 1"])
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert cli.main(["synth", "--config", cfg, "--out", str(data)]) == 0
+        with pytest.warns(UserWarning, match="single class"):
+            assert cli.main(["train", "--config", cfg, "--data", str(data),
+                             "--out", str(out)]) == 0
+        capsys.readouterr()
+        args = ["eval", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data)]
+        assert cli.main(args + ["--mode", "gzsl", "--out", str(tmp_path / "g.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "one-class unseen head" in err
+        assert cli.main(args + ["--mode", "zsl", "--out", str(tmp_path / "z.json")]) == 0
+        assert json.loads((tmp_path / "z.json").read_text())["zsl_accuracy"] == 1.0
 
     def test_export_latents(self, trained, capsys):
         out = trained["root"] / "latents.csv"
@@ -944,6 +985,18 @@ def test_train_without_band_weights_is_bit_reproducible(tiny_env, tmp_path, monk
 # criterion 13's config cut to 5 stage-2 epochs; it trains in a few tens of ms
 SHORT_LINES = [line for line in DETERMINISM_LINES if not line.startswith("stage2_epochs")] + [
     "stage2_epochs = 5"]
+
+
+def test_train_full_fits_the_seen_head_on_every_train_seen_record(tiny_env, monkeypatch):
+    cfg = cli.parse_config(tiny_env["cfg"])
+    gen = synthbench.generate(cfg)
+    fitted = []
+    fit = pipeline.train_seen_classifier
+    monkeypatch.setattr(pipeline, "train_seen_classifier",
+                        lambda *a: fitted.append(a[2]) or fit(*a))
+    model = cli.train_full(cfg, gen.dataset, gen.table, gen.split)
+    assert fitted == [gen.dataset.by_partition("train-seen")]
+    assert model.seen_clf.class_ids == tuple(gen.split.seen)
 
 
 def train_quietly(tiny_env, out, lines):
@@ -1140,19 +1193,30 @@ class TestMalformedDataFiles:
 # ---- checkpoints: the committed format and malformed files ----
 
 # written by `train` on the checkpoint-determinism criterion's config
-CHECKPOINT_V1 = REPO / "tests" / "data" / "checkpoint-v1.json"
+CHECKPOINT_V2 = REPO / "tests" / "data" / "checkpoint-v2.json"
 
 
-def test_v1_checkpoint_round_trips_byte_for_byte(tmp_path):
+def test_v2_checkpoint_round_trips_byte_for_byte(tmp_path):
     again = tmp_path / "again.json"
-    cli.save_checkpoint(again, cli.load_checkpoint(CHECKPOINT_V1))
-    assert again.read_bytes() == CHECKPOINT_V1.read_bytes()
+    cli.save_checkpoint(again, cli.load_checkpoint(CHECKPOINT_V2))
+    assert again.read_bytes() == CHECKPOINT_V2.read_bytes()
+
+
+def test_v1_checkpoint_is_refused(tmp_path, capsys):
+    # version 1 also held the fitted gate that GZSL routing no longer reads
+    blob = json.loads(CHECKPOINT_V2.read_text(encoding="utf-8"))
+    blob.update(format_version=1, gate={"bias": -0.08, "c": 1.0, "weights": [-0.13, 0.14]})
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(blob, sort_keys=True, separators=(",", ":")), encoding="utf-8")
+    code = cli.main(["eval", "--checkpoint", str(path), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "r.json")])
+    assert (code, capsys.readouterr().err) == (1, "error: checkpoint format 1 not supported\n")
 
 
 @st.composite
 def mutated_checkpoint(draw):
-    """The v1 checkpoint with one value replaced, or one key or item dropped."""
-    blob = json.loads(CHECKPOINT_V1.read_text(encoding="utf-8"))
+    """The v2 checkpoint with one value replaced, or one key or item dropped."""
+    blob = json.loads(CHECKPOINT_V2.read_text(encoding="utf-8"))
     node = blob
     while True:
         key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
@@ -1169,8 +1233,8 @@ def mutated_checkpoint(draw):
 
 @st.composite
 def spliced_checkpoint(draw):
-    """The v1 checkpoint's bytes with a short run replaced by arbitrary bytes."""
-    raw = CHECKPOINT_V1.read_bytes()
+    """The v2 checkpoint's bytes with a short run replaced by arbitrary bytes."""
+    raw = CHECKPOINT_V2.read_bytes()
     start = draw(st.integers(0, len(raw)))
     stop = draw(st.integers(start, min(len(raw), start + 8)))
     return raw[:start] + draw(st.binary(max_size=8)) + raw[stop:]
@@ -1191,9 +1255,9 @@ def array_paths(node, path=()):
 
 @st.composite
 def array_item_replaced(draw):
-    """The v1 checkpoint with one item of one of its arrays (a weight row, a
+    """The v2 checkpoint with one item of one of its arrays (a weight row, a
     bias, a class id, a split point...) replaced by a scalar or a short list."""
-    blob = json.loads(CHECKPOINT_V1.read_text(encoding="utf-8"))
+    blob = json.loads(CHECKPOINT_V2.read_text(encoding="utf-8"))
     node = blob
     for key in draw(st.sampled_from(list(array_paths(blob)))):
         node = node[key]
@@ -1259,7 +1323,7 @@ class TestMalformedCheckpoints:
         assert outcomes[0] == outcomes[1]
 
     def test_without_enhancement_loads_none(self, tmp_path):
-        blob = json.loads(CHECKPOINT_V1.read_text(encoding="utf-8"))
+        blob = json.loads(CHECKPOINT_V2.read_text(encoding="utf-8"))
         blob["featurizer"]["enhancement"] = None
         path = tmp_path / "off.json"
         path.write_text(json.dumps(blob), encoding="utf-8")

@@ -27,6 +27,18 @@ def tiny_params(seed=0, skel_dim=4, text_dim=3, latent_dim=2, hidden=(5,)):
     return crossvae.init_vae_params(skel_dim, text_dim, latent_dim, rng, hidden)
 
 
+class TestInit:
+    @pytest.mark.parametrize("hidden", [(3,), (5, 7)])
+    def test_networks_take_the_given_hidden_widths(self, hidden):
+        params = tiny_params(hidden=hidden)
+        nets = {"skel_encoder": (4, *hidden, 4), "text_encoder": (3, *hidden, 4),
+                "skel_decoder": (2, *hidden, 4), "text_decoder": (2, *hidden, 3)}
+        for name, sizes in nets.items():
+            net = getattr(params, name)
+            assert [w.shape for w in net.weights] == list(zip(sizes[1:], sizes[:-1])), name
+            assert [b.shape for b in net.biases] == [(n,) for n in sizes[1:]], name
+
+
 class TestEncode:
     def test_zero_encoder_gives_standard_posterior(self):
         params = tiny_params()

@@ -1,7 +1,7 @@
 """Stage and evaluation tests: record/split file round trips and hygiene,
-featurizer behavior, softmax classifier separability, gate training on
-separable versus indistinguishable confidence distributions, routing logic,
-harmonic-mean identities, and the latent export format."""
+featurizer behavior, softmax classifier separability, stage-3 synthesis,
+max-probability GZSL routing, harmonic-mean identities, and the latent
+export format."""
 
 import json
 import math
@@ -306,79 +306,6 @@ class TestSoftmaxClassifier:
         assert np.all(p >= 0)
 
 
-class TestGate:
-    def seen_clf(self):
-        return pipeline.SoftmaxClassifier((0, 1), 8.0 * np.eye(2), np.zeros(2))
-
-    def test_separable_groups_reach_perfect_training_accuracy(self):
-        rng = numkit.make_rng(9)
-        clf = self.seen_clf()
-        seen_latents = np.eye(2)[rng.integers(0, 2, 40)] * 1.5
-        unseen_latents = 0.02 * rng.standard_normal((40, 2))
-        gate = pipeline.train_gate(clf, unseen_latents, seen_latents, c=1.0)
-        p_seen = gate.predict_proba_seen(pipeline.gate_features(clf, seen_latents))
-        p_unseen = gate.predict_proba_seen(pipeline.gate_features(clf, unseen_latents))
-        assert np.all(p_seen >= 0.5) and np.all(p_unseen < 0.5)
-
-    def test_identical_groups_stay_near_chance(self):
-        rng = numkit.make_rng(10)
-        clf = self.seen_clf()
-        train_a = rng.standard_normal((500, 2))
-        train_b = rng.standard_normal((500, 2))
-        gate = pipeline.train_gate(clf, train_b, train_a, c=1.0)
-        held_a = rng.standard_normal((2000, 2))
-        held_b = rng.standard_normal((2000, 2))
-        route_a = gate.predict_proba_seen(pipeline.gate_features(clf, held_a)) >= 0.5
-        route_b = gate.predict_proba_seen(pipeline.gate_features(clf, held_b)) >= 0.5
-        acc = 0.5 * (float(np.mean(route_a)) + float(np.mean(~route_b)))
-        assert abs(acc - 0.5) < 0.05
-
-    def overlapping_fit(self, c=1.0):
-        """Gate fitted on overlapping groups, with its (N, 2) features and +-1 labels."""
-        rng = numkit.make_rng(21)
-        clf = self.seen_clf()
-        seen_latents = np.eye(2)[rng.integers(0, 2, 60)] * rng.uniform(0.0, 0.6, (60, 1))
-        unseen_latents = 0.3 * rng.standard_normal((50, 2))
-        gate = pipeline.train_gate(clf, unseen_latents, seen_latents, c=c)
-        x = np.concatenate([pipeline.gate_features(clf, seen_latents),
-                            pipeline.gate_features(clf, unseen_latents)])
-        return gate, x, np.concatenate([np.ones(60), -np.ones(50)])
-
-    @staticmethod
-    def objective(theta, x, y, c):
-        """0.5 ||w||^2 + c * sum softplus(-y z) and its gradient (w, then b)."""
-        m = -y * (x @ theta[:-1] + theta[-1])
-        dz = -c * y * 0.5 * (1.0 + np.tanh(0.5 * m))  # d(c softplus(m)) / dz
-        value = 0.5 * theta[:-1] @ theta[:-1] + c * np.logaddexp(0.0, m).sum()
-        return value, np.append(theta[:-1] + x.T @ dz, dz.sum())
-
-    @pytest.mark.parametrize("c", [0.01, 1.0, 100.0])
-    def test_fit_is_stationary(self, c):
-        gate, x, y = self.overlapping_fit(c)
-        _, grad = self.objective(np.append(gate.weights, gate.bias), x, y, c)
-        assert np.max(np.abs(grad)) <= 1e-8
-
-    def test_matches_lbfgsb_fit(self):
-        optimize = pytest.importorskip("scipy.optimize")
-        gate, x, y = self.overlapping_fit()
-        ref = optimize.minimize(self.objective, np.zeros(3), args=(x, y, 1.0), jac=True,
-                                method="L-BFGS-B")
-        np.testing.assert_allclose(np.append(gate.weights, gate.bias), ref.x, atol=1e-4)
-
-    def test_iteration_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "GATE_MAX_STEPS", 1)
-        with pytest.raises(ValueError, match="did not converge in 1 Newton step"):
-            pipeline.train_gate(self.seen_clf(), 0.3 * np.ones((4, 2)),
-                                np.array([[0.5, 0.0], [0.0, 0.2], [0.1, 0.1]]))
-
-    def test_gate_features_are_top1_and_entropy(self):
-        clf = self.seen_clf()
-        feats = pipeline.gate_features(clf, np.zeros((1, 2)))
-        # logits are equal at the origin: top1 = 0.5, entropy = ln 2
-        assert feats[0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert feats[0, 1] == pytest.approx(math.log(2.0), abs=1e-12)
-
-
 class TestStage2:
     def small_problem(self):
         rng = numkit.make_rng(11)
@@ -582,19 +509,51 @@ class TestUnseenSynthesis:
         params = self.separated_text_vae()
         table = make_semantic_table({5: [4.0, 0.0], 6: [0.0, 4.0]})
         clf = pipeline.synthesize_unseen_classifier(
-            params, table, (5, 6), n_samples=100, epochs=200, lr=0.1,
-            rng=numkit.make_rng(18))
+            params, table, (5, 6),
+            RunConfig(unseen_samples=100, unseen_epochs=200, unseen_lr=0.1),
+            numkit.make_rng(18))
         fresh = numkit.make_rng(19)
         for cid in (5, 6):
             fused = semantics.fuse(table, cid)
             z = crossvae.sample_class_latents(params, fused, 200, fresh)
             assert float(np.mean(clf.predict(z) == cid)) >= 0.99
 
+    @pytest.mark.parametrize("n_samples", [1, 7])
+    def test_reads_its_sample_count_and_schedule_from_the_config(self, monkeypatch, n_samples):
+        fits = []
+        monkeypatch.setattr(pipeline, "train_softmax_classifier",
+                            lambda latents, labels, class_ids, **kw: fits.append(
+                                (latents.shape, labels.tolist(), class_ids, kw)))
+        pipeline.synthesize_unseen_classifier(
+            self.separated_text_vae(), make_semantic_table({5: [4.0, 0.0], 6: [0.0, 4.0]}),
+            (5, 6), RunConfig(unseen_samples=n_samples, unseen_epochs=3, unseen_lr=0.25),
+            numkit.make_rng(0))
+        assert fits == [((2 * n_samples, 2), [5] * n_samples + [6] * n_samples, (5, 6),
+                         {"epochs": 3, "lr": 0.25})]
+
     def test_empty_unseen_set_rejected(self):
         with pytest.raises(ValueError, match="no unseen"):
             pipeline.synthesize_unseen_classifier(
                 self.separated_text_vae(), make_semantic_table({5: [1.0, 0.0]}),
-                (), rng=numkit.make_rng(0))
+                (), RunConfig(), numkit.make_rng(0))
+
+
+class TestSeenClassifier:
+    def test_fits_the_records_latent_means_with_the_config_schedule(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(pipeline, "train_softmax_classifier",
+                            lambda latents, labels, class_ids, **kw: fits.append(
+                                (latents.tolist(), labels.tolist(), class_ids, kw)))
+        records = [vector_record("a", 0, "train-seen", [1.0, 2.0]),
+                   vector_record("b", 1, "train-seen", [3.0, 4.0])]
+        pipeline.train_seen_classifier(identity_vae(), pipeline.SkeletonFeaturizer(), records,
+                                       (0, 1), RunConfig(seen_epochs=4, seen_lr=0.5))
+        assert fits == [([[1.0, 2.0], [3.0, 4.0]], [0, 1], (0, 1), {"epochs": 4, "lr": 0.5})]
+
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="no training records"):
+            pipeline.train_seen_classifier(identity_vae(), pipeline.SkeletonFeaturizer(), [],
+                                           (0, 1), RunConfig())
 
 
 class TestEvaluation:
@@ -638,51 +597,105 @@ class TestEvaluation:
             pipeline.evaluate_zsl(identity_vae(), pipeline.SkeletonFeaturizer(),
                                   None, [])
 
-    def gzsl_fixture(self):
-        params = identity_vae()
-        seen_clf = pipeline.SoftmaxClassifier((0, 1), 8.0 * np.eye(2), np.zeros(2))
-        unseen_clf = pipeline.SoftmaxClassifier((2,), np.zeros((1, 2)), np.zeros(1))
-        test_seen = [vector_record("s0", 0, "test-seen", [1.5, 0.0]),
-                     vector_record("s1", 1, "test-seen", [0.0, 1.5])]
-        test_unseen = [vector_record("u0", 2, "test-unseen", [0.0, 0.0]),
-                       vector_record("u1", 2, "test-unseen", [0.05, 0.05])]
-        return params, seen_clf, unseen_clf, test_seen, test_unseen
+    @staticmethod
+    def gzsl_fixture(seen_weights=8.0 * np.eye(2, 4)):
+        """Latents are the records' 4 features. The seen head (classes 0, 1)
+        reads dims 0-1 and the unseen head (classes 2, 3) dims 2-3, so each
+        record is confident under its own head and at chance under the other."""
+        seen_clf = pipeline.SoftmaxClassifier((0, 1), seen_weights, np.zeros(2))
+        unseen_clf = pipeline.SoftmaxClassifier((2, 3), 8.0 * np.eye(2, 4, k=2), np.zeros(2))
+        test_seen = [vector_record("s0", 0, "test-seen", [1.5, 0, 0, 0]),
+                     vector_record("s1", 1, "test-seen", [0, 1.5, 0, 0])]
+        test_unseen = [vector_record("u0", 2, "test-unseen", [0, 0, 1.5, 0]),
+                       vector_record("u1", 3, "test-unseen", [0, 0, 0, 1.5])]
+        return seen_clf, unseen_clf, test_seen, test_unseen
+
+    @staticmethod
+    def gzsl(seen_clf, unseen_clf, test_seen, test_unseen):
+        return pipeline.evaluate_gzsl(identity_vae(4, 4, 4), pipeline.SkeletonFeaturizer(),
+                                      None, seen_clf, unseen_clf, test_seen, test_unseen)
 
     def test_gzsl_perfect_components_score_one(self):
-        params, seen_clf, unseen_clf, test_seen, test_unseen = self.gzsl_fixture()
-        # route seen iff top-1 probability clears 0.9
-        gate = pipeline.GateModel(np.array([40.0, 0.0]), -36.0, 1.0)
-        report = pipeline.evaluate_gzsl(params, pipeline.SkeletonFeaturizer(),
-                                        gate, seen_clf, unseen_clf,
-                                        test_seen, test_unseen)
-        assert report.seen_accuracy == 1.0
-        assert report.unseen_accuracy == 1.0
-        assert report.harmonic == 1.0
-        assert report.per_class == {0: 1.0, 1: 1.0, 2: 1.0}
+        # each record is routed to its more confident head, which names it
+        report = self.gzsl(*self.gzsl_fixture())
+        assert (report.seen_accuracy, report.unseen_accuracy, report.harmonic) == (1.0, 1.0, 1.0)
+        assert report.per_class == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
+
+    def test_gzsl_tie_goes_to_seen(self):
+        seen_clf, unseen_clf, _, _ = self.gzsl_fixture()
+        # at the origin both heads give exactly 0.5 to their first class
+        origin = [0.0] * 4
+        report = self.gzsl(seen_clf, unseen_clf, [vector_record("s", 0, "test-seen", origin)],
+                           [vector_record("u", 2, "test-unseen", origin)])
+        assert (report.seen_accuracy, report.unseen_accuracy) == (1.0, 0.0)
+        assert report.zsl_accuracy == 1.0
 
     def test_gzsl_all_seen_routing_zeroes_unseen(self):
-        params, seen_clf, unseen_clf, test_seen, test_unseen = self.gzsl_fixture()
-        gate = pipeline.GateModel(np.zeros(2), 5.0, 1.0)  # p_seen always > 0.5
-        report = pipeline.evaluate_gzsl(params, pipeline.SkeletonFeaturizer(),
-                                        gate, seen_clf, unseen_clf,
-                                        test_seen, test_unseen)
-        assert report.unseen_accuracy == 0.0
-        assert report.harmonic == 0.0
+        # the seen head also reads dims 2-3, five times as strongly as the unseen head
+        fixture = self.gzsl_fixture(8.0 * np.eye(2, 4) + 40.0 * np.eye(2, 4, k=2))
+        report = self.gzsl(*fixture)
+        assert (report.seen_accuracy, report.unseen_accuracy, report.harmonic) == (1.0, 0.0, 0.0)
         # the unseen head alone still names every unseen record
+        _, unseen_clf, _, test_unseen = fixture
         assert report.zsl_accuracy == 1.0 == pipeline.evaluate_zsl(
-            params, pipeline.SkeletonFeaturizer(), unseen_clf, test_unseen)
+            identity_vae(4, 4, 4), pipeline.SkeletonFeaturizer(), unseen_clf, test_unseen)
 
-    @pytest.mark.parametrize("weights", [np.zeros(1), np.zeros(3), np.zeros((1, 2))])
-    def test_gate_weights_must_be_a_pair(self, weights):
-        with pytest.raises(ValueError, match=r"shape \(2,\)"):
-            pipeline.GateModel(weights, 0.0, 1.0)
+    @pytest.mark.parametrize("side", ["seen", "unseen"])
+    def test_gzsl_refuses_a_one_class_head(self, side):
+        seen_clf, unseen_clf, test_seen, test_unseen = self.gzsl_fixture()
+        one = pipeline.SoftmaxClassifier((9,), np.zeros((1, 4)), np.zeros(1))
+        heads = (one, unseen_clf) if side == "seen" else (seen_clf, one)
+        with pytest.raises(ValueError, match=f"one-class {side} head has top-1 probability 1"):
+            self.gzsl(*heads, test_seen, test_unseen)
 
     def test_gzsl_empty_partition_rejected(self):
-        params, seen_clf, unseen_clf, test_seen, _ = self.gzsl_fixture()
-        gate = pipeline.GateModel(np.zeros(2), 0.0, 1.0)
+        seen_clf, unseen_clf, test_seen, _ = self.gzsl_fixture()
         with pytest.raises(ValueError, match="non-empty"):
-            pipeline.evaluate_gzsl(params, pipeline.SkeletonFeaturizer(), gate,
-                                   seen_clf, unseen_clf, test_seen, [])
+            self.gzsl(seen_clf, unseen_clf, test_seen, [])
+
+    def test_gzsl_empty_seen_partition_rejected(self):
+        seen_clf, unseen_clf, _, test_unseen = self.gzsl_fixture()
+        with pytest.raises(ValueError, match="non-empty"):
+            self.gzsl(seen_clf, unseen_clf, [], test_unseen)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gzsl_matches_a_per_record_reference(self, seed):
+        """Random heads over 3 seen and 3 unseen classes, scored one record at
+        a time: the seen head names a record when its top-1 probability is at
+        least the unseen head's, and the unseen head names it otherwise."""
+        rng = numkit.make_rng(seed)
+        seen_clf = pipeline.SoftmaxClassifier((0, 1, 2), 2.0 * rng.standard_normal((3, 4)),
+                                              rng.standard_normal(3))
+        unseen_clf = pipeline.SoftmaxClassifier((3, 4, 5), 2.0 * rng.standard_normal((3, 4)),
+                                                rng.standard_normal(3))
+        test_seen = [vector_record(f"s{i}", int(rng.integers(0, 3)), "test-seen",
+                                   rng.standard_normal(4)) for i in range(30)]
+        test_unseen = [vector_record(f"u{i}", int(rng.integers(3, 6)), "test-unseen",
+                                     rng.standard_normal(4)) for i in range(30)]
+
+        def named(record):
+            p_seen = seen_clf.predict_proba(record.vector[None])[0]
+            p_unseen = unseen_clf.predict_proba(record.vector[None])[0]
+            if p_seen.max() >= p_unseen.max():
+                return seen_clf.class_ids[int(np.argmax(p_seen))], True
+            return unseen_clf.class_ids[int(np.argmax(p_unseen))], False
+
+        routes = [named(r)[1] for r in test_seen + test_unseen]
+        assert any(routes) and not all(routes)  # both heads take records
+        hits = {r.sample_id: named(r)[0] == r.class_id for r in test_seen + test_unseen}
+        report = self.gzsl(seen_clf, unseen_clf, test_seen, test_unseen)
+        assert report.seen_accuracy == np.mean([hits[r.sample_id] for r in test_seen])
+        assert report.unseen_accuracy == np.mean([hits[r.sample_id] for r in test_unseen])
+        for cid, acc in report.per_class.items():
+            assert acc == np.mean([hits[r.sample_id] for r in test_seen + test_unseen
+                                   if r.class_id == cid])
+
+    @pytest.mark.parametrize("gate", [object(), 0.5, "gate"])
+    def test_gzsl_does_not_read_the_gate_argument(self, gate):
+        seen_clf, unseen_clf, test_seen, test_unseen = self.gzsl_fixture()
+        report = pipeline.evaluate_gzsl(identity_vae(4, 4, 4), pipeline.SkeletonFeaturizer(),
+                                        gate, seen_clf, unseen_clf, test_seen, test_unseen)
+        assert report == self.gzsl(seen_clf, unseen_clf, test_seen, test_unseen)
 
 
 class TestArtifacts:
