@@ -469,6 +469,10 @@ def loss_bench(cfg: RunConfig, loss_names: list[str],
     Result: {"rates", "losses", "seeds", "mean": {loss: [per rate]},
     "detail": {loss: {rate: [per seed]}}, "config_hash"}.
     """
+    for option, values in (("--loss", loss_names), ("--noise-rate", noise_rates)):
+        for i, value in enumerate(values):  # a repeated value would train its cells twice
+            if value in values[:i]:
+                raise ConfigError(f"{option} {value} is given more than once")
     for name in loss_names:  # every cell's config is valid before any training
         dataclasses.replace(cfg, align_loss=name)
     for rate in noise_rates:  # label-noise rates, so that key's domain and relation hold

@@ -10,9 +10,10 @@ only feeds the ELBO path. The stage-2 objective is
 
     total = elbo_skeleton + elbo_text + align_weight * alignment
 
-and every gradient (all four networks plus both input feature blocks) is
-assembled by hand so the whole step can be checked against finite
-differences with frozen noise and frozen negatives.
+and every gradient (all four networks plus the skeleton feature block,
+the one a caller chains further back) is assembled by hand so the whole
+step can be checked against finite differences with frozen noise and
+frozen negatives.
 
 Each decoder runs once per step over [self latents; cross latents], and
 its (2B, d) output is also the block its backward pass reads: the ELBO
@@ -114,13 +115,13 @@ def init_vae_params(skel_dim: int, text_dim: int, latent_dim: int,
 
 
 def encode(params: VaeParams, modality: str, x: Array) -> LatentGaussian:
-    """Posterior for one modality; x is (d,) or (B, d)."""
+    """Posterior for one modality over a (B, d) batch."""
     if modality not in MODALITIES:
         raise ValueError(f"unknown modality {modality!r}")
     net = params.skel_encoder if modality == "skeleton" else params.text_encoder
     out, _ = numkit.mlp_forward(net, x)
     ld = params.latent_dim
-    return LatentGaussian(out[..., :ld], out[..., ld:])
+    return LatentGaussian(out[:, :ld], out[:, ld:])
 
 
 # ---- stage-2 objective with full hand backprop ----
@@ -136,30 +137,25 @@ def _forward(params: VaeParams, net: str, x: Array):
 
 def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
                 negatives: Array, eps_s: Array, eps_t: Array, cfg: RunConfig,
-                grads_out: list[Array] | None = None, feature_grads: bool = True):
+                grads_out: list[Array], feature_grads: bool):
     """The joint objective under cfg's loss knobs, and all its gradients, for one batch.
 
-    Returns (breakdown, param_grads, grad_f_s, grad_f_t) where breakdown
-    holds the scalar pieces, param_grads matches params.param_arrays()
-    order, and the feature gradients let a caller chain further back (for
-    trainable frequency weights under the skeleton features).
-
-    grads_out, if given, holds one array per params.param_arrays() entry,
-    and every parameter gradient is written into its array. With
-    feature_grads=False the encoders skip their input gradients and the
-    alignment loss its anchor gradients, and both feature gradients come
-    back as None.
+    grads_out holds one array per params.param_arrays() entry, and every
+    parameter gradient is written into its array. Returns (breakdown,
+    d_f_s): breakdown holds the scalar pieces and d_f_s is the gradient
+    w.r.t. the skeleton features, which lets a caller chain further back
+    (to trainable frequency weights). With feature_grads=False the skeleton
+    encoder skips its input gradient and the alignment loss its anchor
+    gradients, and d_f_s is None.
     """
     f_s = np.asarray(f_s, dtype=np.float64)
     f_t = np.asarray(f_t, dtype=np.float64)
     b = f_s.shape[0]
     ld = params.latent_dim
-    outs: list = [None] * 4
-    if grads_out is not None:  # split per network, in param_arrays() order
-        outs, k = [], 0
-        for net in params.nets():
-            outs.append(grads_out[k:k + 2 * len(net.weights)])
-            k += 2 * len(net.weights)
+    outs, k = [], 0  # grads_out split per network, in param_arrays() order
+    for net in params.nets():
+        outs.append(grads_out[k:k + 2 * len(net.weights)])
+        k += 2 * len(net.weights)
 
     out_s, cache_enc_s = _forward(params, "skel_encoder", f_s)
     out_t, cache_enc_t = _forward(params, "text_encoder", f_t)
@@ -180,22 +176,22 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
 
     # the losses overwrite each decoder output with its gradient, row block by row block
     a = cfg.align_weight
-    elbo_s = losses.elbo(f_s, dec_s[:b], mu_s, lv_s, cfg.kl_weight,
-                         in_place=True, x_grad=False)
-    elbo_t = losses.elbo(f_t, dec_t[:b], mu_t, lv_t, cfg.kl_weight,
-                         in_place=True, x_grad=False)
+    elbo_s = losses.elbo(f_s, dec_s[:b], mu_s, lv_s, cfg.kl_weight)
+    elbo_t = losses.elbo(f_t, dec_t[:b], mu_t, lv_t, cfg.kl_weight)
     batch = losses.AlignmentBatch(f_t, f_s, dec_t[b:], dec_s[b:], labels, negatives,
                                   anchor_grads=feature_grads)
-    align = losses.alignment_loss(batch, cfg, grad_scale=a, in_place=True)
+    align = losses.alignment_loss(batch, cfg, a)
 
     vae_value = elbo_s.value + elbo_t.value
-    total = losses.total_objective(vae_value, align.value, a)
+    total = float(vae_value + a * align.value)
     if not math.isfinite(total):
         raise ValueError(f"stage-2 loss is not finite ({total})")
 
     # decoders: the self-reconstruction rows came from z, the cross rows from mu
-    g_dec_s, d_dec_s = numkit.mlp_backward(params.skel_decoder, cache_dec_s, dec_s, outs[2])
-    g_dec_t, d_dec_t = numkit.mlp_backward(params.text_decoder, cache_dec_t, dec_t, outs[3])
+    d_dec_s = numkit.mlp_backward(params.skel_decoder, cache_dec_s, dec_s, outs[2],
+                                  grad_in=True)
+    d_dec_t = numkit.mlp_backward(params.text_decoder, cache_dec_t, dec_t, outs[3],
+                                  grad_in=True)
     dz_s, d_mu_t_cross = d_dec_s[:b], d_dec_s[b:]
     dz_t, d_mu_s_cross = d_dec_t[:b], d_dec_t[b:]
 
@@ -209,25 +205,20 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
     d_mu_t = elbo_t.grads["mu"] + dz_t
     d_mu_t += d_mu_t_cross
 
-    g_enc_s, d_in_s = numkit.mlp_backward(
+    d_f_s = numkit.mlp_backward(
         params.skel_encoder, cache_enc_s,
         np.concatenate([d_mu_s, elbo_s.grads["log_var"] + noise_s], axis=1),
-        outs[0], feature_grads)
-    g_enc_t, d_in_t = numkit.mlp_backward(
+        outs[0], grad_in=feature_grads)
+    numkit.mlp_backward(
         params.text_encoder, cache_enc_t,
         np.concatenate([d_mu_t, elbo_t.grads["log_var"] + noise_t], axis=1),
-        outs[1], feature_grads)
-    d_f_s = d_f_t = None
+        outs[1], grad_in=False)
     if feature_grads:
-        # into the encoders' input gradients; the ELBO's target gradient is
-        # minus its reconstruction gradient, still in the decoder rows
-        d_f_s, d_f_t = d_in_s, d_in_t
+        # the ELBO's target gradient is minus its reconstruction gradient,
+        # still in the decoder rows
         d_f_s -= dec_s[:b]
         d_f_s += align.grads["f_s"]
-        d_f_t -= dec_t[:b]
-        d_f_t += align.grads["f_t"]
 
-    param_grads = [*g_enc_s, *g_enc_t, *g_dec_s, *g_dec_t]
     breakdown = {
         "total": total,
         "vae": vae_value,
@@ -235,23 +226,14 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
         "vae_text": elbo_t.value,
         "align": align.value,
     }
-    return breakdown, param_grads, d_f_s, d_f_t
+    return breakdown, d_f_s
 
 
 def sample_class_latents(params: VaeParams, fused_text: Array, n: int,
-                         rng: np.random.Generator | None = None,
-                         eps: Array | None = None) -> Array:
+                         rng: np.random.Generator) -> Array:
     """Draw n latents from the text posterior of one class's fused vector."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    latent = encode(params, "text", np.asarray(fused_text, dtype=np.float64))
-    mu = np.broadcast_to(latent.mu, (n, params.latent_dim))
-    lv = np.broadcast_to(latent.log_var, (n, params.latent_dim))
-    if eps is None:
-        if rng is None:
-            raise ValueError("need rng or explicit eps")
-        eps = rng.standard_normal((n, params.latent_dim))
-    z = mu + np.exp(0.5 * lv) * eps
+    latent = encode(params, "text", np.asarray(fused_text, dtype=np.float64)[None, :])
+    eps = rng.standard_normal((n, params.latent_dim))
+    z = latent.mu + np.exp(0.5 * latent.log_var) * eps
     numkit.check_finite("sampled latents", z)
     return z
-

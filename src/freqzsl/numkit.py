@@ -116,14 +116,11 @@ class MlpCache:
     """Per-layer inputs captured on the forward pass; inputs[l] feeds layer l."""
 
     inputs: list[Array]
-    squeeze: bool
 
 
 def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, MlpCache]:
-    """x (d,) or (B, d) -> output of the affine stack, plus a backprop cache."""
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    h = x[None, :] if squeeze else x
+    """x (B, d) -> (B, out_dim) output of the affine stack, plus a backprop cache."""
+    h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.in_dim:
         raise ValueError(f"input dim {h.shape} does not match {params.in_dim}")
     check_finite("input", h)
@@ -135,39 +132,32 @@ def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, MlpCache]:
         h += b
         if l < n - 1 and params.activation == "tanh":
             np.tanh(h, out=h)
-    y = h[0] if squeeze else h
-    return y, MlpCache(inputs, squeeze)
+    return h, MlpCache(inputs)
 
 
 def mlp_backward(params: MlpParams, cache: MlpCache, grad_out: Array,
-                 out: list[Array] | None = None,
-                 grad_in: bool = True) -> tuple[list[Array], Array | None]:
-    """Backprop grad_out (same shape as the forward output) through the stack.
+                 out: list[Array], grad_in: bool) -> Array | None:
+    """Backprop grad_out (shaped like the forward output) through the stack.
 
-    Returns (grads, grad_in): grads matches param_arrays() order, grad_in is
-    d(loss)/d(input). Batched rows are summed into the parameter grads.
-    With `out` (arrays shaped like param_arrays()) each gradient is written
-    into its array and `out` itself is returned. With grad_in=False the
-    input gradient is neither computed nor returned (None).
+    Each parameter gradient, its batch rows summed, is written into its
+    array of `out` (arrays shaped like param_arrays()). Returns d(loss)/d(input),
+    or None with grad_in=False, which skips computing it.
     """
-    g = np.asarray(grad_out, dtype=np.float64)
-    if cache.squeeze:
-        g = g[None, :]
+    g = grad_out
     n = len(params.weights)
-    grads = out if out is not None else [None] * (2 * n)
     for l in range(n - 1, -1, -1):
         h_in = cache.inputs[l]
-        grads[2 * l] = np.matmul(g.T, h_in, out=grads[2 * l])
-        grads[2 * l + 1] = np.sum(g, axis=0, out=grads[2 * l + 1])
+        np.matmul(g.T, h_in, out=out[2 * l])
+        np.sum(g, axis=0, out=out[2 * l + 1])
         if l == 0 and not grad_in:
-            return grads, None
+            return None
         g = g @ params.weights[l]
         if l > 0 and params.activation == "tanh":
             # h_in at layer l is tanh(pre-activation of layer l-1)
             d = h_in * h_in
             np.subtract(1.0, d, out=d)
             g *= d
-    return grads, g[0] if cache.squeeze else g
+    return g
 
 
 # ---- flat parameter storage ----

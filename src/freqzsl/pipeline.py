@@ -17,9 +17,9 @@ records, and no unseen class id can enter a training batch.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -300,8 +300,6 @@ def train_softmax_classifier(latents: Array, labels: Array,
                              lr: float) -> SoftmaxClassifier:
     """Full-batch Adam on mean cross-entropy from a zero init (convex problem)."""
     class_ids = tuple(int(c) for c in class_ids)
-    if len(class_ids) == 1:
-        warnings.warn("classifier over a single class predicts it constantly")
     x = np.asarray(latents, dtype=np.float64)
     index = {c: i for i, c in enumerate(class_ids)}
     try:
@@ -411,7 +409,7 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
         negatives = losses.sample_negatives(labels, rng)
         eps_s = rng.standard_normal((len(idx), cfg.latent_dim))
         eps_t = rng.standard_normal((len(idx), cfg.latent_dim))
-        breakdown, _, d_f_s, _ = crossvae.stage2_loss(
+        breakdown, d_f_s = crossvae.stage2_loss(
             params, f_s, text_all[idx], labels, negatives, eps_s, eps_t, cfg,
             grad_views[:n_net], feature_grads=raw is not None)
         if raw is not None:
@@ -600,17 +598,16 @@ def export_latents(params: crossvae.VaeParams, featurizer: SkeletonFeaturizer,
                    records: Iterable[FeatureRecord], path) -> int:
     """CSV of skeleton latent means (full float precision); returns row count.
 
-    An empty record list still writes the header line.
+    A sample id holding a comma or a quote is quoted, as the csv module
+    does. An empty record list still writes the header line.
     """
     records = list(records)
-    ld = params.latent_dim
-    header = "sample_id,class_id," + ",".join(f"z{i}" for i in range(ld))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["sample_id", "class_id", *(f"z{i}" for i in range(params.latent_dim))])
         if not records:
             return 0
         latents = encode_latent_means(params, featurizer, records)
         for rec, z in zip(records, latents):
-            vals = ",".join(repr(float(v)) for v in z)
-            fh.write(f"{rec.sample_id},{rec.class_id},{vals}\n")
+            out.writerow([rec.sample_id, rec.class_id, *(repr(float(v)) for v in z)])
     return len(records)

@@ -55,7 +55,9 @@ def random_batch(seed, b=6, d=3, classes=3):
 
 def check_batch_grads(loss_of_batch, batch, tol=1e-4):
     def loss_fn(arrays):
-        b = losses.AlignmentBatch(arrays[1], arrays[0], arrays[2], arrays[3],
+        # the loss writes its reconstruction gradients over the reconstructions,
+        # so it gets copies of the arrays the checker perturbs
+        b = losses.AlignmentBatch(arrays[1], arrays[0], arrays[2].copy(), arrays[3].copy(),
                                   labels=batch.labels, negatives=batch.negatives)
         out = loss_of_batch(b)
         return out.value, [out.grads[k] for k in ("f_s", "f_t", "g_s_t", "g_t_s")]
@@ -143,12 +145,12 @@ def test_criterion_05_pair_sum_and_triplet_witnesses():
         # balancing) while each triplet baseline moves: a concrete witness
         # that their per-pair function violates the sum identity
         cfg = cli.RunConfig(temperature=1.0, align_weight=1.0, margin=1.0)
-        cal = [losses.alignment_loss(exchanged_batch(g), cfg).value
+        cal = [losses.alignment_loss(exchanged_batch(g), cfg, 1.0).value
                for g in (1.0, 2.0)]
         assert abs(cal[0] - cal[1]) < 1e-9
         for name in ("t1", "t2", "t3", "t4"):
             named = dataclasses.replace(cfg, align_loss=name)
-            v = [losses.alignment_loss(exchanged_batch(g), named).value
+            v = [losses.alignment_loss(exchanged_batch(g), named, 1.0).value
                  for g in (1.0, 2.0)]
             assert abs(v[0] - v[1]) > 1e-3, name
 
@@ -175,16 +177,18 @@ def test_criterion_07_gradient_checks():
         for name in losses.ALIGN_LOSSES:
             named = dataclasses.replace(cfg, align_loss=name)
             check_batch_grads(
-                lambda b, c=named: losses.alignment_loss(b, c), batch)
+                lambda b, c=named: losses.alignment_loss(b, c, 1.0), batch)
 
         rng = numkit.make_rng(108)
         arrays = [rng.standard_normal((5, 4)) for _ in range(4)]
 
         def elbo_fn(arrs):
+            # the recon gradient is written over a copy of recon; the target's
+            # gradient, which stage 2 takes, is minus it
             x, recon, mu, lv = arrs
-            out = losses.elbo(x, recon, mu, lv, kl_weight=0.7)
-            return out.value, [out.grads[k]
-                               for k in ("x", "recon", "mu", "log_var")]
+            out = losses.elbo(x, recon.copy(), mu, lv, 0.7)
+            g = out.grads
+            return out.value, [-g["recon"], g["recon"], g["mu"], g["log_var"]]
 
         report = numkit.grad_check(elbo_fn, arrays)
         assert report.max_rel_error < 1e-4, report
@@ -199,10 +203,12 @@ def test_criterion_07_gradient_checks():
         stage_cfg = cli.RunConfig(temperature=5.0, align_weight=0.4)
 
         def stage2_fn(arrs):
+            # gradients written into views of one flat vector, as training has them
             p = params.with_arrays(arrs)
-            breakdown, grads, _, _ = crossvae.stage2_loss(
-                p, f_s, f_t, labels, negatives, eps_s, eps_t, stage_cfg)
-            return breakdown["total"], grads
+            _, views = numkit.flatten(arrs)
+            breakdown, _ = crossvae.stage2_loss(
+                p, f_s, f_t, labels, negatives, eps_s, eps_t, stage_cfg, views, True)
+            return breakdown["total"], views
 
         report = numkit.grad_check(stage2_fn, params.param_arrays())
         assert report.max_rel_error < 1e-4, report
@@ -215,7 +221,9 @@ def test_criterion_08_kl_closed_form():
         for _ in range(20):
             mu = float(rng.uniform(-2.0, 2.0))
             lv = float(rng.uniform(-2.0, 1.0))
-            closed = losses.kl_diag_gaussian(np.array([mu]), np.array([lv]))
+            # a perfect reconstruction's squared error is exactly 0: the value is the KL
+            x = np.zeros((1, 1))
+            closed = losses.elbo(x, x.copy(), np.array([[mu]]), np.array([[lv]]), 1.0).value
             assert closed >= 0.0
             eps = rng.standard_normal(1_000_000)
             z = mu + math.exp(0.5 * lv) * eps

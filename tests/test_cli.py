@@ -4,6 +4,7 @@ through main() on a miniature generated benchmark (with scipy blocked, too),
 and typed errors from malformed and fuzzed data files and checkpoints."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import tracemalloc
 import unittest.mock
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -834,10 +836,12 @@ class TestMainEndToEnd:
             x for x in TINY_LINES if not x.startswith("synth_unseen")] + ["synth_unseen = 1"])
         data, out = tmp_path / "data", tmp_path / "run"
         assert cli.main(["synth", "--config", cfg, "--out", str(data)]) == 0
-        with pytest.warns(UserWarning, match="single class"):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert cli.main(["train", "--config", cfg, "--data", str(data),
                              "--out", str(out)]) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().err == ""
         args = ["eval", "--checkpoint", str(out / "checkpoint.json"), "--data", str(data)]
         assert cli.main(args + ["--mode", "gzsl", "--out", str(tmp_path / "g.json")]) == 1
         err = capsys.readouterr().err
@@ -853,6 +857,28 @@ class TestMainEndToEnd:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("sample_id,class_id,z0")
         assert len(lines) == 1 + 5 * 6
+
+    def test_export_latents_quotes_an_id_holding_a_comma(self, trained, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(trained["data"], data)
+        lines = (data / "features.jsonl").read_text(encoding="utf-8").splitlines()
+        obj = json.loads(lines[3])
+        obj["sample_id"] = 'c0,"s0"'
+        lines[3] = json.dumps(obj)
+        (data / "features.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        written = {}
+        for name, src in (("plain", trained["data"]), ("comma", str(data))):
+            written[name] = tmp_path / f"{name}.csv"
+            assert cli.main(["export-latents", "--checkpoint", trained["checkpoint"],
+                             "--data", src, "--out", str(written[name])]) == 0
+        with open(written["comma"], encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {len(rows[0])} == {2 + 4}
+        assert rows[4][0] == 'c0,"s0"'
+        plain = written["plain"].read_bytes().split(b"\n")
+        comma = written["comma"].read_bytes().split(b"\n")
+        assert comma[4] == b'"c0,""s0""",' + plain[4].split(b",", 1)[1]
+        assert comma[:4] + comma[5:] == plain[:4] + plain[5:]
 
     def test_loss_bench_artifacts(self, tiny_env, capsys):
         out = tiny_env["root"] / "bench"
@@ -871,6 +897,21 @@ class TestMainEndToEnd:
         assert len(csv_lines) == 2
         printed = capsys.readouterr().out
         assert "calibrated" in printed and "t1" in printed
+
+    @pytest.mark.parametrize("option, first, again, shown", [
+        ("--loss", "calibrated", "calibrated", "calibrated"),
+        ("--noise-rate", "0", "0.0", "0.0")])
+    def test_loss_bench_refuses_a_repeated_value_before_training(
+            self, tiny_env, tmp_path, capsys, monkeypatch, option, first, again, shown):
+        trained = []
+        monkeypatch.setattr(cli, "train_full", lambda *a: trained.append(a))
+        code = cli.main(["loss-bench", "--config", tiny_env["cfg"], option, first,
+                         option, again, "--out", str(tmp_path / "bench")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {option} {shown} is given more than once\n")
+        assert trained == []
+        assert not (tmp_path / "bench").exists()
 
     def test_unknown_bench_loss_is_config_error(self, tiny_env, capsys):
         code = cli.main(["loss-bench", "--config", tiny_env["cfg"],
@@ -935,6 +976,21 @@ cfg, data, out = sys.argv[1:]
 sys.exit(cli.main(["synth", "--config", cfg, "--out", data])
          or cli.main(["train", "--config", cfg, "--data", data, "--out", out]))
 """
+
+
+def test_train_on_one_unseen_class_writes_nothing_to_stderr(tmp_path):
+    # a fresh interpreter shows a warning as Python does by default, on stderr
+    cfg = write_cfg(tmp_path / "one.cfg", [
+        x for x in TINY_LINES if not x.startswith("synth_unseen")] + ["synth_unseen = 1"])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", SYNTH_AND_TRAIN, cfg, str(tmp_path / "data"),
+         str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (tmp_path / "out" / "checkpoint.json").exists()
 
 
 def test_checkpoint_bytes_do_not_depend_on_blas_thread_count(tmp_path):

@@ -1,7 +1,7 @@
 """Objective tests: pinned calibrated-loss values, the pair-sum identity and
 its Monte Carlo balance consequence, non-constancy witnesses for the four
-triplet baselines, KL closed form against sampling, ELBO arithmetic, and
-central-difference gradient checks for every loss."""
+triplet baselines, the ELBO's KL term against sampling, ELBO arithmetic,
+and central-difference gradient checks for every loss."""
 
 import dataclasses
 import math
@@ -57,9 +57,28 @@ def random_batch(seed, b=6, d=3, classes=3):
     return batch
 
 
+def align_copy(batch, cfg, grad_scale=1.0):
+    """alignment_loss on a copy of the batch's reconstructions, which it
+    overwrites with their gradients, so the batch can be scored again."""
+    fresh = dataclasses.replace(batch, g_s_t=batch.g_s_t.copy(), g_t_s=batch.g_t_s.copy())
+    return losses.alignment_loss(fresh, cfg, grad_scale)
+
+
 def align(batch, name, **cfg):
     """alignment_loss under a RunConfig built from keyword overrides."""
-    return losses.alignment_loss(batch, RunConfig(align_loss=name, **cfg))
+    return align_copy(batch, RunConfig(align_loss=name, **cfg))
+
+
+def elbo(x, recon, mu, log_var, kl_weight=1.0):
+    """losses.elbo on a copy of recon, which it overwrites with its gradient."""
+    return losses.elbo(x, recon.copy(), mu, log_var, kl_weight)
+
+
+def kl(mu, log_var):
+    """KL(N(mu, diag exp(log_var)) || N(0, I)) meaned over rows: the ELBO of a
+    perfect reconstruction at kl_weight 1, whose squared error is exactly 0."""
+    x = np.zeros((np.shape(mu)[0], 1))
+    return losses.elbo(x, x.copy(), mu, log_var, 1.0).value
 
 
 def check_batch_grads(loss_of_batch, batch, tol=1e-4):
@@ -338,7 +357,7 @@ class TestTripletBaselines:
             direct["t4"] += np.mean(np.maximum(1.0 - dn / (dp + m), 0.0))
         for name, want in direct.items():
             cfg = RunConfig(temperature=t, margin=m, align_loss=name)
-            assert losses.alignment_loss(batch, cfg).value == pytest.approx(
+            assert align_copy(batch, cfg).value == pytest.approx(
                 want, rel=1e-12, abs=1e-12), name
 
     @pytest.mark.parametrize("loss_of_batch", [
@@ -352,6 +371,23 @@ class TestTripletBaselines:
         assert set(lean.grads) == {"g_s_t", "g_t_s"}
         for key in lean.grads:
             np.testing.assert_array_equal(lean.grads[key], full.grads[key])
+
+    def test_reconstruction_gradients_are_written_over_the_batch(self):
+        batch = random_batch(14)
+        want = align_copy(batch, RunConfig(align_loss="calibrated"), 0.25)
+        out = losses.alignment_loss(batch, RunConfig(align_loss="calibrated"), 0.25)
+        assert out.grads["g_s_t"] is batch.g_s_t and out.grads["g_t_s"] is batch.g_t_s
+        for key in ("f_t", "f_s", "g_s_t", "g_t_s"):
+            np.testing.assert_array_equal(out.grads[key], want.grads[key])
+
+    def test_grad_scale_scales_every_gradient_and_not_the_value(self):
+        batch = random_batch(15)
+        cfg = RunConfig(align_loss="t2", temperature=10.0)
+        one, scaled = align_copy(batch, cfg), align_copy(batch, cfg, 0.5)
+        assert scaled.value == one.value
+        for key in one.grads:
+            np.testing.assert_allclose(scaled.grads[key], 0.5 * one.grads[key],
+                                       rtol=1e-15, atol=0)
 
     def test_t4_with_zero_margin_rejected(self):
         # D+ = D- = 0 would make t4's 1 - D- / (D+ + m) a 0/0
@@ -399,16 +435,18 @@ class TestLossConfig:
 
 
 class TestKl:
+    """The ELBO's KL term, read where the reconstruction term is exactly 0."""
+
     def test_standard_normal_is_zero(self):
-        assert losses.kl_diag_gaussian(np.zeros(3), np.zeros(3)) == 0.0
+        assert kl(np.zeros((1, 3)), np.zeros((1, 3))) == 0.0
 
     def test_unit_mean_frozen_value(self):
         # mu=1, sigma^2=1: 0.5 * (1 + 1 - 1 - 0) = 0.5
-        assert losses.kl_diag_gaussian(np.array([1.0]), np.array([0.0])) == 0.5
+        assert kl(np.array([[1.0]]), np.array([[0.0]])) == 0.5
 
     def test_wide_variance_frozen_value(self):
         # mu=0, log sigma^2 = 1: 0.5 * (e - 2)
-        val = losses.kl_diag_gaussian(np.array([0.0]), np.array([1.0]))
+        val = kl(np.array([[0.0]]), np.array([[1.0]]))
         assert val == pytest.approx(0.5 * (E - 2.0), abs=1e-15)
         assert val == pytest.approx(0.35914091422952255, abs=1e-15)
 
@@ -416,7 +454,7 @@ class TestKl:
         mu = np.array([[1.0], [0.0]])
         lv = np.array([[0.0], [1.0]])
         expected = 0.5 * (0.5 + 0.5 * (E - 2.0))
-        assert losses.kl_diag_gaussian(mu, lv) == pytest.approx(expected, abs=1e-15)
+        assert kl(mu, lv) == pytest.approx(expected, abs=1e-15)
 
     def test_matches_monte_carlo(self):
         rng = numkit.make_rng(11)
@@ -431,59 +469,63 @@ class TestKl:
             # log q - log p per draw
             per = 0.5 * np.sum(z * z - eps * eps - lv, axis=1)
             se = float(np.std(per)) / math.sqrt(n)
-            closed = losses.kl_diag_gaussian(mu, lv)
+            closed = kl(mu[None, :], lv[None, :])
             assert abs(float(np.mean(per)) - closed) < 3.0 * se
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            losses.kl_diag_gaussian(np.zeros(2), np.zeros(3))
+            kl(np.zeros((1, 2)), np.zeros((1, 3)))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 31), d=st.integers(1, 8))
     def test_nonnegative_always(self, seed, d):
         rng = numkit.make_rng(seed)
-        val = losses.kl_diag_gaussian(rng.standard_normal(d) * 3,
-                                      rng.uniform(-4, 4, size=d))
+        val = kl(rng.standard_normal((1, d)) * 3, rng.uniform(-4, 4, size=(1, d)))
         assert val >= 0.0
 
 
 class TestElbo:
     def test_perfect_reconstruction_leaves_kl_only(self):
-        x = np.array([0.3, -0.7])
-        out = losses.elbo(x, x.copy(), np.array([1.0]), np.array([0.0]))
+        x = np.array([[0.3, -0.7]])
+        out = elbo(x, x, np.array([[1.0]]), np.array([[0.0]]))
         assert out.value == pytest.approx(0.5, abs=1e-15)
 
     def test_reconstruction_term_is_mean_over_dims(self):
-        x = np.zeros(4)
-        recon = np.ones(4)
-        out = losses.elbo(x, recon, np.zeros(2), np.zeros(2), kl_weight=1.0)
+        x = np.zeros((1, 4))
+        recon = np.ones((1, 4))
+        out = elbo(x, recon, np.zeros((1, 2)), np.zeros((1, 2)), kl_weight=1.0)
         assert out.value == pytest.approx(1.0, abs=1e-15)
 
     def test_kl_weight_scales_only_the_kl_term(self):
-        x = np.zeros(4)
-        recon = np.ones(4)
-        mu = np.array([1.0])
-        lv = np.array([0.0])
-        v1 = losses.elbo(x, recon, mu, lv, kl_weight=1.0).value
-        v2 = losses.elbo(x, recon, mu, lv, kl_weight=3.0).value
+        x = np.zeros((1, 4))
+        recon = np.ones((1, 4))
+        mu = np.array([[1.0]])
+        lv = np.array([[0.0]])
+        v1 = elbo(x, recon, mu, lv, kl_weight=1.0).value
+        v2 = elbo(x, recon, mu, lv, kl_weight=3.0).value
         assert v2 - v1 == pytest.approx(2.0 * 0.5, abs=1e-15)
 
     def test_batch_items_are_meaned(self):
         x = np.zeros((2, 2))
         recon = np.array([[1.0, 1.0], [0.0, 0.0]])
-        out = losses.elbo(x, recon, np.zeros((2, 1)), np.zeros((2, 1)))
+        out = elbo(x, recon, np.zeros((2, 1)), np.zeros((2, 1)))
         assert out.value == pytest.approx(0.5, abs=1e-15)
 
-    def test_x_gradient_mirrors_recon_gradient(self):
+    def test_recon_gradient_is_written_over_recon(self):
         rng = numkit.make_rng(12)
-        out = losses.elbo(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)),
-                          rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
-        np.testing.assert_array_equal(out.grads["x"], -out.grads["recon"])
+        x, recon = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        mu, lv = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+        want = elbo(x, recon, mu, lv)
+        out = losses.elbo(x, recon, mu, lv, 1.0)
+        assert set(out.grads) == {"recon", "mu", "log_var"}
+        assert out.grads["recon"] is recon
+        assert out.value == want.value
+        np.testing.assert_array_equal(recon, want.grads["recon"])
 
     def test_recon_gradient_is_the_scaled_residual_bit_for_bit(self):
         rng = numkit.make_rng(14)
         x, recon = rng.standard_normal((5, 7)), rng.standard_normal((5, 7))
-        out = losses.elbo(x, recon, rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
+        out = elbo(x, recon, rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))
         np.testing.assert_array_equal(out.grads["recon"], 2.0 * (recon - x) / (7 * 5))
 
     def test_gradients(self):
@@ -493,7 +535,7 @@ class TestElbo:
                   rng.uniform(-1, 1, size=(3, 2))]
 
         def loss_fn(arrs):
-            out = losses.elbo(x, arrs[0], arrs[1], arrs[2], kl_weight=0.7)
+            out = elbo(x, arrs[0], arrs[1], arrs[2], kl_weight=0.7)
             return out.value, [out.grads["recon"], out.grads["mu"],
                                out.grads["log_var"]]
 
@@ -502,13 +544,4 @@ class TestElbo:
 
     def test_shape_disagreement_rejected(self):
         with pytest.raises(ValueError):
-            losses.elbo(np.zeros((2, 3)), np.zeros((3, 3)),
-                        np.zeros((2, 1)), np.zeros((2, 1)))
-
-
-def test_total_objective_frozen_value():
-    assert losses.total_objective(2.0, 3.0, 0.1) == pytest.approx(2.3, abs=1e-15)
-
-
-def test_total_objective_zero_weight_drops_alignment():
-    assert losses.total_objective(1.7, 99.0, 0.0) == 1.7
+            elbo(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((2, 1)), np.zeros((2, 1)))

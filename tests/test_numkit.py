@@ -35,6 +35,12 @@ def scalar_mlp_forward(params, x):
     return np.array(h)
 
 
+def backward(params, cache, grad_out, grad_in=True):
+    """mlp_backward into freshly allocated arrays: (param grads, input grad)."""
+    grads = [np.empty_like(a) for a in params.param_arrays()]
+    return grads, numkit.mlp_backward(params, cache, grad_out, grads, grad_in)
+
+
 class TestSigmoid:
     @staticmethod
     def two_branch_reference(z):
@@ -62,21 +68,21 @@ class TestSigmoid:
 class TestMlpForward:
     def test_zero_params_give_zero_output(self):
         params = zero_mlp((4, 3, 2))
-        y, _ = numkit.mlp_forward(params, np.ones(4))
-        assert np.all(y == 0.0)
+        y, _ = numkit.mlp_forward(params, np.ones((1, 4)))
+        assert y.shape == (1, 2) and np.all(y == 0.0)
 
     def test_single_identity_layer_is_identity(self):
         params = numkit.MlpParams([np.eye(3)], [np.zeros(3)])
-        v = np.array([0.3, -1.2, 2.0])
+        v = np.array([[0.3, -1.2, 2.0]])
         y, _ = numkit.mlp_forward(params, v)
         np.testing.assert_array_equal(y, v)
 
     def test_matches_scalar_loop_oracle(self):
         rng = numkit.make_rng(7)
         params = numkit.init_mlp((5, 4, 3), rng)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((1, 5))
         y, _ = numkit.mlp_forward(params, x)
-        np.testing.assert_allclose(y, scalar_mlp_forward(params, x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y[0], scalar_mlp_forward(params, x[0]), rtol=0, atol=1e-12)
 
     def test_batched_rows_match_single_rows(self):
         rng = numkit.make_rng(8)
@@ -84,29 +90,34 @@ class TestMlpForward:
         xs = rng.standard_normal((5, 4))
         ys, _ = numkit.mlp_forward(params, xs)
         for i in range(5):
-            yi, _ = numkit.mlp_forward(params, xs[i])
-            np.testing.assert_allclose(ys[i], yi, atol=1e-14)
+            yi, _ = numkit.mlp_forward(params, xs[i:i + 1])
+            np.testing.assert_allclose(ys[i], yi[0], atol=1e-14)
 
     def test_dimension_mismatch_raises(self):
         params = zero_mlp((4, 2))
         with pytest.raises(ValueError):
-            numkit.mlp_forward(params, np.zeros(3))
+            numkit.mlp_forward(params, np.zeros((1, 3)))
+
+    def test_a_single_vector_is_refused(self):
+        # one record is a (1, d) batch; a bare (d,) vector is not an input
+        with pytest.raises(ValueError, match=r"input dim \(4,\)"):
+            numkit.mlp_forward(zero_mlp((4, 2)), np.zeros(4))
 
     def test_linear_activation_is_matrix_composition(self):
         rng = numkit.make_rng(9)
         params = numkit.init_mlp((3, 4, 2), rng, activation="linear")
         x = rng.standard_normal(3)
-        y, _ = numkit.mlp_forward(params, x)
+        y, _ = numkit.mlp_forward(params, x[None, :])
         expected = params.weights[1] @ (params.weights[0] @ x + params.biases[0]) + params.biases[1]
-        np.testing.assert_allclose(y, expected, atol=1e-14)
+        np.testing.assert_allclose(y[0], expected, atol=1e-14)
 
 
 class TestMlpBackward:
     def test_zero_grad_out_gives_zero_grads(self):
         rng = numkit.make_rng(1)
         params = numkit.init_mlp((3, 4, 2), rng)
-        y, cache = numkit.mlp_forward(params, rng.standard_normal(3))
-        grads, gx = numkit.mlp_backward(params, cache, np.zeros_like(y))
+        y, cache = numkit.mlp_forward(params, rng.standard_normal((1, 3)))
+        grads, gx = backward(params, cache, np.zeros_like(y))
         assert all(np.all(g == 0.0) for g in grads)
         assert np.all(gx == 0.0)
 
@@ -117,49 +128,54 @@ class TestMlpBackward:
         params = numkit.MlpParams([w.copy()], [np.zeros(2)])
         x = rng.standard_normal(3)
         u = rng.standard_normal(2)
-        _, cache = numkit.mlp_forward(params, x)
-        grads, gx = numkit.mlp_backward(params, cache, u)
+        _, cache = numkit.mlp_forward(params, x[None, :])
+        grads, gx = backward(params, cache, u[None, :])
         np.testing.assert_allclose(grads[0], np.outer(u, x), atol=1e-14)
         np.testing.assert_allclose(grads[1], u, atol=1e-14)
-        np.testing.assert_allclose(gx, w.T @ u, atol=1e-14)
+        np.testing.assert_allclose(gx[0], w.T @ u, atol=1e-14)
 
     def test_three_layer_net_matches_finite_differences(self):
         rng = numkit.make_rng(3)
         params = numkit.init_mlp((4, 5, 5, 3), rng)
-        x = rng.standard_normal(4)
-        target = rng.standard_normal(3)
+        x = rng.standard_normal((1, 4))
+        target = rng.standard_normal((1, 3))
 
         def loss_fn(arrays):
             p = params.with_arrays(arrays)
             y, cache = numkit.mlp_forward(p, x)
             resid = y - target
-            grads, _ = numkit.mlp_backward(p, cache, 2.0 * resid)
-            return float(resid @ resid), grads
+            grads, _ = backward(p, cache, 2.0 * resid)
+            return float(np.sum(resid * resid)), grads
 
         report = numkit.grad_check(loss_fn, params.param_arrays())
         assert report.max_rel_error < 1e-4
 
-    def test_writing_into_out_matches_the_allocating_path_bit_for_bit(self):
+    def test_writes_batch_summed_gradients_into_views_of_one_vector(self):
         rng = numkit.make_rng(5)
         params = numkit.init_mlp((7, 6, 5, 4), rng)
-        _, cache = numkit.mlp_forward(params, rng.standard_normal((9, 7)))
+        xs = rng.standard_normal((9, 7))
         grad_out = rng.standard_normal((9, 4))
-        ref, ref_in = numkit.mlp_backward(params, cache, grad_out)
+        _, cache = numkit.mlp_forward(params, xs)
         # views into one flat vector, as a trainer passes them
-        _, out = numkit.flatten([np.full_like(a, np.nan) for a in params.param_arrays()])
-        got, got_in = numkit.mlp_backward(params, cache, grad_out, out=out)
-        assert got is out and all(g is o for g, o in zip(got, out))
-        for a, b in zip(ref, out):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(ref_in, got_in)
+        flat, out = numkit.flatten([np.full_like(a, np.nan) for a in params.param_arrays()])
+        got_in = numkit.mlp_backward(params, cache, grad_out, out, True)
+        rows = []
+        for i in range(9):
+            _, cache_i = numkit.mlp_forward(params, xs[i:i + 1])
+            rows.append(backward(params, cache_i, grad_out[i:i + 1]))
+        for k, view in enumerate(out):
+            np.testing.assert_allclose(view, sum(g[k] for g, _ in rows), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_in, np.concatenate([gx for _, gx in rows]),
+                                   rtol=0, atol=1e-14)
+        assert np.isfinite(flat).all()
 
     def test_no_input_gradient_keeps_parameter_gradients(self):
         rng = numkit.make_rng(6)
         params = numkit.init_mlp((7, 6, 5, 4), rng)
         _, cache = numkit.mlp_forward(params, rng.standard_normal((9, 7)))
         grad_out = rng.standard_normal((9, 4))
-        ref, _ = numkit.mlp_backward(params, cache, grad_out)
-        got, got_in = numkit.mlp_backward(params, cache, grad_out, grad_in=False)
+        ref, _ = backward(params, cache, grad_out)
+        got, got_in = backward(params, cache, grad_out, grad_in=False)
         assert got_in is None
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
@@ -167,22 +183,21 @@ class TestMlpBackward:
     def test_input_gradient_matches_finite_differences(self):
         rng = numkit.make_rng(4)
         params = numkit.init_mlp((3, 4, 2), rng)
-        x0 = rng.standard_normal(3)
+        x0 = rng.standard_normal((1, 3))
 
         def forward_only(x):
             y, _ = numkit.mlp_forward(params, x)
             return float(np.sum(y ** 2))
 
-        _, cache = numkit.mlp_forward(params, x0)
-        y0, _ = numkit.mlp_forward(params, x0)
-        _, gx = numkit.mlp_backward(params, cache, 2.0 * y0)
+        y0, cache = numkit.mlp_forward(params, x0)
+        _, gx = backward(params, cache, 2.0 * y0)
         step = 1e-6
         for i in range(3):
             xp, xm = x0.copy(), x0.copy()
-            xp[i] += step
-            xm[i] -= step
+            xp[0, i] += step
+            xm[0, i] -= step
             numeric = (forward_only(xp) - forward_only(xm)) / (2 * step)
-            assert abs(gx[i] - numeric) < 1e-6
+            assert abs(gx[0, i] - numeric) < 1e-6
 
 
 class TestAdam:
@@ -363,9 +378,9 @@ class TestRngStreams:
 def test_forward_matches_scalar_oracle_property(seed, sizes):
     rng = numkit.make_rng(seed)
     params = numkit.init_mlp(tuple(sizes), rng)
-    x = rng.standard_normal(sizes[0])
+    x = rng.standard_normal((1, sizes[0]))
     y, _ = numkit.mlp_forward(params, x)
-    np.testing.assert_allclose(y, scalar_mlp_forward(params, x), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(y[0], scalar_mlp_forward(params, x[0]), rtol=0, atol=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -373,13 +388,13 @@ def test_forward_matches_scalar_oracle_property(seed, sizes):
 def test_backward_matches_central_differences_property(seed):
     rng = numkit.make_rng(seed)
     params = numkit.init_mlp((3, 4, 2), rng)
-    x = rng.standard_normal(3)
+    x = rng.standard_normal((1, 3))
 
     def loss_fn(arrays):
         p = params.with_arrays(arrays)
         y, cache = numkit.mlp_forward(p, x)
-        grads, _ = numkit.mlp_backward(p, cache, 2.0 * y)
-        return float(y @ y), grads
+        grads, _ = backward(p, cache, 2.0 * y)
+        return float(np.sum(y * y)), grads
 
     report = numkit.grad_check(loss_fn, params.param_arrays())
     assert report.max_rel_error < 1e-4
