@@ -448,7 +448,8 @@ def dct_self_checks(seed: int = 0) -> list[tuple[str, float, float, bool]]:
 
     ident_cfg = frequency.EnhancementConfig.per_coefficient(64, 35, 30.0, 0.0)
     spec = rng.standard_normal((5, 64))
-    ident = float(np.max(np.abs(frequency.enhance(spec, ident_cfg) - spec)))
+    ident_g, _, _ = frequency.scaling_profile(ident_cfg)
+    ident = float(np.max(np.abs(frequency.enhance(spec, ident_g) - spec)))
 
     return [
         ("round-trip", round_trip, 1e-9, round_trip < 1e-9),

@@ -144,9 +144,10 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
     parameter gradient is written into its array. Returns (breakdown,
     d_f_s): breakdown holds the scalar pieces and d_f_s is the gradient
     w.r.t. the skeleton features, which lets a caller chain further back
-    (to trainable frequency weights). With feature_grads=False the skeleton
-    encoder skips its input gradient and the alignment loss its anchor
-    gradients, and d_f_s is None.
+    (to trainable frequency weights). The alignment loss computes only the
+    skeleton anchor's gradient, the one d_f_s needs, and with
+    feature_grads=False the skeleton encoder skips its input gradient, the
+    alignment loss that anchor gradient too, and d_f_s is None.
     """
     f_s = np.asarray(f_s, dtype=np.float64)
     f_t = np.asarray(f_t, dtype=np.float64)
@@ -179,7 +180,7 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
     elbo_s = losses.elbo(f_s, dec_s[:b], mu_s, lv_s, cfg.kl_weight)
     elbo_t = losses.elbo(f_t, dec_t[:b], mu_t, lv_t, cfg.kl_weight)
     batch = losses.AlignmentBatch(f_t, f_s, dec_t[b:], dec_s[b:], labels, negatives,
-                                  anchor_grads=feature_grads)
+                                  anchor_grads=("f_s",) if feature_grads else ())
     align = losses.alignment_loss(batch, cfg, a)
 
     vae_value = elbo_s.value + elbo_t.value

@@ -155,62 +155,90 @@ class EnhancementConfig:
                    low_cutoff, ramp, mode, floor)
 
 
-def scaling_profile(config: EnhancementConfig) -> tuple[Array, Array, Array]:
-    """Per-coefficient (g, dg/dw, band index) arrays of length F.
+@dataclass(frozen=True)
+class BandProfile:
+    """The part of a config's scaling profile that its weights do not move.
 
-    dg/dw is the closed-form linear factor of the band's weight, zeroed where
-    the floor clamp is active, so it is the exact subgradient used in training.
+    band_index maps each of the F coefficients to its band. factor holds
+    each band's ramp factor (the coefficient of w_k in g before the clamp);
+    it is None in learnable_only mode, where g = w_k. A trainer builds this
+    once per run and calls gains with each step's weights.
     """
-    n = config.n_bands
-    w = np.asarray(config.weights, dtype=np.float64)
+
+    band_index: Array
+    factor: Array | None
+    floor: float
+
+    def gains(self, weights: Array) -> tuple[Array, Array]:
+        """Per-coefficient (g, dg/dw) for one weight per band.
+
+        dg/dw is the band's ramp factor, zeroed where the floor clamp is
+        active, so it is the exact subgradient used in training.
+        """
+        w = np.asarray(weights, dtype=np.float64)
+        if self.factor is None:
+            g_band, dgdw_band = w, np.ones_like(w)
+        else:
+            raw = 1.0 + w * self.factor
+            clamped = raw < self.floor
+            g_band = np.where(clamped, self.floor, raw)
+            dgdw_band = np.where(clamped, 0.0, self.factor)
+        return g_band[self.band_index], dgdw_band[self.band_index]
+
+
+def band_profile(config: EnhancementConfig) -> BandProfile:
+    """config's band index, ramp factors and floor."""
+    pts = np.asarray(config.split_points)
+    band_index = np.repeat(np.arange(config.n_bands), np.diff(pts))
     if config.mode == "learnable_only":
-        g_band = w.copy()
-        dgdw_band = np.ones(n)
-    else:
-        pts = np.asarray(config.split_points, dtype=np.float64)
-        k = pts[:-1]  # the ramp runs over coefficient indices: each band's start
-        low = pts[1:] <= config.low_cutoff
-        factor = np.where(low, 1.0 - k / config.ramp,
-                          -(1.0 - (k - config.ramp) / config.ramp))
-        raw = 1.0 + w * factor
-        clamped = raw < config.floor
-        g_band = np.where(clamped, config.floor, raw)
-        dgdw_band = np.where(clamped, 0.0, factor)
-    band_index = np.repeat(np.arange(n),
-                           np.diff(np.asarray(config.split_points)))
-    return g_band[band_index], dgdw_band[band_index], band_index
+        return BandProfile(band_index, None, config.floor)
+    k = pts[:-1].astype(np.float64)  # the ramp runs over coefficient indices: each band's start
+    low = pts[1:] <= config.low_cutoff
+    factor = np.where(low, 1.0 - k / config.ramp, -(1.0 - (k - config.ramp) / config.ramp))
+    return BandProfile(band_index, factor, config.floor)
+
+
+def scaling_profile(config: EnhancementConfig) -> tuple[Array, Array, Array]:
+    """Per-coefficient (g, dg/dw, band index) arrays of length F under config's weights."""
+    profile = band_profile(config)
+    return (*profile.gains(config.weights), profile.band_index)
 
 
 # ---- enhancement ----
 
 
-def enhance(coeffs: Array, config: EnhancementConfig) -> Array:
-    """Scale each coefficient (trailing axis) by its band's g. Finiteness is
-    left to idct, which every caller applies to the product."""
+def enhance(coeffs: Array, gains: Array) -> Array:
+    """Scale each coefficient (trailing axis) by its gain g, as scaling_profile
+    or BandProfile.gains gives it. Finiteness is left to idct, which every
+    caller applies to the product."""
     c = np.asarray(coeffs, dtype=np.float64)
-    if c.shape[-1] != config.length:
+    if c.shape[-1] != len(gains):
         raise ValueError(
-            f"config partitions {config.length} coefficients, spectrum has {c.shape[-1]}")
-    g, _, _ = scaling_profile(config)
-    return c * g
+            f"config partitions {len(gains)} coefficients, spectrum has {c.shape[-1]}")
+    return c * gains
 
 
 def enhance_sequence(x: Array, config: EnhancementConfig) -> Array:
     """Transform, scale bands, transform back, over the trailing axis."""
-    return idct(enhance(dct_forward(x), config))
+    return idct(enhance(dct_forward(x), scaling_profile(config)[0]))
 
 
-def enhance_weight_grads(coeffs: Array, grad_out: Array, config: EnhancementConfig) -> Array:
+def enhance_weight_grads(coeffs: Array, grad_out: Array, dgdw: Array,
+                         band_index: Array) -> Array:
     """Chain grad wrt the enhanced output back to the band weights.
 
-    coeffs is the unscaled spectrum that was enhanced under config, and
-    grad_out has its shape. The transform is orthonormal, so grad wrt the
-    scaled spectrum is dct_forward(grad_out).
+    coeffs is the unscaled spectrum that was enhanced, grad_out holds as
+    many entries, and dgdw and band_index are per coefficient, as
+    BandProfile.gains and the profile give them. The transform is
+    orthonormal, so the grad wrt scaled coefficient i is (grad_out B^T)_i
+    with B the basis. With the rows of both blocks as (M, F) matrices D and
+    C, the sum over rows of that times C[:, i] is sum_t B[i, t] (D^T C)[t, i]:
+    one (F, M) x (M, F) product and an F-length contraction.
     """
-    _, dgdw, band_index = scaling_profile(config)
-    grad_spec = dct_forward(np.asarray(grad_out, dtype=np.float64))
-    per_coeff = (grad_spec * coeffs).reshape(-1, coeffs.shape[-1]).sum(axis=0)
-    return np.bincount(band_index, weights=per_coeff * dgdw, minlength=config.n_bands)
+    f = coeffs.shape[-1]
+    spec_cross = np.reshape(grad_out, (-1, f)).T @ np.reshape(coeffs, (-1, f))
+    per_coeff = np.einsum("it,ti->i", dct_basis(f), spec_cross)
+    return np.bincount(band_index, weights=per_coeff * dgdw)
 
 
 # ---- learnable weight squash ----

@@ -58,9 +58,9 @@ class AlignmentBatch:
     """Per-item features, cross reconstructions, labels, and negative indices.
 
     negatives[i] indexes another batch item whose label differs from
-    labels[i]; the same index serves both modal directions. With
-    anchor_grads=False the losses leave the anchor (feature) gradients
-    "f_t" and "f_s" out of their grads, for callers that do not chain back
+    labels[i]; the same index serves both modal directions. anchor_grads
+    names the anchor (feature) gradients, "f_t" and "f_s", that the losses
+    put in their grads; a caller leaves out those it does not chain back
     into the features. Shapes and negatives are checked here; finiteness
     is checked by `alignment_loss` on the distances it computes.
     """
@@ -71,7 +71,7 @@ class AlignmentBatch:
     g_t_s: Array
     labels: Array
     negatives: Array
-    anchor_grads: bool = True
+    anchor_grads: tuple[str, ...] = ("f_t", "f_s")
 
     def __post_init__(self) -> None:
         self.f_t = np.asarray(self.f_t, dtype=np.float64)
@@ -220,7 +220,7 @@ def alignment_loss(batch: AlignmentBatch, cfg: RunConfig, grad_scale: float) -> 
         g_recon = np.matmul(scatter * -cn, v, out=recon)
         g_recon -= u
         grads[recon_key] = g_recon
-        if batch.anchor_grads:
+        if anchor_key in batch.anchor_grads:
             v *= cn[:, None]
             u += v
             grads[anchor_key] = u

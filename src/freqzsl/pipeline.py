@@ -245,10 +245,16 @@ class SkeletonFeaturizer:
         block = np.stack([np.asarray(r.payload, dtype=np.float64) for r in records])
         return frequency.dct_forward(block) if self._enhances(block) else block
 
-    def from_spectrum(self, coeffs: Array) -> Array:
-        """(N, d) feature block from a spectrum() block or rows of one."""
+    def from_spectrum(self, coeffs: Array, gains: Array | None = None) -> Array:
+        """(N, d) feature block from a spectrum() block or rows of one.
+
+        gains, per-coefficient g, stands in for the profile of the
+        enhancement's own weights; a trainer passes the current step's.
+        """
         if self._enhances(coeffs):
-            coeffs = frequency.idct(frequency.enhance(coeffs, self.enhancement))
+            if gains is None:
+                gains = frequency.scaling_profile(self.enhancement)[0]
+            coeffs = frequency.idct(frequency.enhance(coeffs, gains))
         return coeffs.reshape(coeffs.shape[0], -1)
 
     def features_with_cache(self, records: Sequence[FeatureRecord]) -> tuple[Array, Array]:
@@ -362,7 +368,10 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     are views into it. The backward pass writes each gradient straight into
     a second vector of the same layout, which Adam reads. The payloads are
     stacked and transformed once, so a batch only rescales its rows of the
-    cached spectrum.
+    cached spectrum. The band profile (band index, ramp factors, floor) is
+    built once too: a step turns the current weights into g and dg/dw with
+    a few vector ops, and frequency.enhance_weight_grads contracts the
+    feature gradient against the rows with one matrix product.
     """
     validate_split(dataset, split)
     records = dataset.by_partition("train-seen")
@@ -383,8 +392,12 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
                                       rng, (cfg.hidden_dim,) * cfg.hidden_layers)
     arrays = params.param_arrays()
     n_net = len(arrays)
-    if cfg.train_weights and featurizer._enhances(coeffs):
-        arrays.append(frequency.raw_from_weights(np.asarray(featurizer.enhancement.weights)))
+    profile = gains = None
+    if featurizer._enhances(coeffs):
+        profile = frequency.band_profile(featurizer.enhancement)
+        gains, _ = profile.gains(featurizer.enhancement.weights)  # every step's, if frozen
+        if cfg.train_weights:
+            arrays.append(frequency.raw_from_weights(np.asarray(featurizer.enhancement.weights)))
     flat, views = numkit.flatten(arrays)
     del arrays  # the pre-flattening arrays go with the old params on the next line
     params = params.with_arrays(views[:n_net])
@@ -401,11 +414,11 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
 
     def step(idx: Array, labels: Array) -> dict:
         """One Adam step on one batch; its temporaries are freed on return."""
-        rows, feat = coeffs[idx], featurizer
+        rows, g = coeffs[idx], gains
         if raw is not None:
             w = frequency.weights_from_raw(raw)
-            feat = featurizer.with_weights(w)
-        f_s = feat.from_spectrum(rows)
+            g, dgdw = profile.gains(w)
+        f_s = featurizer.from_spectrum(rows, g)
         negatives = losses.sample_negatives(labels, rng)
         eps_s = rng.standard_normal((len(idx), cfg.latent_dim))
         eps_t = rng.standard_normal((len(idx), cfg.latent_dim))
@@ -413,8 +426,7 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
             params, f_s, text_all[idx], labels, negatives, eps_s, eps_t, cfg,
             grad_views[:n_net], feature_grads=raw is not None)
         if raw is not None:
-            d_w = frequency.enhance_weight_grads(rows, d_f_s.reshape(rows.shape),
-                                                 feat.enhancement)
+            d_w = frequency.enhance_weight_grads(rows, d_f_s, dgdw, profile.band_index)
             np.multiply(d_w * w, 1.0 - w, out=grad_views[n_net])
         # Adam squares each entry; one that overflows would freeze its parameter
         if not math.isfinite(np.dot(grad, grad)):

@@ -243,6 +243,25 @@ class TestStage2Loss:
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("feature_grads, anchors", [(True, ("f_s",)), (False, ())])
+    def test_alignment_is_asked_only_for_the_anchor_gradient_it_chains(
+            self, monkeypatch, feature_grads, anchors):
+        # d_f_s reads the skeleton anchor's gradient; the text anchor's is never read
+        asked, real = [], losses.alignment_loss
+
+        def recording(batch, *args):
+            asked.append(batch.anchor_grads)
+            out = real(batch, *args)
+            assert set(out.grads) == {"g_s_t", "g_t_s", *anchors}
+            return out
+
+        monkeypatch.setattr(losses, "alignment_loss", recording)
+        params = tiny_params(19)
+        f_s, f_t, labels, negatives, rng = make_batch(20)
+        stage2(params, f_s, f_t, labels, negatives, rng.standard_normal((4, 2)),
+               rng.standard_normal((4, 2)), RunConfig(temperature=5.0), feature_grads)
+        assert asked == [anchors]
+
     def test_feature_gradients_with_frozen_noise(self):
         params = tiny_params(15, hidden=(4,))
         f_s, f_t, labels, negatives, rng = make_batch(16)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqzsl import cli, frequency, numkit, pipeline
@@ -212,8 +212,8 @@ class TestConfigValidation:
 
     def test_enhance_rejects_length_mismatch(self):
         cfg = frequency.EnhancementConfig.per_coefficient(8, 2, 30.0)
-        with pytest.raises(ValueError):
-            frequency.enhance(np.zeros(9), cfg)
+        with pytest.raises(ValueError, match="config partitions 8 coefficients, spectrum has 9"):
+            frequency.enhance(np.zeros(9), profile_g(cfg))
 
 
 class TestEnhance:
@@ -222,7 +222,7 @@ class TestEnhance:
         # g = [0, 1/60], so only sqrt(2)/60 survives in mode 1
         cfg = frequency.EnhancementConfig.per_coefficient(2, low_cutoff=0,
                                                           ramp=30.0, weight=0.5)
-        out = frequency.enhance(np.array([0.0, math.sqrt(2.0)]), cfg)
+        out = frequency.enhance(np.array([0.0, math.sqrt(2.0)]), profile_g(cfg))
         np.testing.assert_allclose(out, [0.0, math.sqrt(2.0) / 60.0], atol=1e-15)
 
     def test_all_zero_weights_reproduce_input(self):
@@ -256,8 +256,9 @@ class TestEnhance:
 
         cfg = base
         out = frequency.enhance_sequence(x, cfg)
+        _, dgdw, band_index = frequency.scaling_profile(cfg)
         analytic = frequency.enhance_weight_grads(frequency.dct_forward(x),
-                                                  2.0 * (out - target), cfg)
+                                                  2.0 * (out - target), dgdw, band_index)
         step = 1e-6
         w0 = np.asarray(cfg.weights)
         for k in range(cfg.n_bands):
@@ -294,6 +295,46 @@ class TestEnhance:
             feat.from_spectrum(coeffs)
         with pytest.raises(ValueError, match="non-finite"):
             frequency.enhance_sequence(x, cfg)
+
+
+def reference_weight_grads(coeffs, grad_out, cfg):
+    """The band-weight gradient as transform, product, row sum and bincount."""
+    _, dgdw, band_index = frequency.scaling_profile(cfg)
+    grad_spec = frequency.dct_forward(grad_out.reshape(coeffs.shape))
+    per_coeff = (grad_spec * coeffs).reshape(-1, coeffs.shape[-1]).sum(axis=0)
+    return np.bincount(band_index, weights=per_coeff * dgdw, minlength=cfg.n_bands)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frames=st.integers(1, 40),
+       band_frac=st.floats(0.0, 1.0), cutoff_frac=st.floats(0.0, 0.999),
+       ramp=st.floats(0.5, 40.0), mode=st.sampled_from(frequency.MODES),
+       floor=st.sampled_from([0.0, 0.5, 1.0]), batch=st.integers(1, 9),
+       sequences=st.booleans())
+@example(seed=0, frames=16, band_frac=0.0, cutoff_frac=0.4, ramp=4.0, mode="piecewise",
+         floor=1.0, batch=3, sequences=True)  # bands 5-7 clamped: their dg/dw is 0
+def test_one_product_weight_grads_match_the_transformed_sum(
+        seed, frames, band_frac, cutoff_frac, ramp, mode, floor, batch, sequences):
+    # a step passes the rows it enhanced, as (N, J, C, F) sequence rows or
+    # (N, F) enhance_vectors rows, the (N, d) feature gradient, and dg/dw
+    # from the run's profile at the step's weights
+    rng = numkit.make_rng(seed)
+    band_size = 1 + int(band_frac * (frames - 1))
+    cfg = frequency.EnhancementConfig.uniform_bands(
+        frames, band_size, int(cutoff_frac * frames), ramp, mode=mode, floor=floor)
+    cfg = cfg.with_weights(rng.uniform(0.0, 1.0, cfg.n_bands))
+    profile = frequency.band_profile(cfg)
+    g, dgdw = profile.gains(np.asarray(cfg.weights))
+    want_g, want_dgdw, want_index = frequency.scaling_profile(cfg)
+    np.testing.assert_array_equal(g, want_g)
+    np.testing.assert_array_equal(dgdw, want_dgdw)
+    np.testing.assert_array_equal(profile.band_index, want_index)
+    rows = rng.standard_normal((batch, 3, 2, frames) if sequences else (batch, frames))
+    grad_out = rng.standard_normal((batch, rows[0].size))
+    want = reference_weight_grads(rows, grad_out, cfg)
+    got = frequency.enhance_weight_grads(rows, grad_out, dgdw, profile.band_index)
+    assert got.shape == (cfg.n_bands,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestWeightSquash:

@@ -363,12 +363,13 @@ class TestTripletBaselines:
     @pytest.mark.parametrize("loss_of_batch", [
         lambda b, n=name: align(b, n, temperature=10.0) for name in losses.ALIGN_LOSSES
     ])
-    def test_without_anchor_grads_recon_grads_are_unchanged(self, loss_of_batch):
+    @pytest.mark.parametrize("anchors", [(), ("f_s",), ("f_t",)])
+    def test_fewer_anchor_grads_leave_the_rest_unchanged(self, loss_of_batch, anchors):
         batch = random_batch(11)
         full = loss_of_batch(batch)
-        lean = loss_of_batch(dataclasses.replace(batch, anchor_grads=False))
+        lean = loss_of_batch(dataclasses.replace(batch, anchor_grads=anchors))
         assert lean.value == full.value
-        assert set(lean.grads) == {"g_s_t", "g_t_s"}
+        assert set(lean.grads) == {"g_s_t", "g_t_s", *anchors}
         for key in lean.grads:
             np.testing.assert_array_equal(lean.grads[key], full.grads[key])
 

@@ -3,6 +3,7 @@ featurizer behavior, softmax classifier separability, stage-3 synthesis,
 max-probability GZSL routing, harmonic-mean identities, and the latent
 export format."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -207,9 +208,10 @@ class TestFeaturizer:
         grad_out = numkit.make_rng(33).standard_normal((5, 2, 3, 16))
         rows = feat.spectrum(recs)[idx]
         batch = frequency.dct_forward(np.stack([recs[i].sequence for i in idx]))
+        _, dgdw, band_index = frequency.scaling_profile(trained.enhancement)
         np.testing.assert_allclose(
-            frequency.enhance_weight_grads(rows, grad_out, trained.enhancement),
-            frequency.enhance_weight_grads(batch, grad_out, trained.enhancement),
+            frequency.enhance_weight_grads(rows, grad_out, dgdw, band_index),
+            frequency.enhance_weight_grads(batch, grad_out, dgdw, band_index),
             rtol=0, atol=1e-12)
 
     def test_reweighted_featurizer_maps_the_same_spectrum(self):
@@ -414,6 +416,37 @@ class TestStage2:
             stage2_config(temperature=1.0, stage2_epochs=20, stage2_lr=1e-2, batch_size=12),
             numkit.make_rng(16))
         assert not np.allclose(trained_feat.enhancement.weights, 0.5)
+
+    def test_floor_clamp_freezes_bands_with_negative_ramp_factors(self):
+        # with floor 1 a band whose ramp factor is negative has g = 1 + w * factor
+        # clamped to 1 at every weight in (0, 1), so dg/dw = 0 and Adam leaves
+        # its raw weight exactly where it started
+        rng = numkit.make_rng(41)
+        recs = []
+        for cid in (0, 1, 2):
+            base = rng.standard_normal((2, 1, 16))
+            for s in range(6):
+                seq = base + 0.3 * rng.standard_normal((2, 1, 16))
+                recs.append(pipeline.FeatureRecord(f"c{cid}s{s}", cid, "train-seen",
+                                                   sequence=seq))
+        recs.append(pipeline.FeatureRecord("u", 3, "test-unseen",
+                                           sequence=np.zeros((2, 1, 16))))
+        table = make_semantic_table({0: [3.0, 0.0], 1: [0.0, 3.0], 2: [-3.0, 0.0],
+                                     3: [2.0, 2.0]})
+        enh = frequency.EnhancementConfig.per_coefficient(16, 6, 4.0, weight=0.5, floor=1.0)
+        _, trained_feat, _ = pipeline.run_stage2(
+            pipeline.FeatureDataset(recs), table, pipeline.SplitSpec((0, 1, 2), (3,)),
+            pipeline.SkeletonFeaturizer(enhancement=enh),
+            stage2_config(temperature=1.0, stage2_epochs=10, stage2_lr=1e-2, batch_size=8),
+            numkit.make_rng(42))
+        # at weight 0 nothing clamps, so dg/dw is each band's ramp factor
+        _, factor, _ = frequency.scaling_profile(
+            dataclasses.replace(enh, floor=0.0).with_weights(np.zeros(16)))
+        start = frequency.weights_from_raw(frequency.raw_from_weights(np.full(16, 0.5)))
+        trained = np.asarray(trained_feat.enhancement.weights)
+        assert (factor < 0).sum() == 3 and (factor > 0).sum() == 11
+        np.testing.assert_array_equal(trained[factor < 0], start[factor < 0])
+        assert np.any(trained[factor > 0] != start[factor > 0])
 
     @pytest.mark.parametrize("where, part", [
         ("kl_weight", "skel_encoder"), ("first array", "skel_encoder"),
