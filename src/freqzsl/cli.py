@@ -464,9 +464,10 @@ def dct_self_checks(seed: int = 0) -> list[tuple[str, float, float, bool]]:
 
 
 def loss_bench(cfg: RunConfig, loss_names: list[str],
-               noise_rates: list[float]) -> dict:
+               noise_rates: list[float], out: Path) -> dict:
     """Train identical pipelines per (loss, rate, seed); cell = unseen accuracy.
 
+    out is created after the config checks, so an unusable one fails before training.
     Result: {"rates", "losses", "seeds", "mean": {loss: [per rate]},
     "detail": {loss: {rate: [per seed]}}, "config_hash"}.
     """
@@ -484,7 +485,8 @@ def loss_bench(cfg: RunConfig, loss_names: list[str],
     for i in range(cfg.bench_seeds):
         run_seed = cfg.seed + i
         base = dataclasses.replace(cfg, seed=run_seed, synth_label_noise=0.0)
-        gen = synthbench.generate(base)
+        gen = synthbench.generate(base)  # checks the synth_* relations on the first seed
+        out.mkdir(parents=True, exist_ok=True)
         for rate in noise_rates:
             noisy = gen.dataset if rate == 0 else synthbench.inject_label_noise(
                 gen.dataset, rate, numkit.make_rng(run_seed, 17))
@@ -561,9 +563,9 @@ def cmd_dct_check(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     dataset, table, split = _load_data(args)
-    model = train_full(cfg, dataset, table, split)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
+    model = train_full(cfg, dataset, table, split)
     save_checkpoint(out / "checkpoint.json", model)
     write_loss_log(out / "loss_log.json", model.loss_log, model.config_hash)
     last = model.loss_log[-1] if model.loss_log else {}
@@ -615,9 +617,8 @@ def cmd_loss_bench(args) -> int:
     cfg = _load_cfg(args)
     loss_names = args.loss or list(losses.ALIGN_LOSSES)
     rates = args.noise_rate if args.noise_rate is not None else [0.0, 0.2, 0.5]
-    table = loss_bench(cfg, loss_names, rates)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    table = loss_bench(cfg, loss_names, rates, out)
     with open(out / "loss_bench.json", "w", encoding="utf-8") as fh:
         json.dump(table, fh, sort_keys=True, indent=1)
         fh.write("\n")

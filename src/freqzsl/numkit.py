@@ -163,13 +163,20 @@ def mlp_backward(params: MlpParams, cache: MlpCache, grad_out: Array,
 # ---- flat parameter storage ----
 
 
+def aligned_empty(n: int) -> Array:
+    """Uninitialized float64 vector of n entries whose data starts on a 64-byte line."""
+    buf = np.empty(n + 7)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start:start + n]
+
+
 def flatten(arrays: list[Array]) -> tuple[Array, list[Array]]:
-    """Copy arrays into one contiguous float64 vector, in order.
+    """Copy arrays into one contiguous float64 vector, in order, that starts on a 64-byte line.
 
     Returns the vector and one view into it per input, shaped like that
     input, so writing through a view writes the vector and vice versa.
     """
-    flat = np.empty(sum(np.size(a) for a in arrays))
+    flat = aligned_empty(sum(np.size(a) for a in arrays))
     views = []
     start = 0
     for a in arrays:
@@ -187,7 +194,7 @@ ADAM_CHUNK = 16384  # elements per in-place pass; keeps each chunk's working set
 
 @dataclass
 class AdamState:
-    """Adam with bias correction. Moment buffers are lazily sized on first step.
+    """Adam with bias correction over one flat vector; m and v are sized on its first step.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2
     p <- p - alpha_t * m / (sqrt(v) + eps_hat)
@@ -204,60 +211,53 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
-    scratch: tuple[Array, Array, Array] = field(
-        default_factory=lambda: (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK),
-                                 np.empty(ADAM_CHUNK, dtype=bool)),
+    m: Array | None = None
+    v: Array | None = None
+    scratch: tuple[Array, Array] = field(
+        default_factory=lambda: (aligned_empty(ADAM_CHUNK), aligned_empty(ADAM_CHUNK)),
         repr=False)
 
 
-def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None:
-    """One update, mutating params and state in place, chunk by chunk.
+def adam_step(state: AdamState, p: Array, g: Array) -> None:
+    """One update of the flat vector p by its gradient g, in place, chunk by chunk.
 
-    Each chunk's gradient is checked for finiteness before that chunk is
-    updated: a finite sum clears it, and only a non-finite sum (which a NaN
-    or an infinity always gives) pays for the exact per-entry test. The
+    A gradient whose squared norm is not finite (a NaN or an infinity, or
+    finite entries whose squares overflow, which would freeze their
+    parameters) raises ValueError before any entry or state moves. The
     arithmetic is the same elementwise sequence in every chunk, so the
     result does not depend on the chunking.
     """
-    if len(params) != len(grads):
-        raise ValueError("params/grads length mismatch")
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    if len(state.m) != len(params):
-        raise ValueError("optimizer state does not match parameter list")
+    if p.ndim != 1 or not p.flags.c_contiguous or np.shape(g) != p.shape or (
+            state.m is not None and state.m.shape != p.shape):
+        raise ValueError("params must be a contiguous vector shaped like its grad and moments")
+    if not math.isfinite(np.vdot(g, g)):  # np.dot would also warn of an overflow
+        raise ValueError("gradient is non-finite or its square overflows")
+    if state.m is None:
+        state.m, state.v = aligned_empty(p.size), aligned_empty(p.size)
+        state.m[:] = state.v[:] = 0.0
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     root_c2 = math.sqrt(1.0 - b2 ** t)
     alpha = state.lr * root_c2 / (1.0 - b1 ** t)
     eps_hat = state.eps * root_c2
-    s1, s2, ok = state.scratch
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if not p.flags.c_contiguous or np.size(g) != p.size:
-            raise ValueError("params must be C-contiguous and match their grads in size")
-        p, g, m, v = p.reshape(-1), np.reshape(g, -1), m.reshape(-1), v.reshape(-1)
-        for start in range(0, p.size, ADAM_CHUNK):
-            end = min(start + ADAM_CHUNK, p.size)
-            n = end - start
-            pc, gc, mc, vc = p[start:end], g[start:end], m[start:end], v[start:end]
-            a, b, f = s1[:n], s2[:n], ok[:n]
-            if not math.isfinite(gc.sum()) and not np.isfinite(gc, out=f).all():
-                raise ValueError("non-finite gradient entries")
-            mc *= b1
-            np.multiply(1.0 - b1, gc, out=a)
-            mc += a
-            vc *= b2
-            np.multiply(1.0 - b2, gc, out=a)
-            a *= gc
-            vc += a
-            np.sqrt(vc, out=b)
-            b += eps_hat
-            np.multiply(alpha, mc, out=a)
-            a /= b
-            pc -= a
+    s1, s2 = state.scratch
+    for start in range(0, p.size, ADAM_CHUNK):
+        end = min(start + ADAM_CHUNK, p.size)
+        pc, gc, mc, vc = p[start:end], g[start:end], state.m[start:end], state.v[start:end]
+        a, b = s1[:end - start], s2[:end - start]
+        mc *= b1
+        np.multiply(1.0 - b1, gc, out=a)
+        mc += a
+        vc *= b2
+        np.multiply(1.0 - b2, gc, out=a)
+        a *= gc
+        vc += a
+        np.sqrt(vc, out=b)
+        b += eps_hat
+        np.multiply(alpha, mc, out=a)
+        a /= b
+        pc -= a
 
 
 # ---- gradient checker ----

@@ -291,14 +291,21 @@ class SoftmaxClassifier:
                              f"{np.shape(self.weights)} and bias {np.shape(self.bias)}")
 
     def predict_proba(self, latents: Array) -> Array:
-        z = np.asarray(latents, dtype=np.float64) @ self.weights.T + self.bias
-        z -= z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
+        z = self.weights @ np.asarray(latents, dtype=np.float64).T
+        z += self.bias[:, None]
+        return softmax_classes(z).T
 
     def predict(self, latents: Array) -> Array:
         idx = np.argmax(self.predict_proba(np.atleast_2d(latents)), axis=-1)
         return np.asarray(self.class_ids)[idx]
+
+
+def softmax_classes(z: Array) -> Array:
+    """Softmax of (K, n) logits down the class axis, in place: n-wide reductions."""
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0)
+    return z
 
 
 def train_softmax_classifier(latents: Array, labels: Array,
@@ -314,22 +321,23 @@ def train_softmax_classifier(latents: Array, labels: Array,
         raise ValueError(f"label {exc} missing from class_ids") from exc
     n, d = x.shape
     k = len(class_ids)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
-    clf = SoftmaxClassifier(class_ids, np.zeros((k, d)), np.zeros(k))
+    onehot = np.zeros((k, n))
+    onehot[y, np.arange(n)] = 1.0
+    flat, (w, b) = numkit.flatten([np.zeros((k, d)), np.zeros(k)])
+    grad, (g_w, g_b) = numkit.flatten([w, b])
     opt = numkit.AdamState(lr=lr)
     for _ in range(epochs):
-        p = clf.predict_proba(x)
-        diff = (p - onehot) / n
-        g_w, g_b = diff.T @ x, diff.sum(axis=0)
-        # Adam squares each entry; one that overflows would freeze its weight
-        if not math.isfinite(np.vdot(g_w, g_w) + np.vdot(g_b, g_b)):
-            raise ValueError("classifier gradient is non-finite or its square overflows")
-        numkit.adam_step(opt, [clf.weights, clf.bias], [g_w, g_b])
+        diff = (softmax_classes(w @ x.T + b[:, None]) - onehot) / n
+        np.matmul(diff, x, out=g_w)
+        np.sum(diff, axis=1, out=g_b)
+        try:
+            numkit.adam_step(opt, flat, grad)
+        except ValueError as exc:
+            raise ValueError(f"classifier {exc}") from exc
     # an Adam overflow leaves a weight non-finite, which fails the next epoch's check
     # or, after the last epoch, this one
-    numkit.check_finite("classifier weights", np.append(clf.weights, clf.bias))
-    return clf
+    numkit.check_finite("classifier weights", flat)
+    return SoftmaxClassifier(class_ids, w, b)
 
 
 # ---- stage 2: joint VAE + band-weight training ----
@@ -359,8 +367,8 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     negative per item); if epochs > 0 and every batch is skipped, this
     raises ValueError rather than return an untrained model. A step runs
     with numpy's warnings off: a non-finite network input or loss, or a flat
-    gradient whose squared norm is not finite, raises ValueError naming the
-    epoch, the step and the network before Adam reads it; so does a
+    gradient whose squared norm is not finite (Adam refuses it unapplied),
+    raises ValueError naming the epoch, the step and the network; so does a
     parameter an Adam overflow left non-finite, at the latest after the loop.
 
     All trainable arrays (four networks, then the raw band weights) live in
@@ -428,11 +436,11 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
         if raw is not None:
             d_w = frequency.enhance_weight_grads(rows, d_f_s, dgdw, profile.band_index)
             np.multiply(d_w * w, 1.0 - w, out=grad_views[n_net])
-        # Adam squares each entry; one that overflows would freeze its parameter
-        if not math.isfinite(np.dot(grad, grad)):
+        try:
+            numkit.adam_step(opt, flat, grad)
+        except ValueError as exc:
             part = failing_part(grad, lambda g: math.isfinite(np.dot(g, g)))
-            raise ValueError(f"{part} gradient is non-finite or its square overflows")
-        numkit.adam_step(opt, [flat], [grad])
+            raise ValueError(f"{part} {exc}") from exc
         return breakdown
 
     n = len(records)

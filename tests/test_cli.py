@@ -291,7 +291,8 @@ class TestFieldDomains:
         out = tmp_path / "out"
         data = [] if command == "synth" else ["--data", tiny_env["data"]]
         code = cli.main([command, "--config", cfg, *data, "--out", str(out)])
-        assert not out.exists()
+        # a refused config makes no --out; a run that fails in training leaves it empty
+        assert not out.exists() or (code == 1 and not any(out.iterdir()))
         return code, capsys.readouterr().err
 
     def test_every_field_declares_a_domain(self):
@@ -664,6 +665,22 @@ class TestMainEndToEnd:
         dataset = pipeline.load_feature_file(data / "features.jsonl")
         split = pipeline.load_split_file(data / "split.json")
         pipeline.validate_split(dataset, split)
+
+    @pytest.mark.parametrize("command", ["train", "loss-bench"])
+    def test_out_that_is_a_file_fails_before_training(self, tiny_env, tmp_path, capsys,
+                                                      monkeypatch, command):
+        trained = []
+        monkeypatch.setattr(pipeline, "run_stage2", lambda *a, **k: trained.append(a))
+        out = tmp_path / "taken"
+        out.write_text("a file\n")
+        extra = (["--data", tiny_env["data"]] if command == "train"
+                 else ["--loss", "calibrated", "--noise-rate", "0"])
+        code = cli.main([command, "--config", tiny_env["cfg"], *extra, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(out) in err
+        assert trained == []
+        assert out.read_text() == "a file\n"
 
     def test_train_outputs_and_log(self, trained, capsys):
         out = trained["out"]

@@ -393,9 +393,9 @@ class TestNonFiniteStep:
         adam_calls = []
         real_adam, real_forward = numkit.adam_step, numkit.mlp_forward
 
-        def adam(state, params, grads):
-            real_adam(state, params, grads)
-            adam_calls.append([p.copy() for p in params])
+        def adam(state, p, g):
+            real_adam(state, p, g)
+            adam_calls.append(p.copy())
 
         def forward(net, x):
             out, cache = real_forward(net, x)
@@ -437,7 +437,7 @@ class TestNonFiniteStep:
         with pytest.raises(ValueError, match="non-finite"):
             crossvae.stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t,
                                  RunConfig(), grad_views, True)
-            numkit.adam_step(numkit.AdamState(), [flat], [grad])
+            numkit.adam_step(numkit.AdamState(), flat, grad)
         np.testing.assert_array_equal(flat, before)
 
 

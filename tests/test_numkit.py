@@ -204,7 +204,7 @@ class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         state = numkit.AdamState(lr=0.1)
         p = np.array([1.0, -2.0])
-        numkit.adam_step(state, [p], [np.zeros(2)])
+        numkit.adam_step(state, p, np.zeros(2))
         np.testing.assert_array_equal(p, [1.0, -2.0])
         assert state.step_count == 1
 
@@ -213,7 +213,7 @@ class TestAdam:
         lr, g0 = 0.05, 3.0
         state = numkit.AdamState(lr=lr)
         p = np.array([1.0])
-        numkit.adam_step(state, [p], [np.array([g0])])
+        numkit.adam_step(state, p, np.array([g0]))
         m_hat = g0
         v_hat = g0 * g0
         expected = 1.0 - lr * m_hat / (math.sqrt(v_hat) + state.eps)
@@ -227,7 +227,7 @@ class TestAdam:
         m = v = 0.0
         ref = 0.5
         for t, g in enumerate(grads, start=1):
-            numkit.adam_step(state, [p], [g.copy()])
+            numkit.adam_step(state, p, g.copy())
             m = state.beta1 * m + (1 - state.beta1) * g[0]
             v = state.beta2 * v + (1 - state.beta2) * g[0] ** 2
             ref -= state.lr * (m / (1 - state.beta1 ** t)) / (
@@ -238,14 +238,14 @@ class TestAdam:
         state = numkit.AdamState(lr=0.05)
         p = np.array([4.0, -3.0])
         for _ in range(500):
-            numkit.adam_step(state, [p], [2.0 * p])
+            numkit.adam_step(state, p, 2.0 * p)
         assert np.linalg.norm(p) < 0.1
 
     def test_non_finite_gradient_raises(self):
         state = numkit.AdamState()
         p = np.array([1.0])
         with pytest.raises(ValueError):
-            numkit.adam_step(state, [p], [np.array([np.nan])])
+            numkit.adam_step(state, p, np.array([np.nan]))
 
     def test_identical_runs_bit_identical(self):
         def run():
@@ -253,12 +253,11 @@ class TestAdam:
             p = rng.standard_normal(6)
             state = numkit.AdamState(lr=0.02)
             for _ in range(50):
-                numkit.adam_step(state, [p], [2.0 * p + rng.standard_normal(6)])
+                numkit.adam_step(state, p, 2.0 * p + rng.standard_normal(6))
             return p
 
         a, b = run(), run()
         assert np.array_equal(a, b)
-
 
     def test_chunked_update_is_bit_identical_to_the_textbook_formula(self):
         # longer than two chunks with a ragged tail, over several steps: bit for
@@ -275,7 +274,7 @@ class TestAdam:
         v = np.zeros(size)
         for t in range(1, 6):
             g = rng.standard_normal(size)
-            numkit.adam_step(state, [p], [g])
+            numkit.adam_step(state, p, g)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             alpha = state.lr * math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
@@ -287,30 +286,67 @@ class TestAdam:
             textbook = textbook - state.lr * (m / c1) / (np.sqrt(v / c2) + eps)
             np.testing.assert_allclose(p, textbook, rtol=0,
                                        atol=1e-15 * np.max(np.abs(textbook)), err_msg=str(t))
-            assert np.array_equal(state.m[0], m) and np.array_equal(state.v[0], v)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
-    def test_rejects_a_grad_of_another_size(self):
-        with pytest.raises(ValueError, match="match"):
-            numkit.adam_step(numkit.AdamState(), [np.zeros(3)], [np.zeros(4)])
+    def test_aligned_and_offset_vectors_update_bit_identically(self):
+        # the same steps on a vector that starts on a 64-byte line and on one
+        # that starts 8 bytes past it: the vector loops may take other paths
+        size = numkit.ADAM_CHUNK + 77
+        rng = numkit.make_rng(13)
+        aligned, _ = numkit.flatten([rng.standard_normal(size)])
+        offset = numkit.aligned_empty(size + 1)[1:]
+        offset[:] = aligned
+        assert aligned.ctypes.data % 64 == 0 and offset.ctypes.data % 64 == 8
+        states = numkit.AdamState(lr=0.01), numkit.AdamState(lr=0.01)
+        for _ in range(4):
+            g = rng.standard_normal(size)
+            g_offset = numkit.aligned_empty(size + 1)[1:]
+            g_offset[:] = g
+            numkit.adam_step(states[0], aligned, g)
+            numkit.adam_step(states[1], offset, g_offset)
+        assert np.array_equal(aligned, offset)
+        assert np.array_equal(states[0].m, states[1].m)
+        assert np.array_equal(states[0].v, states[1].v)
 
-    def test_finite_chunk_whose_sum_overflows_still_updates(self):
-        # the cheap sum check overflows to inf here; the exact test clears the chunk.
-        # Squaring such entries for v overflows too, so numpy warns either way.
-        state = numkit.AdamState(lr=0.1)
-        p = np.zeros(4)
-        g = np.full(4, 1e308)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            numkit.adam_step(state, [p], [g])
-        np.testing.assert_array_equal(state.m[0], (1.0 - state.beta1) * g)
+    @pytest.mark.parametrize("p_shape, g_shape", [((3,), (4,)), ((3,), (3, 1)),
+                                                  ((3, 1), (3, 1))])
+    def test_rejects_anything_but_a_vector_and_its_grad(self, p_shape, g_shape):
+        with pytest.raises(ValueError, match="contiguous vector shaped like its grad"):
+            numkit.adam_step(numkit.AdamState(), np.zeros(p_shape), np.zeros(g_shape))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_entry_in_a_later_chunk_raises(self, bad):
+    def test_rejects_a_vector_its_moments_were_not_sized_for(self):
         state = numkit.AdamState()
-        p = np.zeros(numkit.ADAM_CHUNK + 5)
-        g = np.ones_like(p)
-        g[-1] = bad
+        numkit.adam_step(state, np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match="shaped like its grad and moments"):
+            numkit.adam_step(state, np.zeros(4), np.ones(4))
+        assert state.step_count == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1e155])
+    @pytest.mark.parametrize("where", [0, numkit.ADAM_CHUNK + 3, -1])
+    def test_bad_entry_in_any_chunk_is_refused_before_anything_moves(self, bad, where):
+        # a non-finite entry, or a finite one whose square overflows (it would
+        # freeze its parameter), in the first, a middle or the ragged last
+        # chunk; p, m, v and the step count stay as they were
+        size = 2 * numkit.ADAM_CHUNK + 9
+        rng = numkit.make_rng(14)
+        p = rng.standard_normal(size)
+        state = numkit.AdamState(lr=0.01)
+        for _ in range(2):
+            numkit.adam_step(state, p, rng.standard_normal(size))
+        before = p.copy(), state.m.copy(), state.v.copy()
+        g = rng.standard_normal(size)
+        g[where] = bad
+        with pytest.raises(ValueError, match="^gradient is non-finite or its square overflows$"):
+            numkit.adam_step(state, p, g)
+        assert state.step_count == 2
+        for got, want in zip((p, state.m, state.v), before):
+            assert np.array_equal(got, want)
+
+    def test_refused_first_step_sizes_no_moments(self):
+        state = numkit.AdamState()
         with pytest.raises(ValueError, match="non-finite"):
-            numkit.adam_step(state, [p], [g])
+            numkit.adam_step(state, np.zeros(2), np.array([1.0, np.nan]))
+        assert state.m is None and state.v is None and state.step_count == 0
 
 
 class TestFlatten:
@@ -324,6 +360,22 @@ class TestFlatten:
         vb[1] = -2.0
         assert va[0, 0] == -1.0 and flat[-1] == -2.0
         assert a[0, 0] == 0.0  # the inputs are copied, not aliased
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapes=st.lists(st.lists(st.integers(0, 5), max_size=3).map(tuple), max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_vector_starts_on_a_64_byte_line_and_views_tile_it(self, shapes, seed):
+        rng = numkit.make_rng(seed)
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        flat, views = numkit.flatten(arrays)
+        assert flat.size == 0 or flat.ctypes.data % 64 == 0  # an empty one holds no data
+        assert flat.shape == (sum(a.size for a in arrays),) and flat.flags.c_contiguous
+        start = 0
+        for a, view in zip(arrays, views):
+            assert view.shape == a.shape and np.array_equal(view, a)
+            assert view.size == 0 or view.ctypes.data == flat.ctypes.data + 8 * start
+            start += a.size
+        assert len(views) == len(arrays) and start == flat.size
 
 
 class TestGradCheck:

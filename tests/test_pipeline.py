@@ -243,7 +243,43 @@ class TestFeaturizer:
         assert calls == [2]
 
 
+def row_major_softmax_head(latents, y, k, epochs, lr):
+    """The head as it was first written, on (n, K) logits with the softmax
+    along each row: the reference for the class-major trainer."""
+    n, d = latents.shape
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), y] = 1.0
+    flat, (w, b) = numkit.flatten([np.zeros((k, d)), np.zeros(k)])
+    opt = numkit.AdamState(lr=lr)
+    for _ in range(epochs):
+        z = latents @ w.T + b
+        z -= z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        diff = (e / e.sum(axis=-1, keepdims=True) - onehot) / n
+        numkit.adam_step(opt, flat, np.concatenate([(diff.T @ latents).ravel(),
+                                                    diff.sum(axis=0)]))
+    return w, b
+
+
 class TestSoftmaxClassifier:
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_class_major_training_matches_the_row_major_reference(self, k):
+        # n is no multiple of K, so no class's first bias gradient is 0 in exact
+        # arithmetic: Adam would scale each side's rounding noise of a 0 by 1/eps
+        rng = numkit.make_rng(40 + k)
+        y = np.concatenate([np.arange(k), rng.integers(0, k, 5 * k + 1)])
+        latents = rng.standard_normal((6 * k + 1, 5)) + rng.standard_normal((k, 5))[y]
+        ids = tuple(range(100, 100 + k))
+        clf = pipeline.train_softmax_classifier(latents, np.asarray(ids)[y], ids,
+                                                epochs=50, lr=0.05)
+        w, b = row_major_softmax_head(latents, y, k, epochs=50, lr=0.05)
+        for got, want in ((clf.weights, w), (clf.bias, b)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        z = latents @ w.T + b
+        p = np.exp(z - z.max(axis=-1, keepdims=True))
+        np.testing.assert_allclose(clf.predict_proba(latents),
+                                   p / p.sum(axis=-1, keepdims=True), rtol=1e-12, atol=0)
+
     def test_separable_latents_reach_high_train_accuracy(self):
         rng = numkit.make_rng(5)
         centers = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0]])
@@ -269,22 +305,30 @@ class TestSoftmaxClassifier:
 
     @pytest.mark.parametrize("scale", [1e160, np.inf])
     def test_gradient_whose_square_overflows_raises_before_adam(self, monkeypatch, scale):
-        adam_calls = []
-        monkeypatch.setattr(numkit, "adam_step", lambda *a: adam_calls.append(a))
+        # Adam refuses the first epoch's gradient before it moves anything
+        adam_calls, real_adam = [], numkit.adam_step
+
+        def adam(state, p, g):
+            adam_calls.append((state, p, p.copy()))
+            real_adam(state, p, g)
+
+        monkeypatch.setattr(numkit, "adam_step", adam)
         latents = np.array([[scale, 0.0], [-scale, 0.0]])
         with np.errstate(invalid="ignore"), pytest.raises(
                 ValueError, match="classifier gradient is non-finite or its square overflows"):
             pipeline.train_softmax_classifier(latents, np.array([0, 1]), (0, 1),
                                               epochs=3, lr=0.1)
-        assert adam_calls == []
+        [(state, p, before)] = adam_calls
+        assert state.step_count == 0 and state.m is None
+        assert np.array_equal(p, before)
 
     def test_weight_left_non_finite_by_the_last_step_raises(self, monkeypatch):
         real_adam = numkit.adam_step
 
-        def overflowing_adam(state, params, grads):
-            real_adam(state, params, grads)
+        def overflowing_adam(state, p, g):
+            real_adam(state, p, g)
             if state.step_count == 3:
-                params[1][0] = np.inf
+                p[-1] = np.inf  # W then b in one flat vector: the last bias
 
         monkeypatch.setattr(numkit, "adam_step", overflowing_adam)
         with pytest.raises(ValueError, match="classifier weights contains non-finite"):
@@ -359,10 +403,14 @@ class TestStage2:
                                            stage2_config(stage2_epochs=2, stage2_lr=1e-3,
                                                          batch_size=16),
                                            numkit.make_rng(12))
+        # one owning buffer (it may carry alignment padding) whose span they
+        # tile in order from a 64-byte line
         arrays = params.param_arrays()
         base = arrays[0].base
-        assert base is not None and base.size == sum(a.size for a in arrays)
-        assert all(a.base is base for a in arrays)
+        assert base is not None and all(a.base is base for a in arrays)
+        assert arrays[0].ctypes.data % 64 == 0
+        for a, b in zip(arrays, arrays[1:]):
+            assert b.ctypes.data == a.ctypes.data + a.nbytes
 
     def test_inert_enhancement_is_not_trained(self):
         # vector records with enhance_vectors off never pass through the bands
@@ -453,9 +501,15 @@ class TestStage2:
         ("last array", "text_decoder"), ("band weights", "band weights")])
     def test_gradient_whose_square_overflows_raises_before_adam(self, monkeypatch, where,
                                                                 part):
-        # each gradient entry stays finite; only its square overflows
-        adam_calls = []
-        monkeypatch.setattr(numkit, "adam_step", lambda *a: adam_calls.append(a))
+        # each gradient entry stays finite; only its square overflows. Adam
+        # refuses the first step's gradient before it moves anything
+        adam_calls, real_adam = [], numkit.adam_step
+
+        def adam(state, p, g):
+            adam_calls.append((state, p, p.copy()))
+            real_adam(state, p, g)
+
+        monkeypatch.setattr(numkit, "adam_step", adam)
         real_loss, real_band = crossvae.stage2_loss, frequency.enhance_weight_grads
 
         def loss(*args, **kwargs):
@@ -480,7 +534,9 @@ class TestStage2:
                 stage2_config(temperature=1.0, kl_weight=kl, stage2_epochs=2,
                               stage2_lr=1e-2, batch_size=16),
                 numkit.make_rng(17))
-        assert adam_calls == []
+        [(state, p, before)] = adam_calls
+        assert state.step_count == 0 and state.m is None
+        assert np.array_equal(p, before)
 
     @pytest.mark.parametrize("lr", [1e3, 1e6])
     def test_diverging_step_raises_naming_the_network_before_adam(self, monkeypatch, lr):
@@ -488,9 +544,9 @@ class TestStage2:
         # errors); each value they would have flagged must still stop the run
         grads_seen, real_adam = [], numkit.adam_step
 
-        def adam(state, params, grads):
-            grads_seen.append(all(np.isfinite(g).all() for g in grads))
-            real_adam(state, params, grads)
+        def adam(state, p, g):
+            grads_seen.append(np.isfinite(g).all())
+            real_adam(state, p, g)
 
         monkeypatch.setattr(numkit, "adam_step", adam)
         dataset, table, split = self.small_problem()
@@ -504,9 +560,9 @@ class TestStage2:
     def test_parameter_left_non_finite_by_the_last_step_raises(self, monkeypatch):
         real_adam = numkit.adam_step
 
-        def overflowing_adam(state, params, grads):
-            real_adam(state, params, grads)
-            params[0][-1] = np.inf  # the last array is the text decoder's bias
+        def overflowing_adam(state, p, g):
+            real_adam(state, p, g)
+            p[-1] = np.inf  # the last array is the text decoder's bias
 
         monkeypatch.setattr(numkit, "adam_step", overflowing_adam)
         dataset, table, split = self.small_problem()
