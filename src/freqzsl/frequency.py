@@ -73,12 +73,21 @@ def dct_forward(x: Array) -> Array:
 
 
 def idct(coeffs: Array) -> Array:
-    """Inverse of dct_forward over the trailing axis."""
+    """Inverse of dct_forward over the trailing axis.
+
+    Any leading axes are folded into rows first, so the transform is one
+    (rows, F) x (F, F) product rather than one small product per trailing
+    matrix of a stack. In this direction that is bit-identical to the
+    stacked product wherever the trailing matrices have more than one row;
+    a stack of one-row matrices went through matrix-vector products, which
+    round differently in the last bit.
+    """
     c = np.asarray(coeffs, dtype=np.float64)
     if c.ndim == 0 or c.shape[-1] == 0:
         raise ValueError("empty spectrum")
     check_finite("spectrum", c)
-    return c @ dct_basis(c.shape[-1])
+    f = c.shape[-1]
+    return (c.reshape(-1, f) @ dct_basis(f)).reshape(c.shape)
 
 
 def signal_energy(x: Array) -> float:
@@ -232,12 +241,13 @@ def enhance_weight_grads(coeffs: Array, grad_out: Array, dgdw: Array,
     BandProfile.gains and the profile give them. The transform is
     orthonormal, so the grad wrt scaled coefficient i is (grad_out B^T)_i
     with B the basis. With the rows of both blocks as (M, F) matrices D and
-    C, the sum over rows of that times C[:, i] is sum_t B[i, t] (D^T C)[t, i]:
-    one (F, M) x (M, F) product and an F-length contraction.
+    C, that is one (M, F) x (F, F) product D B^T, multiplied entrywise by C
+    and summed over the M rows. (The other order, the (F, M) x (M, F)
+    product D^T C, has an inner size of M and runs at one core's speed.)
     """
     f = coeffs.shape[-1]
-    spec_cross = np.reshape(grad_out, (-1, f)).T @ np.reshape(coeffs, (-1, f))
-    per_coeff = np.einsum("it,ti->i", dct_basis(f), spec_cross)
+    spec_grad = np.reshape(grad_out, (-1, f)) @ dct_basis(f).T
+    per_coeff = np.einsum("mi,mi->i", spec_grad, np.reshape(coeffs, (-1, f)))
     return np.bincount(band_index, weights=per_coeff * dgdw)
 
 

@@ -185,7 +185,10 @@ def alignment_loss(batch: AlignmentBatch, cfg: RunConfig, grad_scale: float) -> 
     the squared distances: the anchor gradient (if the batch wants it) is
     2 (cp u + cn v) and the reconstruction gradient -2 cp u, minus 2 cn v
     scattered onto each item's negative, with u and v the residuals to the
-    positive and negative reconstructions.
+    positive and negative reconstructions. The anchor gradient's cn v term
+    is built in a fresh block rather than over v, because the BLAS threads
+    of the scatter product have just read v and an in-place write to it
+    then costs several times as much.
 
     The grads are those of grad_scale * value: the factor 2 and grad_scale
     are folded into cp and cn. Each reconstruction gradient is written
@@ -221,8 +224,8 @@ def alignment_loss(batch: AlignmentBatch, cfg: RunConfig, grad_scale: float) -> 
         g_recon -= u
         grads[recon_key] = g_recon
         if anchor_key in batch.anchor_grads:
-            v *= cn[:, None]
-            u += v
+            # a fresh block: the scatter product's BLAS threads have just read v
+            u += v * cn[:, None]
             grads[anchor_key] = u
     return LossValue(total, grads)
 

@@ -378,8 +378,10 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     stacked and transformed once, so a batch only rescales its rows of the
     cached spectrum. The band profile (band index, ramp factors, floor) is
     built once too: a step turns the current weights into g and dg/dw with
-    a few vector ops, and frequency.enhance_weight_grads contracts the
-    feature gradient against the rows with one matrix product.
+    a few vector ops. A batch's band path runs as 2-D products over its
+    (rows, F) spectrum rows: frequency.idct maps the scaled rows back with
+    one product, and frequency.enhance_weight_grads moves the feature
+    gradient to the spectrum with one more and sums it against the rows.
     """
     validate_split(dataset, split)
     records = dataset.by_partition("train-seen")

@@ -538,6 +538,17 @@ class TestSelfChecks:
         assert failed == ["round-trip", "parseval", "orthonormality",
                           "energy-redistribution"]
 
+    @pytest.mark.parametrize("name, failed", [
+        ("idct", ["round-trip", "energy-redistribution"]),
+        ("dct_forward", ["round-trip", "parseval"]),
+    ], ids=["idct", "dct_forward"])
+    def test_a_broken_transform_fails_the_round_trip(self, monkeypatch, name, failed):
+        # the rows must run the transforms that training calls, not the basis alone
+        clean = getattr(frequency, name)
+        monkeypatch.setattr(frequency, name, lambda x: clean(x) * (1.0 + 1e-3))
+        rows = cli.dct_self_checks(seed=0)
+        assert [row for row, _, _, passed in rows if not passed] == failed
+
     def test_command_exit_codes(self, capsys, monkeypatch):
         assert cli.main(["dct-check"]) == 0
         assert "PASS round-trip" in capsys.readouterr().out

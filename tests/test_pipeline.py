@@ -496,6 +496,34 @@ class TestStage2:
         np.testing.assert_array_equal(trained[factor < 0], start[factor < 0])
         assert np.any(trained[factor > 0] != start[factor > 0])
 
+    def test_enhanced_vectors_train_their_band_weights_deterministically(self):
+        # with enhance_vectors the band path runs over (N, F) rows of vectors
+        rng = numkit.make_rng(43)
+        recs = []
+        for cid in (0, 1):
+            base = np.zeros(8)
+            base[cid] = 2.0
+            for s in range(6):
+                vec = frequency.idct(base + 0.05 * rng.standard_normal(8))
+                recs.append(vector_record(f"c{cid}s{s}", cid, "train-seen", vec))
+        recs.append(vector_record("u", 2, "test-unseen", np.zeros(8)))
+        table = make_semantic_table({0: [3.0, 0.0], 1: [0.0, 3.0], 2: [2.0, 2.0]})
+        enh = frequency.EnhancementConfig.per_coefficient(8, 3, 4.0, weight=0.5)
+        cfg = stage2_config(temperature=1.0, stage2_epochs=20, stage2_lr=1e-2, batch_size=12,
+                            train_weights=True)
+
+        def flat_after_training():
+            params, feat, _ = pipeline.run_stage2(
+                pipeline.FeatureDataset(recs), table, pipeline.SplitSpec((0, 1), (2,)),
+                pipeline.SkeletonFeaturizer(enhancement=enh, enhance_vectors=True), cfg,
+                numkit.make_rng(44))
+            weights = np.asarray(feat.enhancement.weights)
+            return np.concatenate([a.ravel() for a in params.param_arrays()] + [weights]), weights
+
+        (flat_a, weights), (flat_b, _) = flat_after_training(), flat_after_training()
+        assert not np.allclose(weights, 0.5)
+        assert flat_a.tobytes() == flat_b.tobytes()
+
     @pytest.mark.parametrize("where, part", [
         ("kl_weight", "skel_encoder"), ("first array", "skel_encoder"),
         ("last array", "text_decoder"), ("band weights", "band weights")])
