@@ -530,11 +530,16 @@ def _load_data(args) -> tuple[pipeline.FeatureDataset, semantics.SemanticTable, 
 
 
 def _check_feature_width(model: TrainedModel, dataset: pipeline.FeatureDataset) -> None:
-    """Refuse records that do not flatten to the skeleton encoder's input width."""
+    """Refuse records that do not flatten to the skeleton encoder's input width,
+    and vector records for a checkpoint that enhances only sequences: their
+    features would skip the enhancement it was trained with."""
     width, want = math.prod(dataset.payload_shape), model.vae.skel_encoder.in_dim
     if width != want:
         raise ValueError(f"data records flatten to {width} features, the checkpoint's "
                          f"skeleton encoder takes {want}")
+    feat = model.featurizer
+    if feat.enhancement is not None and not feat.enhance_vectors and dataset.kind == "vector":
+        raise ValueError("data holds vector records, the checkpoint enhances sequence records")
 
 
 def cmd_synth(args) -> int:
@@ -543,12 +548,10 @@ def cmd_synth(args) -> int:
     gen = synthbench.generate(cfg)
     out = Path(args.out)
     paths = synthbench.write_benchmark(gen, out, h)
-    manifest = {"config_hash": h, "records": len(gen.dataset.records),
-                "classes": cfg.synth_classes, "seen": list(gen.split.seen),
-                "unseen": list(gen.split.unseen)}
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    semantics.write_json(out / "manifest.json", {
+        "config_hash": h, "records": len(gen.dataset.records),
+        "classes": cfg.synth_classes, "seen": list(gen.split.seen),
+        "unseen": list(gen.split.unseen)})
     print(f"wrote {len(gen.dataset.records)} records to {out} (config {h[:12]})")
     for p in paths:
         print(f"  {p}")
@@ -624,9 +627,7 @@ def cmd_loss_bench(args) -> int:
     rates = args.noise_rate if args.noise_rate is not None else [0.0, 0.2, 0.5]
     out = Path(args.out)
     table = loss_bench(cfg, loss_names, rates, out)
-    with open(out / "loss_bench.json", "w", encoding="utf-8") as fh:
-        json.dump(table, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    semantics.write_json(out / "loss_bench.json", table)
     with open(out / "loss_bench.csv", "w", encoding="utf-8") as fh:
         fh.write("noise_rate," + ",".join(loss_names)
                  + f",config_hash={table['config_hash'][:12]}\n")

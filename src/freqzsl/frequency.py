@@ -36,7 +36,7 @@ energy is therefore sum_i g_i^2 c_i^2 over coefficients c.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -135,12 +135,27 @@ class EnhancementConfig:
             raise ValueError(f"floor must lie in [0, 1], got {self.floor}")
 
     @property
-    def length(self) -> int:
-        return self.split_points[-1]
-
-    @property
     def n_bands(self) -> int:
         return len(self.split_points) - 1
+
+    # computed once per instance; not fields, so no checkpoint holds them
+    @cached_property
+    def band_index(self) -> Array:
+        """The band of each of the F coefficients (read-only: scaling_profile hands it out)."""
+        index = np.repeat(np.arange(self.n_bands), np.diff(self.split_points))
+        index.setflags(write=False)
+        return index
+
+    @cached_property
+    def ramp_factors(self) -> Array | None:
+        """Each band's coefficient of w_k in g before the clamp; None in
+        learnable_only mode, where g = w_k."""
+        if self.mode == "learnable_only":
+            return None
+        pts = np.asarray(self.split_points)
+        k = pts[:-1].astype(np.float64)  # the ramp runs over coefficient indices: each band's start
+        low = pts[1:] <= self.low_cutoff
+        return np.where(low, 1.0 - k / self.ramp, -(1.0 - (k - self.ramp) / self.ramp))
 
     def with_weights(self, weights) -> "EnhancementConfig":
         return replace(self, weights=tuple(float(w) for w in weights))
@@ -164,53 +179,27 @@ class EnhancementConfig:
                    low_cutoff, ramp, mode, floor)
 
 
-@dataclass(frozen=True)
-class BandProfile:
-    """The part of a config's scaling profile that its weights do not move.
+def scaling_profile(config: EnhancementConfig,
+                    weights: Array | None = None) -> tuple[Array, Array, Array]:
+    """Per-coefficient (g, dg/dw, band index) arrays of length F.
 
-    band_index maps each of the F coefficients to its band. factor holds
-    each band's ramp factor (the coefficient of w_k in g before the clamp);
-    it is None in learnable_only mode, where g = w_k. A trainer builds this
-    once per run and calls gains with each step's weights.
+    weights, one per band, stand in for config's own; a trainer passes each
+    step's, evaluation passes none. dg/dw is the band's ramp factor (1 in
+    learnable_only mode), zeroed where the floor clamp is active, so it is
+    the exact subgradient used in training. Only a few vector ops run here:
+    the band index and ramp factors are computed once per config.
     """
-
-    band_index: Array
-    factor: Array | None
-    floor: float
-
-    def gains(self, weights: Array) -> tuple[Array, Array]:
-        """Per-coefficient (g, dg/dw) for one weight per band.
-
-        dg/dw is the band's ramp factor, zeroed where the floor clamp is
-        active, so it is the exact subgradient used in training.
-        """
-        w = np.asarray(weights, dtype=np.float64)
-        if self.factor is None:
-            g_band, dgdw_band = w, np.ones_like(w)
-        else:
-            raw = 1.0 + w * self.factor
-            clamped = raw < self.floor
-            g_band = np.where(clamped, self.floor, raw)
-            dgdw_band = np.where(clamped, 0.0, self.factor)
-        return g_band[self.band_index], dgdw_band[self.band_index]
-
-
-def band_profile(config: EnhancementConfig) -> BandProfile:
-    """config's band index, ramp factors and floor."""
-    pts = np.asarray(config.split_points)
-    band_index = np.repeat(np.arange(config.n_bands), np.diff(pts))
-    if config.mode == "learnable_only":
-        return BandProfile(band_index, None, config.floor)
-    k = pts[:-1].astype(np.float64)  # the ramp runs over coefficient indices: each band's start
-    low = pts[1:] <= config.low_cutoff
-    factor = np.where(low, 1.0 - k / config.ramp, -(1.0 - (k - config.ramp) / config.ramp))
-    return BandProfile(band_index, factor, config.floor)
-
-
-def scaling_profile(config: EnhancementConfig) -> tuple[Array, Array, Array]:
-    """Per-coefficient (g, dg/dw, band index) arrays of length F under config's weights."""
-    profile = band_profile(config)
-    return (*profile.gains(config.weights), profile.band_index)
+    w = np.asarray(config.weights if weights is None else weights, dtype=np.float64)
+    factor = config.ramp_factors
+    if factor is None:
+        g_band, dgdw_band = w, np.ones_like(w)
+    else:
+        raw = 1.0 + w * factor
+        clamped = raw < config.floor
+        g_band = np.where(clamped, config.floor, raw)
+        dgdw_band = np.where(clamped, 0.0, factor)
+    band_index = config.band_index
+    return g_band[band_index], dgdw_band[band_index], band_index
 
 
 # ---- enhancement ----
@@ -218,8 +207,8 @@ def scaling_profile(config: EnhancementConfig) -> tuple[Array, Array, Array]:
 
 def enhance(coeffs: Array, gains: Array) -> Array:
     """Scale each coefficient (trailing axis) by its gain g, as scaling_profile
-    or BandProfile.gains gives it. Finiteness is left to idct, which every
-    caller applies to the product."""
+    gives it. Finiteness is left to idct, which every caller applies to the
+    product."""
     c = np.asarray(coeffs, dtype=np.float64)
     if c.shape[-1] != len(gains):
         raise ValueError(
@@ -238,7 +227,7 @@ def enhance_weight_grads(coeffs: Array, grad_out: Array, dgdw: Array,
 
     coeffs is the unscaled spectrum that was enhanced, grad_out holds as
     many entries, and dgdw and band_index are per coefficient, as
-    BandProfile.gains and the profile give them. The transform is
+    scaling_profile gives them at the step's weights. The transform is
     orthonormal, so the grad wrt scaled coefficient i is (grad_out B^T)_i
     with B the basis. With the rows of both blocks as (M, F) matrices D and
     C, that is one (M, F) x (F, F) product D B^T, multiplied entrywise by C

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 Array = np.ndarray
-
-ACTIVATIONS = ("tanh", "linear")
 
 
 def check_finite(name: str, arr: Array) -> None:
@@ -48,10 +47,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass
 class MlpParams:
-    """Affine stack: y = W_L(...act(W_1 x + b_1)...) + b_L.
+    """Affine stack: y = W_L(...tanh(W_1 x + b_1)...) + b_L.
 
     weights[l] has shape (out_l, in_l); biases[l] has shape (out_l,).
-    `activation` applies between layers, never after the last one.
+    tanh applies between layers, never after the last one. `activation`
+    names it in the checkpoint format and must be "tanh".
     """
 
     weights: list[Array]
@@ -59,7 +59,7 @@ class MlpParams:
     activation: str = "tanh"
 
     def __post_init__(self) -> None:
-        if self.activation not in ACTIVATIONS:
+        if self.activation != "tanh":
             raise ValueError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must be parallel, non-empty lists")
@@ -96,8 +96,7 @@ class MlpParams:
         return MlpParams(ws, bs, self.activation)
 
 
-def init_mlp(sizes: tuple[int, ...] | list[int], rng: np.random.Generator,
-             activation: str = "tanh") -> MlpParams:
+def init_mlp(sizes: tuple[int, ...] | list[int], rng: np.random.Generator) -> MlpParams:
     """Gaussian init scaled by 1/sqrt(fan_in); biases zero. Deterministic under rng."""
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
@@ -105,21 +104,15 @@ def init_mlp(sizes: tuple[int, ...] | list[int], rng: np.random.Generator,
     for nin, nout in zip(sizes[:-1], sizes[1:]):
         ws.append(rng.standard_normal((nout, nin)) / math.sqrt(nin))
         bs.append(np.zeros(nout))
-    return MlpParams(ws, bs, activation)
+    return MlpParams(ws, bs)
 
 
 # ---- forward / backward ----
 
 
-@dataclass
-class MlpCache:
-    """Per-layer inputs captured on the forward pass; inputs[l] feeds layer l."""
-
-    inputs: list[Array]
-
-
-def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, MlpCache]:
-    """x (B, d) -> (B, out_dim) output of the affine stack, plus a backprop cache."""
+def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, list[Array]]:
+    """x (B, d) -> (B, out_dim) output of the affine stack, plus the list of
+    layer inputs (inputs[l] feeds layer l) that mlp_backward reads."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != params.in_dim:
         raise ValueError(f"input dim {h.shape} does not match {params.in_dim}")
@@ -130,14 +123,15 @@ def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, MlpCache]:
         inputs.append(h)
         h = h @ w.T
         h += b
-        if l < n - 1 and params.activation == "tanh":
+        if l < n - 1:
             np.tanh(h, out=h)
-    return h, MlpCache(inputs)
+    return h, inputs
 
 
-def mlp_backward(params: MlpParams, cache: MlpCache, grad_out: Array,
+def mlp_backward(params: MlpParams, inputs: list[Array], grad_out: Array,
                  out: list[Array], grad_in: bool) -> Array | None:
-    """Backprop grad_out (shaped like the forward output) through the stack.
+    """Backprop grad_out (shaped like the forward output) through the stack
+    whose layer inputs mlp_forward returned.
 
     Each parameter gradient, its batch rows summed, is written into its
     array of `out` (arrays shaped like param_arrays()). Returns d(loss)/d(input),
@@ -146,13 +140,13 @@ def mlp_backward(params: MlpParams, cache: MlpCache, grad_out: Array,
     g = grad_out
     n = len(params.weights)
     for l in range(n - 1, -1, -1):
-        h_in = cache.inputs[l]
+        h_in = inputs[l]
         np.matmul(g.T, h_in, out=out[2 * l])
         np.sum(g, axis=0, out=out[2 * l + 1])
         if l == 0 and not grad_in:
             return None
         g = g @ params.weights[l]
-        if l > 0 and params.activation == "tanh":
+        if l > 0:
             # h_in at layer l is tanh(pre-activation of layer l-1)
             d = h_in * h_in
             np.subtract(1.0, d, out=d)
@@ -202,14 +196,15 @@ class AdamState:
     with alpha_t = lr sqrt(1 - b2^t) / (1 - b1^t) and eps_hat = eps sqrt(1 - b2^t):
     the efficient form given after Algorithm 1 of Kingma & Ba (ICLR 2015).
     It equals the textbook lr * m_hat / (sqrt(v_hat) + eps) exactly in real
-    arithmetic, with both bias corrections folded into two scalars. The
-    chunk-sized scratch buffers let a step run without full-size temporaries.
+    arithmetic, with both bias corrections folded into two scalars. Only lr
+    varies; b1, b2 and eps are Kingma & Ba's defaults. The chunk-sized
+    scratch buffers let a step run without full-size temporaries.
     """
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: Array | None = None
     v: Array | None = None

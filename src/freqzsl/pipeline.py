@@ -193,14 +193,10 @@ def load_feature_file(path) -> FeatureDataset:
     return FeatureDataset(records)
 
 
-def write_split_file(path, split: SplitSpec, config_hash: str | None = None) -> None:
-    obj = {"seen": sorted(int(c) for c in split.seen),
-           "unseen": sorted(int(c) for c in split.unseen)}
-    if config_hash is not None:
-        obj["config_hash"] = config_hash
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def write_split_file(path, split: SplitSpec, config_hash: str) -> None:
+    semantics.write_json(path, {"seen": sorted(int(c) for c in split.seen),
+                                "unseen": sorted(int(c) for c in split.unseen),
+                                "config_hash": config_hash})
 
 
 def load_split_file(path) -> SplitSpec:
@@ -376,12 +372,14 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     are views into it. The backward pass writes each gradient straight into
     a second vector of the same layout, which Adam reads. The payloads are
     stacked and transformed once, so a batch only rescales its rows of the
-    cached spectrum. The band profile (band index, ramp factors, floor) is
-    built once too: a step turns the current weights into g and dg/dw with
-    a few vector ops. A batch's band path runs as 2-D products over its
-    (rows, F) spectrum rows: frequency.idct maps the scaled rows back with
-    one product, and frequency.enhance_weight_grads moves the feature
-    gradient to the spectrum with one more and sums it against the rows.
+    cached spectrum. A step turns the current weights into g and dg/dw with
+    frequency.scaling_profile, a few vector ops over the band index and ramp
+    factors that the enhancement config computes once; the featurizer this
+    returns gets the same gains from the same function. A batch's band path
+    runs as 2-D products over its (rows, F) spectrum rows: frequency.idct
+    maps the scaled rows back with one product, and
+    frequency.enhance_weight_grads moves the feature gradient to the
+    spectrum with one more and sums it against the rows.
     """
     validate_split(dataset, split)
     records = dataset.by_partition("train-seen")
@@ -402,12 +400,9 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
                                       rng, (cfg.hidden_dim,) * cfg.hidden_layers)
     arrays = params.param_arrays()
     n_net = len(arrays)
-    profile = gains = None
-    if featurizer._enhances(coeffs):
-        profile = frequency.band_profile(featurizer.enhancement)
-        gains, _ = profile.gains(featurizer.enhancement.weights)  # every step's, if frozen
-        if cfg.train_weights:
-            arrays.append(frequency.raw_from_weights(np.asarray(featurizer.enhancement.weights)))
+    enh = featurizer.enhancement if featurizer._enhances(coeffs) else None
+    if enh is not None and cfg.train_weights:
+        arrays.append(frequency.raw_from_weights(np.asarray(enh.weights)))
     flat, views = numkit.flatten(arrays)
     del arrays  # the pre-flattening arrays go with the old params on the next line
     params = params.with_arrays(views[:n_net])
@@ -424,10 +419,10 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
 
     def step(idx: Array, labels: Array) -> dict:
         """One Adam step on one batch; its temporaries are freed on return."""
-        rows, g = coeffs[idx], gains
+        rows, g = coeffs[idx], None  # None: from_spectrum takes the config's own gains
         if raw is not None:
             w = frequency.weights_from_raw(raw)
-            g, dgdw = profile.gains(w)
+            g, dgdw, band_index = frequency.scaling_profile(enh, w)
         f_s = featurizer.from_spectrum(rows, g)
         negatives = losses.sample_negatives(labels, rng)
         eps_s = rng.standard_normal((len(idx), cfg.latent_dim))
@@ -436,7 +431,7 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
             params, f_s, text_all[idx], labels, negatives, eps_s, eps_t, cfg,
             grad_views[:n_net], feature_grads=raw is not None)
         if raw is not None:
-            d_w = frequency.enhance_weight_grads(rows, d_f_s, dgdw, profile.band_index)
+            d_w = frequency.enhance_weight_grads(rows, d_f_s, dgdw, band_index)
             np.multiply(d_w * w, 1.0 - w, out=grad_views[n_net])
         try:
             numkit.adam_step(opt, flat, grad)
@@ -602,7 +597,7 @@ def evaluate_gzsl(params: crossvae.VaeParams, featurizer: SkeletonFeaturizer,
 
 
 def write_report(path, report: EvalReport, config_hash: str, mode: str) -> None:
-    obj = {
+    semantics.write_json(path, {
         "mode": mode,
         "config_hash": config_hash,
         "seen_accuracy": report.seen_accuracy,
@@ -610,10 +605,7 @@ def write_report(path, report: EvalReport, config_hash: str, mode: str) -> None:
         "harmonic": report.harmonic,
         "zsl_accuracy": report.zsl_accuracy,
         "per_class": {str(k): v for k, v in sorted(report.per_class.items())},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    })
 
 
 def export_latents(params: crossvae.VaeParams, featurizer: SkeletonFeaturizer,

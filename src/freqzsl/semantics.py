@@ -67,6 +67,13 @@ def parse_json(raw: bytes | BinaryIO, where: str, error: type[ValueError],
         raise error(f"{where}: not valid JSON ({exc})") from exc
 
 
+def write_json(path, obj) -> None:
+    """Write obj as sorted-key, indent-1 JSON plus a newline: every report,
+    split file and manifest takes this form."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
 def _parse_record(obj, lineno: int) -> EmbeddingRecord:
     if not isinstance(obj, dict) or set(obj) != {"class_id", "kind", "vector"}:
         raise EmbeddingFormatError(

@@ -163,7 +163,7 @@ def inject_label_noise(dataset: pipeline.FeatureDataset, rate: float,
     return pipeline.FeatureDataset(records)
 
 
-def write_benchmark(gen: GeneratedDataset, out_dir, config_hash: str | None = None):
+def write_benchmark(gen: GeneratedDataset, out_dir, config_hash: str):
     """Emit features.jsonl, embeddings.jsonl, and split.json under out_dir."""
     from pathlib import Path
 

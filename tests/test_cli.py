@@ -59,6 +59,17 @@ def write_cfg(path, lines):
     return str(path)
 
 
+def copy_as_vectors(data, dest):
+    """Copy a benchmark directory with each sequence record flattened to a vector."""
+    shutil.copytree(data, dest)
+    rows = []
+    for line in (dest / "features.jsonl").read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        obj["vector"] = np.ravel(obj.pop("sequence")).tolist()
+        rows.append(json.dumps(obj))
+    (dest / "features.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def tiny_env(tmp_path_factory):
     """Config file plus generated benchmark directory for the e2e tests."""
@@ -759,6 +770,9 @@ class TestMainEndToEnd:
         (lambda blob: blob["featurizer"]["enhancement"].pop("ramp"),
          "checkpoint.featurizer.enhancement has no key 'ramp'"),
         (lambda blob: blob["vae"].update(latent_dim=3), "checkpoint.vae: "),
+        # tanh is the only activation; the format keeps its name
+        (lambda blob: blob["vae"]["skel_encoder"].update(activation="linear"),
+         "checkpoint.vae: unknown activation 'linear'"),
         (lambda blob: blob["seen_classifier"].update(weights=[[1.0], "x"]),
          "checkpoint.seen_classifier.weights[1] must be a JSON number, not string"),
         (lambda blob: blob["vae"].update(latent_dim=4.0),
@@ -837,6 +851,20 @@ class TestMainEndToEnd:
         assert (code, capsys.readouterr().err) == (
             1, "error: data records flatten to 96 features, the checkpoint's skeleton "
                "encoder takes 64\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "export-latents"])
+    def test_vector_records_for_a_sequence_enhancing_checkpoint_exit_one(
+            self, trained, tmp_path, capsys, command):
+        # the same records flattened have the encoder's width, but their
+        # features would skip the band enhancement the checkpoint trained with
+        data = tmp_path / "vectors"
+        copy_as_vectors(trained["data"], data)
+        out = tmp_path / "out"
+        code = cli.main([command, "--checkpoint", trained["checkpoint"], "--data", str(data),
+                         "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: data holds vector records, the checkpoint enhances sequence records\n")
         assert not out.exists()
 
     def test_gzsl_report_carries_the_zsl_accuracy(self, trained, tmp_path):
@@ -1048,13 +1076,7 @@ def test_train_without_band_weights_is_bit_reproducible(tiny_env, tmp_path, monk
 
     monkeypatch.setattr(crossvae, "stage2_loss", recording)
     data = tmp_path / "vectors"
-    shutil.copytree(tiny_env["data"], data)
-    rows = []
-    for line in (data / "features.jsonl").read_text(encoding="utf-8").splitlines():
-        obj = json.loads(line)
-        obj["vector"] = np.ravel(obj.pop("sequence")).tolist()
-        rows.append(json.dumps(obj))
-    (data / "features.jsonl").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    copy_as_vectors(tiny_env["data"], data)
     cfg = write_cfg(tmp_path / "off.cfg", DETERMINISM_LINES + ["enhance_mode = off"])
     blobs = []
     for name in ("run-a", "run-b"):

@@ -332,24 +332,38 @@ def test_one_product_weight_grads_match_the_transformed_sum(
         seed, frames, band_frac, cutoff_frac, ramp, mode, floor, batch, sequences):
     # a step passes the rows it enhanced, as (N, J, C, F) sequence rows or
     # (N, F) enhance_vectors rows, the (N, d) feature gradient, and dg/dw
-    # from the run's profile at the step's weights
+    # and the band index from the run's config at the step's weights
     rng = numkit.make_rng(seed)
     band_size = 1 + int(band_frac * (frames - 1))
     cfg = frequency.EnhancementConfig.uniform_bands(
         frames, band_size, int(cutoff_frac * frames), ramp, mode=mode, floor=floor)
-    cfg = cfg.with_weights(rng.uniform(0.0, 1.0, cfg.n_bands))
-    profile = frequency.band_profile(cfg)
-    g, dgdw = profile.gains(np.asarray(cfg.weights))
-    want_g, want_dgdw, want_index = frequency.scaling_profile(cfg)
-    np.testing.assert_array_equal(g, want_g)
-    np.testing.assert_array_equal(dgdw, want_dgdw)
-    np.testing.assert_array_equal(profile.band_index, want_index)
+    w = rng.uniform(0.0, 1.0, cfg.n_bands)
+    _, dgdw, band_index = frequency.scaling_profile(cfg, w)
     rows = rng.standard_normal((batch, 3, 2, frames) if sequences else (batch, frames))
     grad_out = rng.standard_normal((batch, rows[0].size))
-    want = reference_weight_grads(rows, grad_out, cfg)
-    got = frequency.enhance_weight_grads(rows, grad_out, dgdw, profile.band_index)
+    want = reference_weight_grads(rows, grad_out, cfg.with_weights(w))
+    got = frequency.enhance_weight_grads(rows, grad_out, dgdw, band_index)
     assert got.shape == (cfg.n_bands,)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frames=st.integers(1, 40),
+       band_frac=st.floats(0.0, 1.0), cutoff_frac=st.floats(0.0, 0.999),
+       ramp=st.floats(0.5, 40.0), mode=st.sampled_from(frequency.MODES),
+       floor=st.sampled_from([0.0, 0.5, 1.0]))
+def test_step_weights_give_the_profile_of_the_reweighted_config(
+        seed, frames, band_frac, cutoff_frac, ramp, mode, floor):
+    # a trainer's per-step gains are those of the featurizer it returns,
+    # whose config holds the final weights
+    band_size = 1 + int(band_frac * (frames - 1))
+    cfg = frequency.EnhancementConfig.uniform_bands(
+        frames, band_size, int(cutoff_frac * frames), ramp, mode=mode, floor=floor)
+    w = frequency.weights_from_raw(4.0 * numkit.make_rng(seed).standard_normal(cfg.n_bands))
+    got = frequency.scaling_profile(cfg, w)
+    want = frequency.scaling_profile(cfg.with_weights(w))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestWeightSquash:

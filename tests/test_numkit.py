@@ -103,12 +103,15 @@ class TestMlpForward:
         with pytest.raises(ValueError, match=r"input dim \(4,\)"):
             numkit.mlp_forward(zero_mlp((4, 2)), np.zeros(4))
 
-    def test_linear_activation_is_matrix_composition(self):
+    def test_tanh_between_layers_is_the_composition(self):
         rng = numkit.make_rng(9)
-        params = numkit.init_mlp((3, 4, 2), rng, activation="linear")
+        params = numkit.init_mlp((3, 4, 2), rng)
+        params = params.with_arrays([a + rng.standard_normal(a.shape)
+                                     for a in params.param_arrays()])
         x = rng.standard_normal(3)
         y, _ = numkit.mlp_forward(params, x[None, :])
-        expected = params.weights[1] @ (params.weights[0] @ x + params.biases[0]) + params.biases[1]
+        expected = params.weights[1] @ np.tanh(
+            params.weights[0] @ x + params.biases[0]) + params.biases[1]
         np.testing.assert_allclose(y[0], expected, atol=1e-14)
 
 
