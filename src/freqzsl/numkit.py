@@ -1,10 +1,10 @@
 """Small dense-network kernels: MLPs with hand-derived backprop, Adam,
-seeded RNG streams, and a central-difference gradient checker.
+flat parameter storage and seeded RNG streams.
 
-Everything runs on float64 numpy arrays and is intentionally small enough
-that every analytic gradient in the repository can be cross-checked against
-finite differences. Networks are stacks of affine layers with tanh between
-them; the output layer is always a bare affine map.
+Everything runs on float64 numpy arrays, so every analytic gradient in the
+repository can be cross-checked against central differences. Networks are
+stacks of affine layers with tanh between them; the output layer is always
+a bare affine map.
 """
 from __future__ import annotations
 
@@ -254,47 +254,3 @@ def adam_step(state: AdamState, p: Array, g: Array) -> None:
         a /= b
         pc -= a
 
-
-# ---- gradient checker ----
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    """Worst relative error between analytic and central-difference gradients."""
-
-    max_rel_error: float
-    step: float
-
-    def ok(self, tolerance: float) -> bool:
-        return self.max_rel_error < tolerance
-
-
-def grad_check(loss_fn, params: list[Array], step: float = 1e-5,
-               floor: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients against central differences.
-
-    loss_fn(params) must return (loss, grads) with grads in params order and
-    must be deterministic; a second evaluation at the base point verifies
-    that. Relative error per entry is |a - n| / max(|a|, |n|, floor).
-    """
-    base = [p.copy() for p in params]
-    loss0, grads0 = loss_fn(base)
-    loss1, _ = loss_fn([p.copy() for p in base])
-    if loss0 != loss1:
-        raise ValueError("loss_fn is not deterministic across calls")
-    worst = 0.0
-    for k, p in enumerate(base):
-        analytic = np.asarray(grads0[k], dtype=np.float64)
-        flat = p.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            lo_plus, _ = loss_fn(base)
-            flat[idx] = orig - step
-            lo_minus, _ = loss_fn(base)
-            flat[idx] = orig
-            numeric = (lo_plus - lo_minus) / (2.0 * step)
-            a = analytic.reshape(-1)[idx]
-            denom = max(abs(a), abs(numeric), floor)
-            worst = max(worst, abs(a - numeric) / denom)
-    return GradCheckReport(worst, step)

@@ -350,6 +350,37 @@ def encode_latent_means(params: crossvae.VaeParams, featurizer: SkeletonFeaturiz
     return np.asarray(crossvae.encode(params, "skeleton", featurizer.features(records)).mu)
 
 
+def stage2_gradient(params: crossvae.VaeParams, raw: Array | None,
+                    featurizer: SkeletonFeaturizer, rows: Array, text: Array, labels: Array,
+                    negatives: Array, eps_s: Array, eps_t: Array, cfg: RunConfig,
+                    grads_out: list[Array]) -> dict:
+    """The stage-2 loss breakdown of one batch, and its whole flat gradient.
+
+    rows are the batch's rows of featurizer.spectrum(), text its fused text
+    features, and negatives, eps_s and eps_t its frozen draws. raw holds the
+    unconstrained band weights when they train, else None. grads_out holds
+    one array per params.param_arrays() entry, then one for raw if it is
+    given; every entry is overwritten. The weights' slice is the chain
+    dL/dw * w * (1 - w) through the sigmoid squash: the current weights give
+    g and dg/dw by frequency.scaling_profile, and
+    frequency.enhance_weight_grads moves the feature gradient back to the
+    bands. run_stage2 hands this gradient to Adam, and tests check it
+    against finite differences of the returned "total".
+    """
+    g = None  # None: from_spectrum takes the config's own gains
+    if raw is not None:
+        w = frequency.weights_from_raw(raw)
+        g, dgdw, band_index = frequency.scaling_profile(featurizer.enhancement, w)
+    f_s = featurizer.from_spectrum(rows, g)
+    breakdown, d_f_s = crossvae.stage2_loss(
+        params, f_s, text, labels, negatives, eps_s, eps_t, cfg,
+        grads_out if raw is None else grads_out[:-1], feature_grads=raw is not None)
+    if raw is not None:
+        d_w = frequency.enhance_weight_grads(rows, d_f_s, dgdw, band_index)
+        np.multiply(d_w * w, 1.0 - w, out=grads_out[-1])
+    return breakdown
+
+
 def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
                split: SplitSpec, featurizer: SkeletonFeaturizer,
                cfg: RunConfig, rng: np.random.Generator):
@@ -369,17 +400,13 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
 
     All trainable arrays (four networks, then the raw band weights) live in
     one contiguous vector that Adam updates in place; the returned params
-    are views into it. The backward pass writes each gradient straight into
-    a second vector of the same layout, which Adam reads. The payloads are
-    stacked and transformed once, so a batch only rescales its rows of the
-    cached spectrum. A step turns the current weights into g and dg/dw with
-    frequency.scaling_profile, a few vector ops over the band index and ramp
-    factors that the enhancement config computes once; the featurizer this
-    returns gets the same gains from the same function. A batch's band path
-    runs as 2-D products over its (rows, F) spectrum rows: frequency.idct
-    maps the scaled rows back with one product, and
-    frequency.enhance_weight_grads moves the feature gradient to the
-    spectrum with one more and sums it against the rows.
+    are views into it. A step draws the batch's negatives and noise, and
+    stage2_gradient, the one function that training and its gradient check
+    share, writes the whole gradient into a second vector of the same
+    layout, which Adam reads. The payloads are stacked and transformed
+    once, so a batch only rescales its rows of the cached spectrum; the
+    featurizer this returns gets its gains from the same
+    frequency.scaling_profile as every step.
     """
     validate_split(dataset, split)
     records = dataset.by_partition("train-seen")
@@ -400,9 +427,8 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
                                       rng, (cfg.hidden_dim,) * cfg.hidden_layers)
     arrays = params.param_arrays()
     n_net = len(arrays)
-    enh = featurizer.enhancement if featurizer._enhances(coeffs) else None
-    if enh is not None and cfg.train_weights:
-        arrays.append(frequency.raw_from_weights(np.asarray(enh.weights)))
+    if featurizer._enhances(coeffs) and cfg.train_weights:
+        arrays.append(frequency.raw_from_weights(np.asarray(featurizer.enhancement.weights)))
     flat, views = numkit.flatten(arrays)
     del arrays  # the pre-flattening arrays go with the old params on the next line
     params = params.with_arrays(views[:n_net])
@@ -416,30 +442,6 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
                      if not ok(part)), "combined")
 
     opt = numkit.AdamState(lr=cfg.stage2_lr)
-
-    def step(idx: Array, labels: Array) -> dict:
-        """One Adam step on one batch; its temporaries are freed on return."""
-        rows, g = coeffs[idx], None  # None: from_spectrum takes the config's own gains
-        if raw is not None:
-            w = frequency.weights_from_raw(raw)
-            g, dgdw, band_index = frequency.scaling_profile(enh, w)
-        f_s = featurizer.from_spectrum(rows, g)
-        negatives = losses.sample_negatives(labels, rng)
-        eps_s = rng.standard_normal((len(idx), cfg.latent_dim))
-        eps_t = rng.standard_normal((len(idx), cfg.latent_dim))
-        breakdown, d_f_s = crossvae.stage2_loss(
-            params, f_s, text_all[idx], labels, negatives, eps_s, eps_t, cfg,
-            grad_views[:n_net], feature_grads=raw is not None)
-        if raw is not None:
-            d_w = frequency.enhance_weight_grads(rows, d_f_s, dgdw, band_index)
-            np.multiply(d_w * w, 1.0 - w, out=grad_views[n_net])
-        try:
-            numkit.adam_step(opt, flat, grad)
-        except ValueError as exc:
-            part = failing_part(grad, lambda g: math.isfinite(np.dot(g, g)))
-            raise ValueError(f"{part} {exc}") from exc
-        return breakdown
-
     n = len(records)
     loss_log: list[dict] = []
     steps = 0
@@ -452,9 +454,19 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
             labels = labels_all[idx]
             if np.all(labels == labels[0]):
                 continue  # alignment needs a valid negative per item
+            negatives = losses.sample_negatives(labels, rng)
+            eps_s = rng.standard_normal((len(idx), cfg.latent_dim))
+            eps_t = rng.standard_normal((len(idx), cfg.latent_dim))
             try:
                 with np.errstate(all="ignore"):
-                    breakdown = step(idx, labels)
+                    breakdown = stage2_gradient(params, raw, featurizer, coeffs[idx],
+                                                text_all[idx], labels, negatives, eps_s,
+                                                eps_t, cfg, grad_views)
+                    try:
+                        numkit.adam_step(opt, flat, grad)
+                    except ValueError as exc:
+                        part = failing_part(grad, lambda g: math.isfinite(np.dot(g, g)))
+                        raise ValueError(f"{part} {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"stage 2 epoch {epoch} step {steps + batches}: {exc}") from exc
             for key, val in breakdown.items():

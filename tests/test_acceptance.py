@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from freqzsl import cli, crossvae, frequency, losses, numkit, pipeline, synthbench
+from gradcheck import grad_check
 
 TUNED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synth-tuned.cfg"
 
@@ -64,7 +65,7 @@ def check_batch_grads(loss_of_batch, batch, tol=1e-4):
 
     params = [batch.f_s.copy(), batch.f_t.copy(),
               batch.g_s_t.copy(), batch.g_t_s.copy()]
-    report = numkit.grad_check(loss_fn, params)
+    report = grad_check(loss_fn, params)
     assert report.max_rel_error < tol, report
 
 
@@ -190,7 +191,7 @@ def test_criterion_07_gradient_checks():
             g = out.grads
             return out.value, [-g["recon"], g["recon"], g["mu"], g["log_var"]]
 
-        report = numkit.grad_check(elbo_fn, arrays)
+        report = grad_check(elbo_fn, arrays)
         assert report.max_rel_error < 1e-4, report
 
         params = crossvae.init_vae_params(4, 3, 2, numkit.make_rng(109), (4,))
@@ -210,7 +211,7 @@ def test_criterion_07_gradient_checks():
                 p, f_s, f_t, labels, negatives, eps_s, eps_t, stage_cfg, views, True)
             return breakdown["total"], views
 
-        report = numkit.grad_check(stage2_fn, params.param_arrays())
+        report = grad_check(stage2_fn, params.param_arrays())
         assert report.max_rel_error < 1e-4, report
 
 

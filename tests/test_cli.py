@@ -487,7 +487,7 @@ class TestWiring:
         with pytest.raises(ConfigError):
             cli.build_enhancement(RunConfig(ramp=-1.0), 64)
 
-    def test_make_synth_config_maps_fields(self):
+    def test_synthbench_generate_maps_band_fields(self):
         # the band keys place a clean sample's energy in coefficients 2-5
         cfg = RunConfig(synth_classes=4, synth_samples_per_class=2, synth_frames=16,
                         synth_low_band_start=2, synth_low_band_stop=6,
@@ -497,7 +497,7 @@ class TestWiring:
         assert np.all(energy[2:6] > 0)
         assert np.sum(energy[2:6]) == pytest.approx(np.sum(energy), rel=1e-12)
 
-    def test_make_synth_config_rejects_bad_values(self):
+    def test_synthbench_generate_rejects_bad_values(self):
         with pytest.raises(ConfigError):
             synthbench.generate(RunConfig(synth_proto_rank=0))
 
@@ -522,7 +522,7 @@ class TestWiring:
             RunConfig(enhance_mode="off", enhance_vectors=True), ds)
         assert off.enhancement is None
 
-    def test_make_loss_config_rejects_bad_temperature(self):
+    def test_run_config_rejects_bad_temperature(self):
         with pytest.raises(ConfigError):
             RunConfig(temperature=-1.0)
 

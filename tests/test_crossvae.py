@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from freqzsl import cli, crossvae, losses, numkit, pipeline, semantics
 from freqzsl.cli import RunConfig
+from gradcheck import grad_check
 
 
 def zero_mlp(sizes):
@@ -223,7 +224,7 @@ class TestStage2Loss:
             breakdown, grads, _ = stage2(p, f_s, f_t, labels, negatives, eps_s, eps_t, cfg)
             return breakdown["total"], grads
 
-        report = numkit.grad_check(loss_fn, params.param_arrays())
+        report = grad_check(loss_fn, params.param_arrays())
         assert report.max_rel_error < 1e-4, (align_loss, report.max_rel_error)
 
     @pytest.mark.parametrize("align_loss", losses.ALIGN_LOSSES)
@@ -274,7 +275,7 @@ class TestStage2Loss:
                                          eps_s, eps_t, cfg)
             return breakdown["total"], [d_f_s]
 
-        report = numkit.grad_check(loss_fn, [f_s.copy()])
+        report = grad_check(loss_fn, [f_s.copy()])
         assert report.max_rel_error < 1e-4
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from freqzsl import losses, numkit
 from freqzsl.cli import RunConfig
+from gradcheck import grad_check
 
 E = math.e
 
@@ -93,7 +94,7 @@ def check_batch_grads(loss_of_batch, batch, tol=1e-4):
 
     params = [batch.f_s.copy(), batch.f_t.copy(),
               batch.g_s_t.copy(), batch.g_t_s.copy()]
-    report = numkit.grad_check(loss_fn, params)
+    report = grad_check(loss_fn, params)
     assert report.max_rel_error < tol, report
 
 
@@ -326,6 +327,20 @@ class TestTripletBaselines:
         assert align(unit_gap_batch(), "t4", margin=1.5).value > 0.0
         assert align(unit_gap_batch(), "t4", margin=0.5).value == 0.0
 
+    @pytest.mark.parametrize("name", ["t1", "t4"])
+    def test_hinge_at_zero_slack_has_zero_gradient(self, name):
+        # D+ = 0 and D- = 1 at margin 1 put both items of both directions on
+        # the hinge's kink (t1: D+ - D- + m = 0; t4: 1 - D-/(D+ + m) = 0),
+        # where the subgradient taken is the inactive side's, zero
+        f = np.array([[0.0, 0.0], [1.0, 0.0]])
+        batch = losses.AlignmentBatch(f, f.copy(), f.copy(), f.copy(),
+                                      labels=np.array([0, 1]), negatives=np.array([1, 0]))
+        out = align(batch, name, margin=1.0)
+        assert out.value == 0.0
+        assert set(out.grads) == {"f_t", "f_s", "g_s_t", "g_t_s"}
+        for key, g in out.grads.items():
+            assert not g.any(), key
+
     def test_gradients_t1(self):
         check_batch_grads(lambda b: align(b, "t1", margin=1.0), random_batch(5))
 
@@ -540,7 +555,7 @@ class TestElbo:
             return out.value, [out.grads["recon"], out.grads["mu"],
                                out.grads["log_var"]]
 
-        report = numkit.grad_check(loss_fn, arrays)
+        report = grad_check(loss_fn, arrays)
         assert report.max_rel_error < 1e-4
 
     def test_shape_disagreement_rejected(self):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqzsl import numkit
+from gradcheck import directional_check, grad_check, unit_directions
 
 
 def zero_mlp(sizes):
@@ -150,7 +151,7 @@ class TestMlpBackward:
             grads, _ = backward(p, cache, 2.0 * resid)
             return float(np.sum(resid * resid)), grads
 
-        report = numkit.grad_check(loss_fn, params.param_arrays())
+        report = grad_check(loss_fn, params.param_arrays())
         assert report.max_rel_error < 1e-4
 
     def test_writes_batch_summed_gradients_into_views_of_one_vector(self):
@@ -389,7 +390,7 @@ class TestGradCheck:
             q = arrays[0]
             return float(q @ q), [2.0 * q]
 
-        report = numkit.grad_check(loss_fn, [p])
+        report = grad_check(loss_fn, [p])
         assert report.max_rel_error < 1e-8
         assert report.ok(1e-4)
 
@@ -400,7 +401,7 @@ class TestGradCheck:
             q = arrays[0]
             return float(q @ q), [3.0 * q]  # deliberately wrong scale
 
-        report = numkit.grad_check(loss_fn, [p])
+        report = grad_check(loss_fn, [p])
         assert report.max_rel_error > 0.1
         assert not report.ok(1e-4)
 
@@ -412,7 +413,21 @@ class TestGradCheck:
             return float(counter["n"]), [np.zeros_like(arrays[0])]
 
         with pytest.raises(ValueError):
-            numkit.grad_check(loss_fn, [np.zeros(2)])
+            grad_check(loss_fn, [np.zeros(2)])
+
+    @pytest.mark.parametrize("scale, passes", [(2.0, True), (3.0, False)])
+    def test_directional_check_catches_a_wrong_gradient(self, scale, passes):
+        rng = numkit.make_rng(7)
+        x = rng.standard_normal(50)
+
+        def loss_fn(p):
+            return float(p @ p), scale * p
+
+        directions = (unit_directions(rng, 50, 3)
+                      + unit_directions(rng, 50, 3, slice(40, None)))
+        assert all(not d[:40].any() and math.isclose(d @ d, 1.0) for d in directions[3:])
+        report = directional_check(loss_fn, x, directions)
+        assert report.ok(1e-4) is passes
 
 
 class TestRngStreams:
@@ -451,5 +466,5 @@ def test_backward_matches_central_differences_property(seed):
         grads, _ = backward(p, cache, 2.0 * y)
         return float(np.sum(y * y)), grads
 
-    report = numkit.grad_check(loss_fn, params.param_arrays())
+    report = grad_check(loss_fn, params.param_arrays())
     assert report.max_rel_error < 1e-4

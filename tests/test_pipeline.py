@@ -7,12 +7,16 @@ import dataclasses
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from freqzsl import crossvae, frequency, numkit, pipeline, semantics
+from freqzsl import cli, crossvae, frequency, losses, numkit, pipeline, semantics, synthbench
 from freqzsl.cli import RunConfig
+from gradcheck import directional_check, unit_directions
+
+TUNED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synth-tuned.cfg"
 
 
 def zero_mlp(sizes):
@@ -609,6 +613,103 @@ class TestStage2:
                           train_weights=False),
             numkit.make_rng(17))
         assert trained_feat.enhancement.weights == (0.5, 0.5)
+
+    @pytest.mark.parametrize("train_weights", [True, False])
+    def test_adam_reads_the_gradient_stage2_gradient_writes(self, monkeypatch, train_weights):
+        # the gradient TestStage2Gradient checks is the one every step hands to Adam
+        written, read = [], []
+        real_gradient, real_adam = pipeline.stage2_gradient, numkit.adam_step
+
+        def gradient(*args):
+            breakdown = real_gradient(*args)
+            written.append(np.concatenate([g.ravel() for g in args[-1]]))
+            return breakdown
+
+        def adam(state, p, g):
+            read.append(g.copy())
+            real_adam(state, p, g)
+
+        monkeypatch.setattr(pipeline, "stage2_gradient", gradient)
+        monkeypatch.setattr(numkit, "adam_step", adam)
+        dataset, table, split = self.small_problem()
+        enh = frequency.EnhancementConfig.per_coefficient(2, 1, 4.0, weight=0.5)
+        params, _, _ = pipeline.run_stage2(
+            dataset, table, split,
+            pipeline.SkeletonFeaturizer(enhancement=enh, enhance_vectors=True),
+            stage2_config(temperature=1.0, stage2_epochs=3, stage2_lr=1e-2, batch_size=8,
+                          train_weights=train_weights),
+            numkit.make_rng(17))
+        assert len(written) == len(read) == 6
+        n_params = sum(a.size for a in params.param_arrays())
+        for w, g in zip(written, read):
+            assert w.size == n_params + 2 * train_weights
+            np.testing.assert_array_equal(w, g)
+
+
+class TestStage2Gradient:
+    """pipeline.stage2_gradient, the flat gradient Adam reads, against
+    central differences along random unit directions at the benchmark's
+    sizes: the tuned recipe on data seed 2, batch 64, hidden 64, latent 16,
+    and band weights spread over (0.05, 0.95). Ten directions span the whole
+    vector and ten the band weights alone, whose slice is under 1% of its
+    ~150k entries, too little for the first ten to see."""
+
+    @pytest.fixture(scope="class")
+    def tuned(self):
+        cfg = dataclasses.replace(cli.parse_config(TUNED_CONFIG), seed=2)
+        return cfg, synthbench.generate(cfg)
+
+    @pytest.mark.parametrize("keys, vectors", [
+        ({}, False),
+        ({"enhance_mode": "learnable_only"}, False),
+        ({"enhance_vectors": True}, True),
+        ({"weight_floor": 0.9}, False),
+    ], ids=["piecewise", "learnable-only", "enhance-vectors", "weight-floor"])
+    def test_matches_central_differences_along_random_directions(self, tuned, keys, vectors):
+        cfg, gen = tuned
+        cfg = dataclasses.replace(cfg, **keys)
+        dataset = gen.dataset
+        if vectors:
+            dataset = pipeline.FeatureDataset([
+                pipeline.FeatureRecord(r.sample_id, r.class_id, r.partition,
+                                       vector=r.sequence.ravel())
+                for r in dataset.records])
+        featurizer = cli.make_featurizer(cfg, dataset)
+        records = dataset.by_partition("train-seen")
+        rng = numkit.make_rng(5)
+        batch = [records[i] for i in rng.permutation(len(records))[:cfg.batch_size]]
+        rows = featurizer.spectrum(batch)
+        labels = np.asarray([r.class_id for r in batch])
+        fused = semantics.fuse_all(gen.table)
+        text = np.stack([fused[c] for c in labels.tolist()])
+        negatives = losses.sample_negatives(labels, rng)
+        eps_s = rng.standard_normal((len(batch), cfg.latent_dim))
+        eps_t = rng.standard_normal((len(batch), cfg.latent_dim))
+        params = crossvae.init_vae_params(rows[0].size, text.shape[1], cfg.latent_dim, rng,
+                                          (cfg.hidden_dim,) * cfg.hidden_layers)
+        arrays = params.param_arrays()
+        n_net = len(arrays)
+        n_bands = featurizer.enhancement.n_bands
+        weights = rng.uniform(0.05, 0.95, n_bands)
+        arrays.append(frequency.raw_from_weights(weights))
+        flat, views = numkit.flatten(arrays)
+        params, raw = params.with_arrays(views[:n_net]), views[n_net]
+        grad, grad_views = numkit.flatten(views)
+        assert (len(batch), n_bands, flat.size) == (
+            64, 960 if vectors else 64, 154_096 if vectors else 153_200)
+        clamped = frequency.scaling_profile(featurizer.enhancement, weights)[0] == cfg.weight_floor
+        assert clamped.any() == (cfg.weight_floor > 0) and not clamped.all()
+
+        def loss_fn(x):
+            flat[:] = x
+            breakdown = pipeline.stage2_gradient(params, raw, featurizer, rows, text, labels,
+                                                 negatives, eps_s, eps_t, cfg, grad_views)
+            return breakdown["total"], grad.copy()
+
+        directions = (unit_directions(rng, flat.size, 10)
+                      + unit_directions(rng, flat.size, 10, slice(flat.size - n_bands, None)))
+        report = directional_check(loss_fn, flat, directions)
+        assert report.max_rel_error < 1e-4, report
 
 
 class TestUnseenSynthesis:
