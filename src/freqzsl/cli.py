@@ -15,7 +15,9 @@ error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -179,9 +181,16 @@ def build_enhancement(cfg: RunConfig, length: int) -> frequency.EnhancementConfi
         raise ConfigError(f"low_cutoff {cfg.low_cutoff} outside [0, {length})")
     if cfg.band_size > length:
         raise ConfigError(f"band_size {cfg.band_size} exceeds the {length} coefficients")
-    return frequency.EnhancementConfig.uniform_bands(
+    enh = frequency.EnhancementConfig.uniform_bands(
         length, cfg.band_size, cfg.low_cutoff, cfg.ramp, cfg.init_weight,
         cfg.enhance_mode, cfg.weight_floor)
+    if enh.ramp_factors is not None:
+        # a gain squared enters every feature distance
+        largest = float(np.max(np.abs(enh.ramp_factors)))
+        if not math.isfinite(largest * largest):
+            raise ConfigError(f"ramp {cfg.ramp!r} makes a band factor of {largest:.3g}, "
+                              "whose square overflows")
+    return enh
 
 
 def make_featurizer(cfg: RunConfig, dataset: pipeline.FeatureDataset) -> pipeline.SkeletonFeaturizer:
@@ -703,7 +712,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _keep_freed_blocks() -> None:
+    """Raise glibc's trim threshold to 64 MiB and its mmap threshold to 16 MiB.
+
+    A stage-2 step frees several blocks of a few hundred KiB. Under glibc's
+    defaults they go back to the kernel and fault in again on the next step:
+    on a 2-vCPU VM a fresh train on 960-wide features took 130k-250k minor
+    faults and up to 0.4 s of system time, against 8-9k and at most 0.05 s
+    with these thresholds. Nothing happens where libc has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's malloc.h
+    mallopt(m_trim_threshold, 64 << 20)
+    mallopt(m_mmap_threshold, 16 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_blocks()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

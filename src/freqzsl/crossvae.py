@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -37,23 +37,6 @@ from .numkit import Array, MlpParams
 
 if TYPE_CHECKING:
     from .cli import RunConfig
-
-
-@dataclass(frozen=True)
-class LatentGaussian:
-    """Diagonal Gaussian posterior: mean and log variance, same shape."""
-
-    mu: Array
-    log_var: Array
-
-    def __post_init__(self) -> None:
-        if np.shape(self.mu) != np.shape(self.log_var):
-            raise ValueError("mu/log_var shapes disagree")
-        numkit.check_finite("mu", np.asarray(self.mu))
-        numkit.check_finite("log_var", np.asarray(self.log_var))
-
-
-MODALITIES = ("skeleton", "text")
 
 
 @dataclass
@@ -77,27 +60,31 @@ class VaeParams:
         if self.text_decoder.out_dim != self.text_encoder.in_dim:
             raise ValueError("text decoder must reproduce the text feature dim")
 
-    def nets(self) -> tuple[MlpParams, MlpParams, MlpParams, MlpParams]:
-        return (self.skel_encoder, self.text_encoder,
-                self.skel_decoder, self.text_decoder)
+    # the networks' names, in the one order of every flat layout of their arrays
+    NETS: ClassVar[tuple[str, ...]] = ("skel_encoder", "text_encoder",
+                                       "skel_decoder", "text_decoder")
+
+    def nets(self) -> dict[str, MlpParams]:
+        return {name: getattr(self, name) for name in self.NETS}
 
     def param_arrays(self) -> list[Array]:
-        """Stable flat order: skel_enc, text_enc, skel_dec, text_dec."""
-        out: list[Array] = []
-        for net in self.nets():
-            out.extend(net.param_arrays())
-        return out
+        """Each network's param_arrays(), in NETS order."""
+        return [a for net in self.nets().values() for a in net.param_arrays()]
 
-    def with_arrays(self, arrays: list[Array]) -> "VaeParams":
-        nets = []
-        k = 0
-        for net in self.nets():
-            n = len(net.param_arrays())
-            nets.append(net.with_arrays(arrays[k:k + n]))
-            k += n
+    def split_arrays(self, arrays: list[Array]) -> dict[str, list[Array]]:
+        """A list in param_arrays() order, cut into each network's share."""
+        parts, k = {}, 0
+        for name, net in self.nets().items():
+            n = 2 * len(net.weights)
+            parts[name], k = arrays[k:k + n], k + n
         if k != len(arrays):
             raise ValueError("array count mismatch")
-        return VaeParams(*nets, self.latent_dim)
+        return parts
+
+    def with_arrays(self, arrays: list[Array]) -> "VaeParams":
+        parts = self.split_arrays(arrays)
+        return VaeParams(**{n: net.with_arrays(parts[n]) for n, net in self.nets().items()},
+                         latent_dim=self.latent_dim)
 
 
 def init_vae_params(skel_dim: int, text_dim: int, latent_dim: int,
@@ -114,19 +101,6 @@ def init_vae_params(skel_dim: int, text_dim: int, latent_dim: int,
     )
 
 
-def encode(params: VaeParams, modality: str, x: Array) -> LatentGaussian:
-    """Posterior for one modality over a (B, d) batch."""
-    if modality not in MODALITIES:
-        raise ValueError(f"unknown modality {modality!r}")
-    net = params.skel_encoder if modality == "skeleton" else params.text_encoder
-    out, _ = numkit.mlp_forward(net, x)
-    ld = params.latent_dim
-    return LatentGaussian(out[:, :ld], out[:, ld:])
-
-
-# ---- stage-2 objective with full hand backprop ----
-
-
 def _forward(params: VaeParams, net: str, x: Array):
     """mlp_forward through the named network; an input it refuses names it."""
     try:
@@ -135,28 +109,39 @@ def _forward(params: VaeParams, net: str, x: Array):
         raise ValueError(f"{net} {exc}") from None
 
 
+def posterior(params: VaeParams, net: str, x: Array) -> tuple[Array, Array]:
+    """(mu, log_var) of the named encoder over a (B, d) batch, each checked finite."""
+    out, _ = _forward(params, net, x)
+    ld = params.latent_dim
+    mu, log_var = out[:, :ld], out[:, ld:]
+    numkit.check_finite("mu", mu)
+    numkit.check_finite("log_var", log_var)
+    return mu, log_var
+
+
+# ---- stage-2 objective with full hand backprop ----
+
+
 def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
                 negatives: Array, eps_s: Array, eps_t: Array, cfg: RunConfig,
                 grads_out: list[Array], feature_grads: bool):
     """The joint objective under cfg's loss knobs, and all its gradients, for one batch.
 
     grads_out holds one array per params.param_arrays() entry, and every
-    parameter gradient is written into its array. Returns (breakdown,
-    d_f_s): breakdown holds the scalar pieces and d_f_s is the gradient
-    w.r.t. the skeleton features, which lets a caller chain further back
-    (to trainable frequency weights). The alignment loss computes only the
-    skeleton anchor's gradient, the one d_f_s needs, and with
-    feature_grads=False the skeleton encoder skips its input gradient, the
-    alignment loss that anchor gradient too, and d_f_s is None.
+    parameter gradient is written into its array, which params.split_arrays
+    finds by network. Returns (breakdown, d_f_s): breakdown holds the scalar
+    pieces and d_f_s is the gradient w.r.t. the skeleton features, which lets
+    a caller chain further back (to trainable frequency weights). The
+    alignment loss computes only the skeleton anchor's gradient, the one
+    d_f_s needs, and with feature_grads=False the skeleton encoder skips its
+    input gradient, the alignment loss that anchor gradient too, and d_f_s
+    is None.
     """
     f_s = np.asarray(f_s, dtype=np.float64)
     f_t = np.asarray(f_t, dtype=np.float64)
     b = f_s.shape[0]
     ld = params.latent_dim
-    outs, k = [], 0  # grads_out split per network, in param_arrays() order
-    for net in params.nets():
-        outs.append(grads_out[k:k + 2 * len(net.weights)])
-        k += 2 * len(net.weights)
+    outs = params.split_arrays(grads_out)
 
     out_s, cache_enc_s = _forward(params, "skel_encoder", f_s)
     out_t, cache_enc_t = _forward(params, "text_encoder", f_t)
@@ -189,10 +174,10 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
         raise ValueError(f"stage-2 loss is not finite ({total})")
 
     # decoders: the self-reconstruction rows came from z, the cross rows from mu
-    d_dec_s = numkit.mlp_backward(params.skel_decoder, cache_dec_s, dec_s, outs[2],
-                                  grad_in=True)
-    d_dec_t = numkit.mlp_backward(params.text_decoder, cache_dec_t, dec_t, outs[3],
-                                  grad_in=True)
+    d_dec_s = numkit.mlp_backward(params.skel_decoder, cache_dec_s, dec_s,
+                                  outs["skel_decoder"], grad_in=True)
+    d_dec_t = numkit.mlp_backward(params.text_decoder, cache_dec_t, dec_t,
+                                  outs["text_decoder"], grad_in=True)
     dz_s, d_mu_t_cross = d_dec_s[:b], d_dec_s[b:]
     dz_t, d_mu_s_cross = d_dec_t[:b], d_dec_t[b:]
 
@@ -209,11 +194,11 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
     d_f_s = numkit.mlp_backward(
         params.skel_encoder, cache_enc_s,
         np.concatenate([d_mu_s, elbo_s.grads["log_var"] + noise_s], axis=1),
-        outs[0], grad_in=feature_grads)
+        outs["skel_encoder"], grad_in=feature_grads)
     numkit.mlp_backward(
         params.text_encoder, cache_enc_t,
         np.concatenate([d_mu_t, elbo_t.grads["log_var"] + noise_t], axis=1),
-        outs[1], grad_in=False)
+        outs["text_encoder"], grad_in=False)
     if feature_grads:
         # the ELBO's target gradient is minus its reconstruction gradient,
         # still in the decoder rows
@@ -233,8 +218,9 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
 def sample_class_latents(params: VaeParams, fused_text: Array, n: int,
                          rng: np.random.Generator) -> Array:
     """Draw n latents from the text posterior of one class's fused vector."""
-    latent = encode(params, "text", np.asarray(fused_text, dtype=np.float64)[None, :])
+    mu, log_var = posterior(params, "text_encoder",
+                            np.asarray(fused_text, dtype=np.float64)[None, :])
     eps = rng.standard_normal((n, params.latent_dim))
-    z = latent.mu + np.exp(0.5 * latent.log_var) * eps
+    z = mu + np.exp(0.5 * log_var) * eps
     numkit.check_finite("sampled latents", z)
     return z

@@ -338,16 +338,12 @@ def train_softmax_classifier(latents: Array, labels: Array,
 
 # ---- stage 2: joint VAE + band-weight training ----
 
-# the slices of the flat stage-2 gradient, in VaeParams.nets() order
-_GRAD_PARTS = ("skel_encoder", "text_encoder", "skel_decoder", "text_decoder", "band weights")
-
-
 def encode_latent_means(params: crossvae.VaeParams, featurizer: SkeletonFeaturizer,
                         records: Sequence[FeatureRecord]) -> Array:
     """Posterior means of the skeleton encoder for a record list."""
     if not records:
         raise ValueError("no records to encode")
-    return np.asarray(crossvae.encode(params, "skeleton", featurizer.features(records)).mu)
+    return crossvae.posterior(params, "skel_encoder", featurizer.features(records))[0]
 
 
 def stage2_gradient(params: crossvae.VaeParams, raw: Array | None,
@@ -435,11 +431,12 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     raw = views[n_net] if len(views) > n_net else None
     grad, grad_views = numkit.flatten(views)  # same layout; every step overwrites it all
     # where each network's slice of a flat vector ends; the band weights' comes last
-    ends = np.cumsum([sum(a.size for a in net.param_arrays()) for net in params.nets()])
+    nets = params.nets()
+    ends = np.cumsum([sum(a.size for a in net.param_arrays()) for net in nets.values()])
 
     def failing_part(vec: Array, ok) -> str:
-        return next((name for name, part in zip(_GRAD_PARTS, np.split(vec, ends))
-                     if not ok(part)), "combined")
+        parts = zip((*nets, "band weights"), np.split(vec, ends))
+        return next((name for name, part in parts if not ok(part)), "combined")
 
     opt = numkit.AdamState(lr=cfg.stage2_lr)
     n = len(records)

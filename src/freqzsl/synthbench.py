@@ -44,7 +44,6 @@ class GeneratedDataset:
     table: semantics.SemanticTable
     split: pipeline.SplitSpec
     prototypes: dict[int, Array]
-    config: RunConfig
 
 
 # rng stream ids; one substream per concern keeps draws order-independent
@@ -124,7 +123,7 @@ def generate(cfg: RunConfig) -> GeneratedDataset:
     if cfg.synth_label_noise > 0:
         dataset = inject_label_noise(dataset, cfg.synth_label_noise,
                                      numkit.make_rng(cfg.seed, _STREAM_NOISE))
-    return GeneratedDataset(dataset, table, split, protos, cfg)
+    return GeneratedDataset(dataset, table, split, protos)
 
 
 def check_label_noise(name: str, rate: float, cfg: RunConfig) -> None:

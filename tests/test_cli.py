@@ -10,6 +10,8 @@ import io
 import json
 import math
 import os
+import platform
+import resource
 import shutil
 import subprocess
 import sys
@@ -267,6 +269,22 @@ class TestConfigDomains:
         assert code == 2
         assert err.count("\n") == 1 and f"band_size {band_size} exceeds the 16" in err
 
+    @pytest.mark.parametrize("ramp", ["1e-300", "1e-160"])
+    def test_ramp_whose_band_factor_square_overflows_exits_two(self, tiny_env, tmp_path,
+                                                               capsys, ramp):
+        # 16 frames: the largest factor is about 15 / ramp
+        code, err = self.train_exit(tiny_env, tmp_path, capsys, f"ramp = {ramp}")
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: ramp {float(ramp)!r} ") and "overflows" in err
+
+    @pytest.mark.parametrize("ramp, mode", [(1e-152, "piecewise"),
+                                            (1e-300, "learnable_only")])
+    def test_ramp_whose_band_factor_square_is_finite_is_kept(self, ramp, mode):
+        # learnable_only sets g = w and reads no ramp
+        enh = cli.build_enhancement(RunConfig(ramp=ramp, enhance_mode=mode, low_cutoff=8), 16)
+        assert enh.ramp == ramp
+
     @pytest.mark.parametrize("band_size, n_bands", [(15, 2), (16, 1)])
     def test_band_size_may_reach_the_coefficient_count(self, band_size, n_bands):
         enh = cli.build_enhancement(RunConfig(band_size=band_size, low_cutoff=8), 16)
@@ -501,8 +519,8 @@ class TestWiring:
         with pytest.raises(ConfigError):
             synthbench.generate(RunConfig(synth_proto_rank=0))
 
-    def test_featurizer_for_sequences_enhances_frame_axis(self):
-        cfg = cli.parse_config(write_cfg(Path("/tmp") / "t.cfg", TINY_LINES))
+    def test_featurizer_for_sequences_enhances_frame_axis(self, tmp_path):
+        cfg = cli.parse_config(write_cfg(tmp_path / "t.cfg", TINY_LINES))
         gen = synthbench.generate(cfg)
         feat = cli.make_featurizer(cfg, gen.dataset)
         assert feat.enhancement is not None
@@ -1065,6 +1083,29 @@ def test_checkpoint_bytes_do_not_depend_on_blas_thread_count(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_fresh_train_does_not_fault_its_step_blocks_in_again(tmp_path):
+    # perfbench's train-seq set-up (tuned recipe, data seed 2, 960 features) at 30
+    # stage-2 epochs, 90 steps: a fresh train took 8.4k minor faults; with glibc's
+    # default thresholds each step faults its freed blocks in again, 64k in all
+    tuned = (REPO / "configs" / "synth-tuned.cfg").read_text(encoding="utf-8").splitlines()
+    cfg = write_cfg(tmp_path / "tuned.cfg", [
+        x for x in tuned if not x.startswith("stage2_epochs")] + ["stage2_epochs = 30"])
+    data = str(tmp_path / "data")
+    assert cli.main(["synth", "--config", cfg, "--seed", "2", "--out", data]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(
+        [sys.executable, "-m", "freqzsl", "train", "--config", cfg, "--seed", "2",
+         "--data", data, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    assert proc.returncode == 0, proc.stderr
+    assert faults < 30_000
+
+
 def test_train_without_band_weights_is_bit_reproducible(tiny_env, tmp_path, monkeypatch):
     # vector records with enhancement off train no band weights, so stage 2
     # computes no feature gradients; criterion 13 covers the other path
@@ -1145,7 +1186,12 @@ class TestInDomainRuns:
         lines += [f"{key} = {value!r}" for key, value in knobs.items()]
         code, err = train_quietly(tiny_env, tmp_path / "run",
                                   lines + [f"align_loss = {align_loss}"])
-        if code == 0:
+        # the last of the 16 bands starts at 15: its ramp factor is 15 / ramp - 2
+        largest = 15 / knobs["ramp"]
+        if math.isinf(largest * largest):
+            assert code == 2 and err.count("\n") == 1, err
+            assert err.startswith(f"config error: ramp {knobs['ramp']!r} "), err
+        elif code == 0:
             assert err == ""
         else:
             assert code == 1 and err.count("\n") == 1 and err.startswith("error: "), err

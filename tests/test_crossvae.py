@@ -49,34 +49,34 @@ class TestInit:
             assert [b.shape for b in net.biases] == [(n,) for n in sizes[1:]], name
 
 
-class TestEncode:
+class TestPosterior:
     def test_zero_encoder_gives_standard_posterior(self):
         params = tiny_params()
         zero = zero_mlp((4, 5, 4))
         params.skel_encoder = zero
-        latent = crossvae.encode(params, "skeleton", np.ones((1, 4)))
-        np.testing.assert_array_equal(latent.mu, np.zeros((1, 2)))
-        np.testing.assert_array_equal(latent.log_var, np.zeros((1, 2)))
+        mu, log_var = crossvae.posterior(params, "skel_encoder", np.ones((1, 4)))
+        np.testing.assert_array_equal(mu, np.zeros((1, 2)))
+        np.testing.assert_array_equal(log_var, np.zeros((1, 2)))
 
     def test_matches_forward_oracle(self):
         params = tiny_params(1)
         x = numkit.make_rng(2).standard_normal((1, 3))
-        latent = crossvae.encode(params, "text", x)
+        mu, log_var = crossvae.posterior(params, "text_encoder", x)
         out, _ = numkit.mlp_forward(params.text_encoder, x)
-        np.testing.assert_array_equal(latent.mu, out[:, :2])
-        np.testing.assert_array_equal(latent.log_var, out[:, 2:])
+        np.testing.assert_array_equal(mu, out[:, :2])
+        np.testing.assert_array_equal(log_var, out[:, 2:])
 
-    def test_unknown_modality_rejected(self):
-        with pytest.raises(ValueError, match="modality"):
-            crossvae.encode(tiny_params(), "audio", np.ones((1, 4)))
+    def test_refused_input_names_the_encoder(self):
+        with pytest.raises(ValueError, match="^text_encoder input dim"):
+            crossvae.posterior(tiny_params(), "text_encoder", np.ones((1, 4)))
 
-    def test_batched_encode_matches_rows(self):
+    def test_batched_posterior_matches_rows(self):
         params = tiny_params(3)
         xs = numkit.make_rng(4).standard_normal((5, 4))
-        latent = crossvae.encode(params, "skeleton", xs)
+        mu, _ = crossvae.posterior(params, "skel_encoder", xs)
         for i in range(5):
-            one = crossvae.encode(params, "skeleton", xs[i:i + 1])
-            np.testing.assert_allclose(latent.mu[i], one.mu[0], atol=1e-14)
+            one, _ = crossvae.posterior(params, "skel_encoder", xs[i:i + 1])
+            np.testing.assert_allclose(mu[i], one[0], atol=1e-14)
 
 
 def fixed_posterior_params(mu, log_var, text_dim=3):
@@ -120,8 +120,8 @@ class TestReparameterize:
 
 def align_with_hand_decoded_means(params, f_s, f_t, labels, negatives, cfg):
     """Alignment loss over cross reconstructions decoded from posterior means."""
-    mu_s = crossvae.encode(params, "skeleton", f_s).mu
-    mu_t = crossvae.encode(params, "text", f_t).mu
+    mu_s, _ = crossvae.posterior(params, "skel_encoder", f_s)
+    mu_t, _ = crossvae.posterior(params, "text_encoder", f_t)
     g_s_t, _ = numkit.mlp_forward(params.text_decoder, mu_s)
     g_t_s, _ = numkit.mlp_forward(params.skel_decoder, mu_t)
     # alignment_loss overwrites the reconstructions, so it gets copies
@@ -154,7 +154,7 @@ class TestCrossReconstruct:
         params.text_decoder = numkit.MlpParams([np.eye(2)], [np.zeros(2)])
         align, (want, g_s_t, _) = self.align_terms(params, 21)
         f_s = make_batch(21, text_dim=2)[0]
-        np.testing.assert_array_equal(g_s_t, crossvae.encode(params, "skeleton", f_s).mu)
+        np.testing.assert_array_equal(g_s_t, crossvae.posterior(params, "skel_encoder", f_s)[0])
         assert align == pytest.approx(want, rel=1e-12)
 
     def test_matches_forward_oracle(self):
@@ -506,11 +506,11 @@ class TestTrainStep:
         for epochs in (1, 5, 10, 20):
             params, _, _ = train_tiny(data, cfg, epochs=epochs, lr=1e-3, hidden=(6,),
                                       seed=19)
-            for modality, feats in (("skeleton", f_s), ("text", f_t)):
-                latent = crossvae.encode(params, modality, feats)
+            for net, feats in (("skel_encoder", f_s), ("text_encoder", f_t)):
+                mu, log_var = crossvae.posterior(params, net, feats)
                 # the ELBO of a perfect reconstruction at kl_weight 1 is the KL alone
                 x = np.zeros((len(feats), 1))
-                assert losses.elbo(x, x.copy(), latent.mu, latent.log_var, 1.0).value >= 0.0
+                assert losses.elbo(x, x.copy(), mu, log_var, 1.0).value >= 0.0
 
 
 class TestSampleClassLatents:
@@ -518,9 +518,9 @@ class TestSampleClassLatents:
         params = tiny_params(20)
         fused = numkit.make_rng(21).standard_normal(3)
         z = crossvae.sample_class_latents(params, fused, 5, numkit.make_rng(3))
-        latent = crossvae.encode(params, "text", fused[None, :])
+        mu, log_var = crossvae.posterior(params, "text_encoder", fused[None, :])
         eps = numkit.make_rng(3).standard_normal((5, 2))
-        np.testing.assert_allclose(z, latent.mu + np.exp(0.5 * latent.log_var) * eps,
+        np.testing.assert_allclose(z, mu + np.exp(0.5 * log_var) * eps,
                                    rtol=0, atol=1e-15)
 
     def test_overflowing_sample_raises(self):
@@ -532,11 +532,11 @@ class TestSampleClassLatents:
     def test_sample_covariance_tracks_posterior(self):
         params = tiny_params(22)
         fused = numkit.make_rng(23).standard_normal(3)
-        latent = crossvae.encode(params, "text", fused[None, :])
+        _, log_var = crossvae.posterior(params, "text_encoder", fused[None, :])
         z = crossvae.sample_class_latents(params, fused, 100_000,
                                           numkit.make_rng(24))
         var = np.var(z, axis=0)
-        np.testing.assert_allclose(var, np.exp(latent.log_var[0]), rtol=0.05)
+        np.testing.assert_allclose(var, np.exp(log_var[0]), rtol=0.05)
 
 
 class TestCodec:

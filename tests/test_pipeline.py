@@ -759,6 +759,43 @@ class TestUnseenSynthesis:
                 (), RunConfig(), numkit.make_rng(0))
 
 
+def overflowing_vae(half):
+    """identity_vae(2, 4, 2) with 1e308 for every weight and bias of one half
+    (mu or log_var) of both encoders: that half overflows on positive inputs."""
+    params = identity_vae(2, 4, 2)
+    rows = slice(0, 2) if half == "mu" else slice(2, 4)
+    for name in ("skel_encoder", "text_encoder"):
+        net = getattr(params, name)
+        w, b = net.weights[0].copy(), net.biases[0].copy()
+        w[rows] = b[rows] = 1e308
+        setattr(params, name, numkit.MlpParams([w], [b]))
+    return params
+
+
+class TestOverflowingPosterior:
+    """An encoder output that overflows stops evaluation and stage 3 with the
+    name of the posterior half it broke."""
+
+    @pytest.mark.parametrize("half", ["mu", "log_var"])
+    def test_evaluation_names_the_half(self, half):
+        recs = [vector_record("a", 0, "test-unseen", [1.0, 1.0]),
+                vector_record("b", 1, "test-unseen", [2.0, 1.0])]
+        clf = pipeline.SoftmaxClassifier((0, 1), np.eye(2), np.zeros(2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=f"^{half} contains non-finite entries$"):
+            pipeline.evaluate_zsl(overflowing_vae(half), pipeline.SkeletonFeaturizer(),
+                                  clf, recs)
+
+    @pytest.mark.parametrize("half", ["mu", "log_var"])
+    def test_stage_3_names_the_half(self, half):
+        table = make_semantic_table({5: [1.0, 1.0], 6: [1.0, 2.0]})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=f"^{half} contains non-finite entries$"):
+            pipeline.synthesize_unseen_classifier(
+                overflowing_vae(half), table, (5, 6),
+                RunConfig(unseen_samples=3, unseen_epochs=1), numkit.make_rng(0))
+
+
 class TestSeenClassifier:
     def test_fits_the_records_latent_means_with_the_config_schedule(self, monkeypatch):
         fits = []

@@ -219,11 +219,13 @@ class TestLabelNoise:
             synthbench.inject_label_noise(gen.dataset, -0.1, numkit.make_rng(0))
 
 
-def oracle_nearest_prototype(gen):
-    """Nearest-prototype accuracies (overall, test-seen, test-unseen): each
-    test sample goes to the class whose exact prototype is nearest its
-    jitter-free low-band coefficients, a construction-aware upper bound."""
-    band = low_band(gen.config)
+def oracle_nearest_prototype(cfg):
+    """Nearest-prototype accuracies (overall, test-seen, test-unseen) on the
+    benchmark cfg generates: each test sample goes to the class whose exact
+    prototype is nearest its jitter-free low-band coefficients, a
+    construction-aware upper bound."""
+    gen = synthbench.generate(cfg)
+    band = low_band(cfg)
     class_ids = sorted(gen.prototypes)
     proto_mat = np.stack([gen.prototypes[k].reshape(-1) for k in class_ids])
     hits = {"test-seen": [], "test-unseen": []}
@@ -243,8 +245,7 @@ def oracle_nearest_prototype(gen):
 
 class TestOracle:
     def test_clean_benchmark_is_perfectly_separable(self):
-        report = oracle_nearest_prototype(
-            synthbench.generate(small_config()))
+        report = oracle_nearest_prototype(small_config())
         assert report.overall == 1.0
         assert report.test_seen == 1.0 and report.test_unseen == 1.0
 
@@ -252,17 +253,15 @@ class TestOracle:
         cfg = small_config(synth_classes=4, synth_unseen=1, synth_proto_rank=2,
                            synth_samples_per_class=40, synth_jitter_std=6.0,
                            synth_jitter_start=0, synth_jitter_low_leak=1.0)
-        report = oracle_nearest_prototype(synthbench.generate(cfg))
+        report = oracle_nearest_prototype(cfg)
         n_test = 4 * 40 - len(synthbench.generate(cfg).dataset.by_partition("train-seen"))
         sigma = np.sqrt(0.25 * 0.75 / n_test)
         assert abs(report.overall - 0.25) < 5 * sigma
 
     def test_oracle_degrades_monotonically_with_jitter(self):
-        clean = oracle_nearest_prototype(
-            synthbench.generate(small_config())).overall
-        noisy = oracle_nearest_prototype(
-            synthbench.generate(small_config(synth_jitter_std=4.0, synth_jitter_start=0,
-                                             synth_jitter_low_leak=1.0))).overall
+        clean = oracle_nearest_prototype(small_config()).overall
+        noisy = oracle_nearest_prototype(small_config(
+            synth_jitter_std=4.0, synth_jitter_start=0, synth_jitter_low_leak=1.0)).overall
         assert noisy < clean
 
 
