@@ -21,9 +21,7 @@ import functools
 import hashlib
 import json
 import math
-import operator
 import sys
-import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -285,136 +283,21 @@ def save_checkpoint(path, model: TrainedModel) -> None:
         fh.write("\n")
 
 
-def _all_floats(items) -> bool:
-    return operator.countOf(map(type, items), float) == len(items)
-
-
-def _float_array(value):
-    """value as a float64 ndarray if it is a non-empty, rectangular JSON array
-    of floats or of arrays of floats, else value itself.
-
-    Only floats are converted, so a tuple[int] or tuple[float] field still
-    refuses an int, a bool or a string under its own key path, and an ndarray
-    field refuses a null or a string under the path of the item (_from_json).
-    A nested array is converted as the np.asarray(dtype=float64) call that
-    _from_json makes for an ndarray field would; any other field refuses it
-    as an array either way, so converting it early changes no outcome.
-    """
-    if type(value) is not list or not value:
-        return value
-    if not (_all_floats(value) or all(type(row) is list and _all_floats(row)
-                                      for row in value)):
-        return value
-    try:
-        arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # ragged, or items that are no numbers
-        return value
-    return arr if arr.size else value
-
-
-def _float_arrays(obj: dict) -> dict:
-    """json object_hook: each float array among obj's values, or among the
-    items of a value that is a list of arrays (a network's layer weights),
-    becomes a float64 ndarray as soon as obj is parsed, so a checkpoint is
-    read without a tree of Python floats the size of the model. Everything
-    else is left as parsed, for _from_json to decode or refuse."""
-    for key, value in obj.items():
-        value = _float_array(value)
-        if type(value) is list and all(type(item) is list for item in value):
-            value = [_float_array(item) for item in value]
-        obj[key] = value
-    return obj
-
-
-# JSON kind of a decoded value; bool before integer, since bool is an int, and
-# an ndarray is an array that _float_arrays converted while parsing
-_JSON_KINDS = {"object": dict, "array": (list, np.ndarray), "string": str, "boolean": bool,
-               "integer": int, "number": float}
-_KIND_OF_TYPE = {t: k for k, t in _JSON_KINDS.items()}
-
-
-def _json_kind(value) -> str:
-    return next((k for k, t in _JSON_KINDS.items() if isinstance(value, t)), "null")
-
-
-def _expect(value, kind: str, path: str) -> None:
-    got = _json_kind(value)
-    if got != kind and (kind, got) != ("number", "integer"):
-        raise ValueError(f"{path} must be a JSON {kind}, not {got}")
-
-
-def _construct(path: str, build, *args, **kwargs):
-    """build(*args, **kwargs), its error reported under the top-level key of path."""
-    try:
-        return build(*args, **kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{'.'.join(path.split('.')[:2])}: {exc}") from None
-
-
-def _read_key(obj: dict, key: str, hint, path: str):
-    if key not in obj:
-        raise ValueError(f"{path} has no key {key!r}")
-    return _from_json(hint, obj[key], f"{path}.{key}")
-
-
-def _expect_numbers(items: list, path: str) -> None:
-    """Refuse an item of a (nested) JSON array that is not a number; a row
-    that _float_arrays converted holds floats only."""
-    for i, item in enumerate(items):
-        if type(item) is list:
-            _expect_numbers(item, f"{path}[{i}]")
-        elif type(item) is not np.ndarray:
-            _expect(item, "number", f"{path}[{i}]")
-
-
-def _from_json(hint, value, path: str):
-    """Decode what _compact_json_pieces wrote for a value of type hint.
-
-    A missing key or a value of the wrong JSON kind raises ValueError naming
-    its key path.
-    """
-    if isinstance(hint, types.UnionType):  # X | None
-        if value is None:
-            return None
-        hint = next(h for h in typing.get_args(hint) if h is not type(None))
-    if dataclasses.is_dataclass(hint):
-        _expect(value, "object", path)
-        hints = typing.get_type_hints(hint)
-        return _construct(path, hint, **{f.name: _read_key(value, f.name, hints[f.name], path)
-                                         for f in dataclasses.fields(hint)})
-    origin = typing.get_origin(hint)
-    if origin in (list, tuple):
-        _expect(value, "array", path)
-        item = typing.get_args(hint)[0]
-        return origin(_from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value))
-    if hint is np.ndarray:
-        _expect(value, "array", path)
-        if type(value) is list:  # _float_arrays left it: one item is no float
-            _expect_numbers(value, path)
-        arr = _construct(path, np.asarray, value, dtype=np.float64)
-        bad = np.argwhere(~np.isfinite(arr))
-        if len(bad):
-            index = "".join(f"[{i}]" for i in bad[0])
-            raise ValueError(f"{path}{index} must be a finite number, not {arr[tuple(bad[0])]}")
-        return arr
-    _expect(value, _KIND_OF_TYPE[hint], path)
-    return _construct(path, float, value) if hint is float else value
-
-
 def load_checkpoint(path) -> TrainedModel:
     """Read a checkpoint; a malformed one raises ValueError naming the key path.
 
     The file's bytes are dropped once decoded, and each float array becomes
-    an ndarray as soon as its object is parsed (_float_arrays).
+    an ndarray as soon as its object is parsed (semantics.float_arrays).
     """
     with open(path, "rb") as fh:
-        obj = semantics.parse_json(fh, "checkpoint", ValueError, _float_arrays)
-    _expect(obj, "object", "checkpoint")
-    version = _read_key(obj, "format_version", int, "checkpoint")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint format {version!r} not supported")
+        obj = semantics.parse_json(fh, "checkpoint", ValueError)
+    version = semantics.decode({"format_version": int}, obj, "checkpoint", ValueError)
+    if version["format_version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint format {version['format_version']!r} not supported")
     hints = typing.get_type_hints(TrainedModel)
-    return TrainedModel(loss_log=[], **{name: _read_key(obj, key, hints[name], "checkpoint")
+    fields = semantics.decode({key: hints[name] for key, name in _CHECKPOINT_FIELDS.items()},
+                              obj, "checkpoint", ValueError)
+    return TrainedModel(loss_log=[], **{name: fields[key]
                                         for key, name in _CHECKPOINT_FIELDS.items()})
 
 

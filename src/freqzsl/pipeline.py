@@ -58,15 +58,15 @@ class FeatureRecord:
         if (self.vector is None) == (self.sequence is None):
             raise FeatureFormatError(
                 f"sample {self.sample_id!r}: need exactly one of vector/sequence")
-        payload = self.vector if self.vector is not None else self.sequence
-        arr = np.asarray(payload, dtype=np.float64)
+        arr = np.asarray(self.payload, dtype=np.float64)
         if self.vector is not None and arr.ndim != 1:
             raise FeatureFormatError(f"sample {self.sample_id!r}: vector must be 1-D")
         if self.sequence is not None and arr.ndim != 3:
             raise FeatureFormatError(
                 f"sample {self.sample_id!r}: sequence must be joints x coords x frames")
-        if not np.all(np.isfinite(arr)):
-            raise FeatureFormatError(f"sample {self.sample_id!r}: non-finite entries")
+        if not arr.size:
+            raise FeatureFormatError(
+                f"sample {self.sample_id!r}: {self.kind} of shape {arr.shape} holds no values")
 
     @property
     def kind(self) -> str:
@@ -109,9 +109,6 @@ class FeatureDataset:
             raise ValueError(f"unknown partition {name!r}")
         return [r for r in self.records if r.partition == name]
 
-    def class_ids(self) -> tuple[int, ...]:
-        return tuple(sorted({r.class_id for r in self.records}))
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -131,7 +128,9 @@ class SplitSpec:
 
 
 def validate_split(dataset: FeatureDataset, split: SplitSpec) -> None:
-    """Enforce split hygiene over a dataset's partitions."""
+    """Enforce split hygiene over a dataset's partitions. Every partition
+    belongs to one group, so once this passes every dataset class is in
+    the split, and train-seen holds seen classes only."""
     seen, unseen = set(split.seen), set(split.unseen)
     for rec in dataset.records:
         if rec.partition in ("train-seen", "test-seen") and rec.class_id not in seen:
@@ -142,9 +141,6 @@ def validate_split(dataset: FeatureDataset, split: SplitSpec) -> None:
             raise ValueError(
                 f"sample {rec.sample_id!r}: class {rec.class_id} in test-unseen "
                 "is not an unseen class")
-    uncovered = set(dataset.class_ids()) - seen - unseen
-    if uncovered:
-        raise ValueError(f"dataset classes missing from the split: {sorted(uncovered)}")
 
 
 # ---- file formats ----
@@ -168,28 +164,14 @@ def load_feature_file(path) -> FeatureDataset:
     records = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
-            obj = semantics.parse_json(line, f"line {lineno}", FeatureFormatError)
-            if not isinstance(obj, dict):
-                raise FeatureFormatError(f"line {lineno}: record must be an object")
-            try:
-                sid = obj["sample_id"]
-                cid = obj["class_id"]
-                part = obj["partition"]
-            except KeyError as exc:
-                raise FeatureFormatError(f"line {lineno}: missing field {exc}") from exc
-            if not isinstance(sid, str) or isinstance(cid, bool) or not isinstance(cid, int):
-                raise FeatureFormatError(f"line {lineno}: bad sample_id/class_id types")
-            vector = obj.get("vector")
-            sequence = obj.get("sequence")
-            try:
-                records.append(FeatureRecord(
-                    sid, cid, part,
-                    None if vector is None else np.asarray(vector, dtype=np.float64),
-                    None if sequence is None else np.asarray(sequence, dtype=np.float64)))
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise FeatureFormatError(f"line {lineno}: {exc}") from exc
+            where = f"line {lineno}"
+            obj = semantics.parse_json(line, where, FeatureFormatError)
+            if type(obj) is dict:  # a record holds one payload key; the other reads as null
+                obj.setdefault("vector", None)
+                obj.setdefault("sequence", None)
+            records.append(semantics.decode(FeatureRecord, obj, where, FeatureFormatError))
     return FeatureDataset(records)
 
 
@@ -201,17 +183,8 @@ def write_split_file(path, split: SplitSpec, config_hash: str) -> None:
 
 def load_split_file(path) -> SplitSpec:
     with open(path, "rb") as fh:
-        obj = semantics.parse_json(fh.read(), "split file", FeatureFormatError)
-    if not isinstance(obj, dict) or "seen" not in obj or "unseen" not in obj:
-        raise FeatureFormatError("split file must be an object with seen/unseen arrays")
-    for key in ("seen", "unseen"):
-        if (not isinstance(obj[key], list)
-                or any(isinstance(c, bool) or not isinstance(c, int) for c in obj[key])):
-            raise FeatureFormatError(f"split file: {key} must be an integer array")
-    try:
-        return SplitSpec(tuple(obj["seen"]), tuple(obj["unseen"]))
-    except ValueError as exc:
-        raise FeatureFormatError(f"split file: {exc}") from exc
+        obj = semantics.parse_json(fh, "split file", FeatureFormatError)
+    return semantics.decode(SplitSpec, obj, "split file", FeatureFormatError)
 
 
 # ---- skeleton featurizer ----
@@ -409,13 +382,13 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     if not records:
         raise ValueError("training partition is empty")
     labels_all = np.asarray([r.class_id for r in records])
-    if not set(labels_all.tolist()) <= set(split.seen):
-        raise ValueError("training batch would contain unseen class ids")
 
     fused = semantics.fuse_all(table)
-    missing = [c for c in sorted(set(labels_all.tolist())) if c not in fused]
-    if missing:
-        raise KeyError(f"no semantic embeddings for seen classes {missing}")
+    # stage 3 fuses the unseen classes' embeddings: a missing one is found before training
+    for group, ids in (("seen", labels_all.tolist()), ("unseen", split.unseen)):
+        missing = sorted(set(ids) - set(fused))
+        if missing:
+            raise ValueError(f"no semantic embeddings for {group} classes {missing}")
     text_all = np.stack([fused[c] for c in labels_all.tolist()])
     coeffs = featurizer.spectrum(records)
 
@@ -586,10 +559,10 @@ def evaluate_gzsl(params: crossvae.VaeParams, featurizer: SkeletonFeaturizer,
     group_acc = []
     for group_records in (test_seen, test_unseen):
         latents = encode_latent_means(params, featurizer, group_records)
-        route_seen = (seen_clf.predict_proba(latents).max(axis=-1)
-                      >= unseen_clf.predict_proba(latents).max(axis=-1))
-        unseen_pred = unseen_clf.predict(latents)
-        pred = np.where(route_seen, seen_clf.predict(latents), unseen_pred)
+        seen_p, unseen_p = seen_clf.predict_proba(latents), unseen_clf.predict_proba(latents)
+        seen_pred, unseen_pred = (np.asarray(clf.class_ids)[p.argmax(axis=-1)]
+                                  for clf, p in ((seen_clf, seen_p), (unseen_clf, unseen_p)))
+        pred = np.where(seen_p.max(axis=-1) >= unseen_p.max(axis=-1), seen_pred, unseen_pred)
         truth = np.asarray([r.class_id for r in group_records])
         hits = pred == truth
         group_acc.append(float(np.mean(hits)))

@@ -1271,9 +1271,10 @@ def json_file(name):
 class TestMalformedDataFiles:
     @pytest.mark.parametrize("name, content, named", [
         pytest.param("features.jsonl", FEATURE_LINE % ("1.0, 1" + "0" * 400),
-                     "line 1: int too large to convert to float", id="features-huge-int"),
+                     "line 1.vector: int too large to convert to float", id="features-huge-int"),
         pytest.param("embeddings.jsonl", EMBEDDING_LINE % ("1" + "0" * 400),
-                     "line 1: vector entry out of float64 range", id="embeddings-huge-int"),
+                     "line 1.vector: int too large to convert to float",
+                     id="embeddings-huge-int"),
         pytest.param("features.jsonl", FEATURE_LINE % ("1" * 5000),
                      "line 1: not valid JSON (Exceeds", id="features-int-digit-limit"),
         pytest.param("features.jsonl", b"\n\xff\xfe{}\n", "line 2: not UTF-8 text",
@@ -1340,6 +1341,139 @@ class TestMalformedDataFiles:
             code = cli.main(["train", "--config", cfg, "--data", str(run_data),
                              "--out", str(tmp_path / "run")])
         assert code in (1, 2)
+
+
+def edit_records(path, edit):
+    """Rewrite a data file with edit(index, record) for each record, or for the
+    split file's one document with index None: it changes the record in place,
+    or returns False to drop it."""
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(None, doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    kept = [row for i, row in enumerate(rows) if edit(i, row) is not False]
+    path.write_text("".join(json.dumps(row) + "\n" for row in kept), encoding="utf-8")
+
+
+def put(keys, value):
+    """An edit that sets the item at keys (a key path) of the third record, or
+    of the split file's document."""
+    def edit(i, row):
+        if i in (2, None):
+            for key in keys[:-1]:
+                row = row[key]
+            row[keys[-1]] = value
+    return edit
+
+
+# one bad item per file: the file, its key path, the item and the line naming it
+BAD_ITEMS = [
+    ("features.jsonl", ("sequence", 1, 0, 5), "0.5", "string",
+     "line 3.sequence[1][0][5] must be a JSON number, not string"),
+    ("features.jsonl", ("sequence", 1, 0, 5), True, "boolean",
+     "line 3.sequence[1][0][5] must be a JSON number, not boolean"),
+    ("features.jsonl", ("sequence", 1, 0, 5), None, "null",
+     "line 3.sequence[1][0][5] must be a JSON number, not null"),
+    ("features.jsonl", ("sequence", 1, 0, 5), math.inf, "non-finite",
+     "line 3.sequence[1][0][5] must be a finite number, not inf"),
+    ("features.jsonl", ("class_id",), "3", "wrong-kind",
+     "line 3.class_id must be a JSON integer, not string"),
+    ("embeddings.jsonl", ("vector", 5), "0.5", "string",
+     "line 3.vector[5] must be a JSON number, not string"),
+    ("embeddings.jsonl", ("vector", 5), False, "boolean",
+     "line 3.vector[5] must be a JSON number, not boolean"),
+    ("embeddings.jsonl", ("vector", 5), None, "null",
+     "line 3.vector[5] must be a JSON number, not null"),
+    ("embeddings.jsonl", ("vector", 5), -math.inf, "non-finite",
+     "line 3.vector[5] must be a finite number, not -inf"),
+    ("embeddings.jsonl", ("kind",), ["GD"], "wrong-kind",
+     "line 3.kind must be a JSON string, not array"),
+    ("split.json", ("seen", 1), "1", "string",
+     "split file.seen[1] must be a JSON integer, not string"),
+    ("split.json", ("seen", 1), True, "boolean",
+     "split file.seen[1] must be a JSON integer, not boolean"),
+    ("split.json", ("seen", 1), None, "null",
+     "split file.seen[1] must be a JSON integer, not null"),
+    ("split.json", ("seen", 1), math.nan, "non-finite",
+     "split file.seen[1] must be a JSON integer, not number"),
+    ("split.json", ("unseen",), {"3": 4}, "wrong-kind",
+     "split file.unseen must be a JSON array, not object"),
+]
+
+
+class TestDataFileRefusals:
+    """Each refusal of a data file's content, through main: exit 1, one line."""
+
+    def run(self, env, tmp_path, capsys, edits, command="train"):
+        """command (train, or eval in mode zsl or gzsl) on a copy of env's data
+        with edits, {file name: edit}; returns the exit code and stderr."""
+        data = tmp_path / "data"
+        shutil.copytree(env["data"], data)
+        for name, edit in edits.items():
+            edit_records(data / name, edit)
+        args = (["train", "--config", env["cfg"]] if command == "train"
+                else ["eval", "--checkpoint", env["checkpoint"], "--mode", command])
+        code = cli.main(args + ["--data", str(data), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, keys, value, message", [
+        pytest.param(name, keys, value, message, id=f"{name.split('.')[0]}-{kind}")
+        for name, keys, value, kind, message in BAD_ITEMS])
+    def test_bad_item_is_named_by_its_key_path(self, tiny_env, tmp_path, capsys, name, keys,
+                                               value, message):
+        code, err = self.run(tiny_env, tmp_path, capsys, {name: put(keys, value)})
+        assert (code, err) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind, empty, shape", [
+        ("vector", [], "(0,)"), ("sequence", [[[], []], [[], []]], "(2, 2, 0)")])
+    def test_empty_payload_is_refused(self, tiny_env, tmp_path, capsys, kind, empty, shape):
+        # TINY_LINES keeps batch_size 64, so the same file with values takes stage-2 steps
+        def emptied(i, row):
+            del row["sequence"]
+            row[kind] = empty
+        code, err = self.run(tiny_env, tmp_path, capsys, {"features.jsonl": emptied})
+        assert (code, err) == (
+            1, f"error: line 1: sample 'c000s000': {kind} of shape {shape} holds no values\n")
+
+    def test_missing_unseen_embeddings_are_refused_before_stage_2(self, tiny_env, tmp_path,
+                                                                  capsys, monkeypatch):
+        steps = []
+        monkeypatch.setattr(pipeline, "stage2_gradient", lambda *args: steps.append(args))
+        code, err = self.run(tiny_env, tmp_path, capsys,
+                             {"embeddings.jsonl": lambda i, row: row["class_id"] != 4})
+        assert (code, err) == (1, "error: no semantic embeddings for unseen classes [4]\n")
+        assert steps == []
+
+    def test_vector_of_two_dimensions(self, tiny_env, tmp_path, capsys):
+        def nested(i, row):
+            row["vector"] = [np.ravel(row.pop("sequence")).tolist()]
+        code, err = self.run(tiny_env, tmp_path, capsys, {"features.jsonl": nested})
+        assert (code, err) == (1, "error: line 1: sample 'c000s000': vector must be 1-D\n")
+
+    def test_records_of_two_shapes(self, tiny_env, tmp_path, capsys):
+        def shorter(i, row):
+            if i == 1:
+                row["sequence"] = [[coord[:-1] for coord in joint] for joint in row["sequence"]]
+        code, err = self.run(tiny_env, tmp_path, capsys, {"features.jsonl": shorter})
+        assert (code, err) == (
+            1, "error: records disagree on shape: [(2, 2, 15), (2, 2, 16)]\n")
+
+    def test_no_training_records(self, tiny_env, tmp_path, capsys):
+        code, err = self.run(tiny_env, tmp_path, capsys, {
+            "features.jsonl": lambda i, row: row["partition"] != "train-seen"})
+        assert (code, err) == (1, "error: training partition is empty\n")
+
+    @pytest.mark.parametrize("mode, partition, message", [
+        ("zsl", "test-unseen", "no test-unseen records"),
+        ("gzsl", "test-unseen", "no test-unseen records"),
+        ("gzsl", "test-seen", "no test-seen records (needed for gzsl)")])
+    def test_eval_without_a_test_partition(self, trained, tmp_path, capsys, mode, partition,
+                                           message):
+        code, err = self.run(trained, tmp_path, capsys, {
+            "features.jsonl": lambda i, row: row["partition"] != partition}, command=mode)
+        assert (code, err) == (1, f"error: {message}\n")
 
 
 # ---- checkpoints: the committed format and malformed files ----
@@ -1461,13 +1595,13 @@ class TestMalformedCheckpoints:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_arrays_converted_while_parsing_decode_as_lists_do(self, tmp_path, content, data):
-        # the reference reads the whole tree of plain lists, as _from_json alone did
+        # the reference reads the whole tree of plain lists, as decode alone did
         path = tmp_path / "checkpoint.json"
         strategy = mutated_checkpoint() if content == "mutated" else array_item_replaced()
         path.write_bytes(data.draw(strategy))
         outcomes = []
-        for hook in (cli._float_arrays, lambda obj: obj):
-            with unittest.mock.patch.object(cli, "_float_arrays", hook):
+        for hook in (semantics.float_arrays, lambda obj: obj):
+            with unittest.mock.patch.object(semantics, "float_arrays", hook):
                 try:
                     outcomes.append("".join(cli._compact_json_pieces(cli.load_checkpoint(path))))
                 except ValueError as exc:

@@ -547,8 +547,8 @@ class TestCodec:
 
         params = tiny_params(25)
         text = "".join(cli._compact_json_pieces(params))
-        parsed = json.loads(text, object_hook=cli._float_arrays)
-        back = cli._from_json(crossvae.VaeParams, parsed, "vae")
+        parsed = json.loads(text, object_hook=semantics.float_arrays)
+        back = semantics.decode(crossvae.VaeParams, parsed, "vae", ValueError)
         assert back.latent_dim == params.latent_dim
         for a, b in zip(params.param_arrays(), back.param_arrays()):
             np.testing.assert_array_equal(a, b)
@@ -559,6 +559,6 @@ class TestCodec:
         params = tiny_params(26)
         # plain lists, as a reader without the object hook sees them
         blob = "".join(cli._compact_json_pieces(params))
-        back = cli._from_json(crossvae.VaeParams, json.loads(blob), "vae")
+        back = semantics.decode(crossvae.VaeParams, json.loads(blob), "vae", ValueError)
         for a, b in zip(params.param_arrays(), back.param_arrays()):
             np.testing.assert_array_equal(a, b)

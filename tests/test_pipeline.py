@@ -440,7 +440,7 @@ class TestStage2:
     def test_missing_semantics_named(self):
         dataset, _, split = self.small_problem()
         table = make_semantic_table({0: [3.0, 0.0], 2: [2.0, 2.0]})
-        with pytest.raises(KeyError, match=r"\[1\]"):
+        with pytest.raises(ValueError, match=r"^no semantic embeddings for seen classes \[1\]$"):
             pipeline.run_stage2(dataset, table, split,
                                 pipeline.SkeletonFeaturizer(),
                                 stage2_config(stage2_epochs=1, stage2_lr=1e-3, batch_size=8),

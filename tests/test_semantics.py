@@ -79,7 +79,8 @@ class TestLoad:
     def test_non_finite_vector_rejected(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         write_lines(path, ['{"class_id": 0, "kind": "AL", "vector": [1e999]}'])
-        with pytest.raises(semantics.EmbeddingFormatError, match="non-finite"):
+        with pytest.raises(semantics.EmbeddingFormatError,
+                           match=r"^line 1\.vector\[0\] must be a finite number, not inf$"):
             semantics.load_embeddings(path)
 
     def test_duplicate_record_names_class_and_kind(self, tmp_path):
