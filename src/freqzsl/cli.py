@@ -21,6 +21,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import dataclass
@@ -192,17 +193,33 @@ def build_enhancement(cfg: RunConfig, length: int) -> frequency.EnhancementConfi
 
 
 def make_featurizer(cfg: RunConfig, dataset: pipeline.FeatureDataset) -> pipeline.SkeletonFeaturizer:
-    if dataset.kind == "sequence":
-        length = dataset.payload_shape[-1]
-        enh = build_enhancement(cfg, length)
-    elif cfg.enhance_vectors and cfg.enhance_mode != "off":
-        enh = build_enhancement(cfg, dataset.payload_shape[0])
-    else:
-        enh = None
+    enhances = dataset.kind == "sequence" or cfg.enhance_vectors
+    enh = build_enhancement(cfg, dataset.payload_shape[-1]) if enhances else None
     return pipeline.SkeletonFeaturizer(enh, cfg.enhance_vectors)
 
 
 # ---- full training run (stages 2-4) ----
+
+
+def _check_sizes(cfg: RunConfig, dataset: pipeline.FeatureDataset,
+                 table: semantics.SemanticTable, split: pipeline.SplitSpec) -> None:
+    """Refuse size keys that make stage 2's four flat vectors (parameters,
+    gradient, Adam's two moments) or stage 3's latent samples, 8 bytes an
+    entry, outgrow physical memory; skipped where the OS does not report it."""
+    if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", {}):
+        return
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # -1: not known
+    h, layers, ld = cfg.hidden_dim, cfg.hidden_layers, cfg.latent_dim
+    text = sum(v.size for v in next(iter(table.vectors.values()), {}).values())
+    n = sum((a + 1) * h + (layers - 1) * (h + 1) * h + (h + 1) * b  # a -> h x layers -> b
+            for w in (math.prod(dataset.payload_shape), text) for a, b in ((w, 2 * ld), (ld, w)))
+    for stage, keys, entries in (
+            (2, f"hidden_dim {h}, hidden_layers {layers}, latent_dim {ld}", 4 * n),
+            (3, f"unseen_samples {cfg.unseen_samples}, latent_dim {ld}",
+             cfg.unseen_samples * len(split.unseen) * ld)):
+        if 0 < memory < 8 * entries:
+            raise ConfigError(f"{keys}: stage {stage} would hold {entries} float64 entries, "
+                              f"more than the {memory / 2 ** 30:.1f} GiB of physical memory")
 
 
 @dataclass
@@ -223,6 +240,7 @@ def train_full(cfg: RunConfig, dataset: pipeline.FeatureDataset,
                split: pipeline.SplitSpec) -> TrainedModel:
     """Stages 2-4 end to end; deterministic given cfg (includes the seed).
     As in a stage-2 step, numpy's warnings are off and checks report instead."""
+    _check_sizes(cfg, dataset, table, split)
     rng = numkit.make_rng(cfg.seed, 1)
     params, featurizer, loss_log = pipeline.run_stage2(
         dataset, table, split, make_featurizer(cfg, dataset), cfg, rng)
@@ -313,9 +331,9 @@ def write_loss_log(path, loss_log: list[dict], hash_: str) -> None:
 def dct_self_checks(seed: int = 0) -> list[tuple[str, float, float, bool]]:
     """Each entry: (name, worst error, tolerance, ok).
 
-    The round-trip and Parseval rows run frequency.dct_forward and
-    frequency.idct themselves on one (100, 25, 3, 64) block, so they check
-    the transforms that featurizing and training call.
+    The round-trip and Parseval rows run frequency.dct_forward and idct on
+    one (100, 25, 3, 64) block and the enhancement rows SkeletonFeaturizer's
+    from_spectrum: the calls that training and evaluation make.
     """
     rng = numkit.make_rng(seed, 7)
     basis = frequency.dct_basis(64)
@@ -333,28 +351,26 @@ def dct_self_checks(seed: int = 0) -> list[tuple[str, float, float, bool]]:
     for _ in range(50):
         f = int(rng.integers(8, 48))
         mode = "piecewise" if rng.random() < 0.5 else "learnable_only"
-        cfg = frequency.EnhancementConfig.per_coefficient(
-            f, int(rng.integers(0, f)), float(rng.uniform(1.0, 40.0)), 0.0, mode)
+        cfg = frequency.EnhancementConfig.uniform_bands(
+            f, 1, int(rng.integers(0, f)), float(rng.uniform(1.0, 40.0)), 0.0, mode)
         cfg = cfg.with_weights(rng.uniform(0.0, 1.0, size=f))
         x = rng.standard_normal((4, f))
         g, _, _ = frequency.scaling_profile(cfg)
         c = frequency.dct_forward(x)
         predicted = np.sum((g * c) ** 2)
-        actual = frequency.signal_energy(frequency.enhance_sequence(x, cfg))
+        out = pipeline.SkeletonFeaturizer(cfg, enhance_vectors=True).from_spectrum(c)
+        actual = float(np.sum(out * out))
         redist = max(redist, abs(actual - predicted) / max(predicted, 1e-300))
 
-    ident_cfg = frequency.EnhancementConfig.per_coefficient(64, 35, 30.0, 0.0)
-    spec = rng.standard_normal((5, 64))
-    ident_g, _, _ = frequency.scaling_profile(ident_cfg)
-    ident = float(np.max(np.abs(frequency.enhance(spec, ident_g) - spec)))
+    ident_cfg = frequency.EnhancementConfig.uniform_bands(64, 1, 35, 30.0, 0.0)
+    spec = rng.standard_normal((5, 64))  # the spectrum of the input idct(spec)
+    enhanced = pipeline.SkeletonFeaturizer(ident_cfg, enhance_vectors=True).from_spectrum(spec)
+    ident = float(np.max(np.abs(enhanced - frequency.idct(spec))))
 
-    return [
-        ("round-trip", round_trip, 1e-9, round_trip < 1e-9),
-        ("parseval", parseval, 1e-12, parseval < 1e-12),
-        ("orthonormality", ortho, 1e-12, ortho < 1e-12),
-        ("energy-redistribution", redist, 1e-9, redist < 1e-9),
-        ("identity-enhancement", ident, 1e-12, ident < 1e-12),
-    ]
+    rows = (("round-trip", round_trip, 1e-9), ("parseval", parseval, 1e-12),
+            ("orthonormality", ortho, 1e-12), ("energy-redistribution", redist, 1e-9),
+            ("identity-enhancement", ident, 1e-12))
+    return [(name, err, tol, err < tol) for name, err, tol in rows]
 
 
 # ---- loss bench ----
@@ -452,12 +468,10 @@ def cmd_synth(args) -> int:
 
 def cmd_dct_check(args) -> int:
     rows = dct_self_checks(_load_cfg(args).seed)
-    ok = True
     for name, err, tol, passed in rows:
-        ok &= passed
         print(f"{'PASS' if passed else 'FAIL'} {name}: max error {err:.3e} "
               f"(tolerance {tol:.0e})")
-    return 0 if ok else 1
+    return 0 if all(passed for *_, passed in rows) else 1
 
 
 def cmd_train(args) -> int:

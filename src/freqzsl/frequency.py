@@ -29,9 +29,9 @@ high band that starts past 2 b is boosted. With the command-line defaults
 61-63 boosted whenever their weight is positive.
 
 g is clamped from below at `floor` (default 0). In "learnable_only" mode the
-structure above is dropped and g = w_k exactly. Enhancing a sequence means
-transform, scale each coefficient by its band's g, transform back; output
-energy is therefore sum_i g_i^2 c_i^2 over coefficients c.
+structure above is dropped and g = w_k exactly. Enhancing (done only by
+pipeline.SkeletonFeaturizer) is transform, scale each coefficient by its
+band's g, transform back: output energy is sum_i g_i^2 c_i^2 over coefficients.
 """
 from __future__ import annotations
 
@@ -88,12 +88,6 @@ def idct(coeffs: Array) -> Array:
     check_finite("spectrum", c)
     f = c.shape[-1]
     return (c.reshape(-1, f) @ dct_basis(f)).reshape(c.shape)
-
-
-def signal_energy(x: Array) -> float:
-    """Sum of squared entries."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(x * x))
 
 
 # ---- band configuration ----
@@ -161,17 +155,10 @@ class EnhancementConfig:
         return replace(self, weights=tuple(float(w) for w in weights))
 
     @classmethod
-    def per_coefficient(cls, length: int, low_cutoff: int, ramp: float,
-                        weight: float = 0.0, mode: str = "piecewise",
-                        floor: float = 0.0) -> "EnhancementConfig":
-        """One band per coefficient (the default granularity)."""
-        return cls.uniform_bands(length, 1, low_cutoff, ramp, weight, mode, floor)
-
-    @classmethod
     def uniform_bands(cls, length: int, band_size: int, low_cutoff: int,
                       ramp: float, weight: float = 0.0, mode: str = "piecewise",
                       floor: float = 0.0) -> "EnhancementConfig":
-        """Coarser bands of band_size coefficients; the last band may be short."""
+        """band_size coefficients per band (1: per coefficient); the last band may be short."""
         if band_size < 1:
             raise ValueError("band_size must be >= 1")
         pts = list(range(0, length, band_size)) + [length]
@@ -207,18 +194,13 @@ def scaling_profile(config: EnhancementConfig,
 
 def enhance(coeffs: Array, gains: Array) -> Array:
     """Scale each coefficient (trailing axis) by its gain g, as scaling_profile
-    gives it. Finiteness is left to idct, which every caller applies to the
-    product."""
+    gives it. pipeline.SkeletonFeaturizer.from_spectrum, the one caller, takes
+    the product back through idct, which checks it finite."""
     c = np.asarray(coeffs, dtype=np.float64)
     if c.shape[-1] != len(gains):
         raise ValueError(
             f"config partitions {len(gains)} coefficients, spectrum has {c.shape[-1]}")
     return c * gains
-
-
-def enhance_sequence(x: Array, config: EnhancementConfig) -> Array:
-    """Transform, scale bands, transform back, over the trailing axis."""
-    return idct(enhance(dct_forward(x), scaling_profile(config)[0]))
 
 
 def enhance_weight_grads(coeffs: Array, grad_out: Array, dgdw: Array,

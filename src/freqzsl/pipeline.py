@@ -325,22 +325,21 @@ def stage2_gradient(params: crossvae.VaeParams, raw: Array | None,
                     grads_out: list[Array]) -> dict:
     """The stage-2 loss breakdown of one batch, and its whole flat gradient.
 
-    rows are the batch's rows of featurizer.spectrum(), text its fused text
-    features, and negatives, eps_s and eps_t its frozen draws. raw holds the
-    unconstrained band weights when they train, else None. grads_out holds
-    one array per params.param_arrays() entry, then one for raw if it is
-    given; every entry is overwritten. The weights' slice is the chain
-    dL/dw * w * (1 - w) through the sigmoid squash: the current weights give
-    g and dg/dw by frequency.scaling_profile, and
-    frequency.enhance_weight_grads moves the feature gradient back to the
-    bands. run_stage2 hands this gradient to Adam, and tests check it
-    against finite differences of the returned "total".
+    raw holds the unconstrained band weights when they train, and rows the
+    batch's rows of featurizer.spectrum(); else raw is None and rows are rows
+    of its features. text holds their fused text features, and negatives,
+    eps_s and eps_t their frozen draws. grads_out holds one array per
+    params.param_arrays() entry, then one for raw if it is given; every
+    entry is overwritten. The weights' slice is the chain dL/dw * w * (1 - w)
+    through the sigmoid squash: the current weights give g and dg/dw by
+    frequency.scaling_profile, and frequency.enhance_weight_grads moves the
+    feature gradient back to the bands. run_stage2 hands this gradient to
+    Adam, and tests check it against finite differences of the "total".
     """
-    g = None  # None: from_spectrum takes the config's own gains
     if raw is not None:
         w = frequency.weights_from_raw(raw)
         g, dgdw, band_index = frequency.scaling_profile(featurizer.enhancement, w)
-    f_s = featurizer.from_spectrum(rows, g)
+    f_s = rows if raw is None else featurizer.from_spectrum(rows, g)
     breakdown, d_f_s = crossvae.stage2_loss(
         params, f_s, text, labels, negatives, eps_s, eps_t, cfg,
         grads_out if raw is None else grads_out[:-1], feature_grads=raw is not None)
@@ -375,7 +374,8 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     layout, which Adam reads. The payloads are stacked and transformed
     once, so a batch only rescales its rows of the cached spectrum; the
     featurizer this returns gets its gains from the same
-    frequency.scaling_profile as every step.
+    frequency.scaling_profile as every step. When no weight trains, every
+    step takes rows of features made once, without scaling_profile or idct.
     """
     validate_split(dataset, split)
     records = dataset.by_partition("train-seen")
@@ -390,18 +390,21 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
         if missing:
             raise ValueError(f"no semantic embeddings for {group} classes {missing}")
     text_all = np.stack([fused[c] for c in labels_all.tolist()])
-    coeffs = featurizer.spectrum(records)
+    rows_all = featurizer.spectrum(records)
+    trains_weights = featurizer._enhances(rows_all) and cfg.train_weights
+    with np.errstate(all="ignore"):  # as in a step: frozen weights featurize here, once
+        rows_all = rows_all if trains_weights else featurizer.from_spectrum(rows_all)
 
-    params = crossvae.init_vae_params(coeffs[0].size, text_all.shape[1], cfg.latent_dim,
+    params = crossvae.init_vae_params(rows_all[0].size, text_all.shape[1], cfg.latent_dim,
                                       rng, (cfg.hidden_dim,) * cfg.hidden_layers)
     arrays = params.param_arrays()
     n_net = len(arrays)
-    if featurizer._enhances(coeffs) and cfg.train_weights:
+    if trains_weights:
         arrays.append(frequency.raw_from_weights(np.asarray(featurizer.enhancement.weights)))
     flat, views = numkit.flatten(arrays)
     del arrays  # the pre-flattening arrays go with the old params on the next line
     params = params.with_arrays(views[:n_net])
-    raw = views[n_net] if len(views) > n_net else None
+    raw = views[n_net] if trains_weights else None
     grad, grad_views = numkit.flatten(views)  # same layout; every step overwrites it all
     # where each network's slice of a flat vector ends; the band weights' comes last
     nets = params.nets()
@@ -429,7 +432,7 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
             eps_t = rng.standard_normal((len(idx), cfg.latent_dim))
             try:
                 with np.errstate(all="ignore"):
-                    breakdown = stage2_gradient(params, raw, featurizer, coeffs[idx],
+                    breakdown = stage2_gradient(params, raw, featurizer, rows_all[idx],
                                                 text_all[idx], labels, negatives, eps_s,
                                                 eps_t, cfg, grad_views)
                     try:

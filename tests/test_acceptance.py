@@ -69,6 +69,13 @@ def check_batch_grads(loss_of_batch, batch, tol=1e-4):
     assert report.max_rel_error < tol, report
 
 
+def enhance(x, cfg):
+    """Rows of x enhanced along their trailing axis by the featurizer, the
+    path training and evaluation run."""
+    feat = pipeline.SkeletonFeaturizer(cfg, enhance_vectors=True)
+    return feat.from_spectrum(frequency.dct_forward(x))
+
+
 def run_zsl(cfg, dataset, table, split):
     model = cli.train_full(cfg, dataset, table, split)
     return pipeline.evaluate_zsl(model.vae, model.featurizer, model.unseen_clf,
@@ -97,7 +104,7 @@ def test_criterion_02_parseval():
         worst = 0.0
         for _ in range(100):
             x = rng.standard_normal((25, 3, 64))
-            e_time = frequency.signal_energy(x)
+            e_time = float(np.sum(x * x))
             e_freq = float(np.sum(frequency.dct_forward(x) ** 2))
             worst = max(worst, abs(e_time - e_freq) / e_time)
         assert worst < 1e-12, worst
@@ -111,14 +118,15 @@ def test_criterion_03_energy_redistribution():
         for _ in range(50):
             f = int(rng.integers(4, 96))
             mode = "piecewise" if rng.random() < 0.5 else "learnable_only"
-            cfg = frequency.EnhancementConfig.per_coefficient(
-                f, int(rng.integers(0, f)), float(rng.uniform(1.0, 40.0)),
+            cfg = frequency.EnhancementConfig.uniform_bands(
+                f, 1, int(rng.integers(0, f)), float(rng.uniform(1.0, 40.0)),
                 0.0, mode)
             cfg = cfg.with_weights(rng.uniform(0.0, 1.0, size=f))
             x = rng.standard_normal((6, f))
             g, _, _ = frequency.scaling_profile(cfg)
             predicted = float(np.sum((g * frequency.dct_forward(x)) ** 2))
-            actual = frequency.signal_energy(frequency.enhance_sequence(x, cfg))
+            out = enhance(x, cfg)
+            actual = float(np.sum(out * out))
             worst = max(worst, abs(actual - predicted) / max(predicted, 1e-300))
         assert worst < 1e-9, worst
 
@@ -128,8 +136,8 @@ def test_criterion_04_identity_enhancement():
                       "max abs error < 1e-12"):
         rng = numkit.make_rng(104)
         x = rng.standard_normal((75, 64))
-        cfg = frequency.EnhancementConfig.per_coefficient(64, 35, 30.0, 0.0)
-        err = float(np.max(np.abs(frequency.enhance_sequence(x, cfg) - x)))
+        cfg = frequency.EnhancementConfig.uniform_bands(64, 1, 35, 30.0, 0.0)
+        err = float(np.max(np.abs(enhance(x, cfg) - x)))
         assert err < 1e-12, err
 
 

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from freqzsl import cli, crossvae, frequency, losses, pipeline, semantics, synthbench
+from freqzsl import cli, crossvae, frequency, losses, numkit, pipeline, semantics, synthbench
 from freqzsl.cli import ConfigError, RunConfig
 
 REPO = Path(__file__).resolve().parents[1]
@@ -458,6 +458,86 @@ class TestKeyRelations:
         assert (code, capsys.readouterr().err) == (0, "")
 
 
+def memory_is_reported():
+    return ("SC_PHYS_PAGES" in getattr(os, "sysconf_names", {})
+            and os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") > 0)
+
+
+def fake_memory(monkeypatch, nbytes):
+    """Make os.sysconf report nbytes of physical memory in 1-byte pages."""
+    values = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+    monkeypatch.setattr(cli.os, "sysconf_names", values, raising=False)
+    monkeypatch.setattr(cli.os, "sysconf", values.get, raising=False)
+
+
+class TestSizeBound:
+    """Size keys whose stage-2 vectors (parameters, gradient, two Adam
+    moments) or stage-3 latent samples outgrow physical memory are refused
+    before any network is built. No such value is ever run: the commands run
+    with init_vae_params failing, and the other tests call the check alone."""
+
+    @pytest.fixture
+    def no_networks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("init_vae_params was called")
+        monkeypatch.setattr(crossvae, "init_vae_params", refuse)
+
+    @pytest.mark.skipif(not memory_is_reported(), reason="the OS reports no physical memory")
+    @pytest.mark.parametrize("line, keys", [
+        ("hidden_dim = 1000000000000", "hidden_dim 1000000000000, hidden_layers 1, latent_dim 4"),
+        ("hidden_layers = 1000000000000", "hidden_dim 8, hidden_layers 1000000000000, latent_dim 4"),
+        ("latent_dim = 1000000000000", "hidden_dim 8, hidden_layers 1, latent_dim 1000000000000"),
+        ("unseen_samples = 1000000000000000", "unseen_samples 1000000000000000, latent_dim 4"),
+    ], ids=["hidden_dim", "hidden_layers", "latent_dim", "unseen_samples"])
+    @pytest.mark.parametrize("command", ["train", "loss-bench"])
+    @pytest.mark.usefixtures("no_networks")
+    def test_huge_value_exits_two_naming_the_key(self, tiny_env, tmp_path, capsys, line, keys,
+                                                 command):
+        key = line.split(" ")[0]
+        cfg = write_cfg(tmp_path / "big.cfg",
+                        [x for x in TINY_LINES if not x.startswith(key)] + [line])
+        data = ["--data", tiny_env["data"]] if command == "train" else ["--loss", "calibrated"]
+        code = cli.main([command, "--config", cfg, *data, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1, err
+        assert err.startswith(f"config error: {keys}: ") and "physical memory" in err
+
+    def test_the_stage_2_estimate_is_the_flat_vectors_size(self, tiny_env, monkeypatch):
+        # tiny_env's networks, built for real, in four flat float64 vectors
+        # fit memory of exactly that size and outgrow one byte less
+        cfg = cli.parse_config(tiny_env["cfg"])
+        gen = synthbench.generate(cfg)
+        text = semantics.fuse(gen.table, gen.split.seen[0]).size
+        vae = crossvae.init_vae_params(2 * 2 * 16, text, cfg.latent_dim, numkit.make_rng(0),
+                                       (cfg.hidden_dim,) * cfg.hidden_layers)
+        nbytes = 4 * 8 * sum(a.size for a in vae.param_arrays())
+        fake_memory(monkeypatch, nbytes)
+        cli._check_sizes(cfg, gen.dataset, gen.table, gen.split)
+        fake_memory(monkeypatch, nbytes - 1)
+        with pytest.raises(ConfigError, match=r"^hidden_dim 8, hidden_layers 1, latent_dim 4: "):
+            cli._check_sizes(cfg, gen.dataset, gen.table, gen.split)
+
+    def test_the_stage_3_estimate_is_the_sample_block_size(self, tiny_env, monkeypatch):
+        cfg = dataclasses.replace(cli.parse_config(tiny_env["cfg"]), unseen_samples=10 ** 6)
+        gen = synthbench.generate(cfg)
+        nbytes = 8 * cfg.unseen_samples * len(gen.split.unseen) * cfg.latent_dim
+        fake_memory(monkeypatch, nbytes)
+        cli._check_sizes(cfg, gen.dataset, gen.table, gen.split)
+        fake_memory(monkeypatch, nbytes - 1)
+        with pytest.raises(ConfigError, match=r"^unseen_samples 1000000, latent_dim 4: "):
+            cli._check_sizes(cfg, gen.dataset, gen.table, gen.split)
+
+    @pytest.mark.parametrize("how", ["no such name", "indeterminate"])
+    def test_skipped_where_the_os_does_not_report_memory(self, tiny_env, monkeypatch, how):
+        if how == "no such name":
+            monkeypatch.setattr(cli.os, "sysconf_names", {}, raising=False)
+        else:  # sysconf reports -1 for a value it cannot determine
+            monkeypatch.setattr(cli.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": -1}.get)
+        cfg = dataclasses.replace(cli.parse_config(tiny_env["cfg"]), hidden_dim=10 ** 12)
+        gen = synthbench.generate(cfg)
+        cli._check_sizes(cfg, gen.dataset, gen.table, gen.split)
+
+
 class TestConfigHash:
     def test_shape_and_stability(self):
         h = cli.config_hash(RunConfig())
@@ -593,7 +673,7 @@ def tuned_size_model() -> cli.TrainedModel:
     rng = np.random.default_rng(0)
     vae = crossvae.init_vae_params(960, 48, 16, rng, hidden=(64, 64))
     vae = vae.with_arrays([rng.standard_normal(a.shape) for a in vae.param_arrays()])
-    enh = frequency.EnhancementConfig.per_coefficient(64, 35, 30.0).with_weights(
+    enh = frequency.EnhancementConfig.uniform_bands(64, 1, 35, 30.0).with_weights(
         rng.uniform(0.0, 1.0, 64))
     return cli.TrainedModel(
         vae, pipeline.SkeletonFeaturizer(enh),

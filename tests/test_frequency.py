@@ -13,6 +13,13 @@ from hypothesis import strategies as st
 from freqzsl import cli, frequency, numkit, pipeline
 
 
+def featurize(x, cfg):
+    """x's trailing axis enhanced as training and evaluation do it: by the
+    featurizer, from x's spectrum."""
+    feat = pipeline.SkeletonFeaturizer(cfg, enhance_vectors=True)
+    return feat.from_spectrum(frequency.dct_forward(x))
+
+
 def naive_dct(x):
     """O(F^2) scalar-loop definition of the orthonormal type-II transform."""
     F = len(x)
@@ -60,8 +67,9 @@ class TestTransform:
     def test_energy_preserved(self):
         rng = numkit.make_rng(2)
         x = rng.standard_normal((4, 64))
-        e_time = frequency.signal_energy(x)
-        e_freq = frequency.signal_energy(frequency.dct_forward(x))
+        coeffs = frequency.dct_forward(x)
+        e_time = float(np.sum(x * x))
+        e_freq = float(np.sum(coeffs * coeffs))
         assert abs(e_time - e_freq) / e_time < 1e-12
 
     def test_basis_is_orthonormal(self):
@@ -91,36 +99,36 @@ def profile_g(cfg):
 class TestScalingFactor:
     def test_low_band_pinned_value(self):
         # first band, weight 0.5, ramp 30: 1 + 0.5 * (1 - 0/30) = 1.5
-        cfg = frequency.EnhancementConfig.per_coefficient(64, low_cutoff=35,
-                                                          ramp=30.0, weight=0.5)
+        cfg = frequency.EnhancementConfig.uniform_bands(64, 1, low_cutoff=35,
+                                                        ramp=30.0, weight=0.5)
         assert profile_g(cfg)[0] == pytest.approx(1.5, abs=1e-15)
 
     def test_high_band_pinned_value(self):
         # band 1 with cutoff 0 lands high: 1 - 0.5 * (1 - (1-30)/30) = 1/60
-        cfg = frequency.EnhancementConfig.per_coefficient(64, low_cutoff=0,
-                                                          ramp=30.0, weight=0.5)
+        cfg = frequency.EnhancementConfig.uniform_bands(64, 1, low_cutoff=0,
+                                                        ramp=30.0, weight=0.5)
         assert profile_g(cfg)[1] == pytest.approx(1.0 / 60.0, abs=1e-15)
 
     def test_zero_weight_is_identity_factor(self):
-        cfg = frequency.EnhancementConfig.per_coefficient(64, low_cutoff=35,
-                                                          ramp=30.0, weight=0.0)
+        cfg = frequency.EnhancementConfig.uniform_bands(64, 1, low_cutoff=35,
+                                                        ramp=30.0, weight=0.0)
         np.testing.assert_allclose(profile_g(cfg), np.ones(64), rtol=0, atol=1e-15)
 
     def test_learnable_only_returns_weight_verbatim(self):
-        cfg = frequency.EnhancementConfig.per_coefficient(
-            8, low_cutoff=4, ramp=30.0, weight=0.37, mode="learnable_only")
+        cfg = frequency.EnhancementConfig.uniform_bands(
+            8, 1, low_cutoff=4, ramp=30.0, weight=0.37, mode="learnable_only")
         assert profile_g(cfg).tolist() == [0.37] * 8
 
     def test_floor_clamps_negative_factors(self):
         # high band at k=0 with w=0.9: 1 - 0.9*(1 + 30/30) = -0.8 -> floor
-        cfg = frequency.EnhancementConfig.per_coefficient(8, low_cutoff=0,
-                                                          ramp=30.0, weight=0.9)
+        cfg = frequency.EnhancementConfig.uniform_bands(8, 1, low_cutoff=0,
+                                                        ramp=30.0, weight=0.9)
         g, dgdw, _ = frequency.scaling_profile(cfg)
         assert g[0] == 0.0 and dgdw[0] == 0.0
 
     def test_monotone_within_bands_at_shared_weight(self):
-        cfg = frequency.EnhancementConfig.per_coefficient(64, low_cutoff=35,
-                                                          ramp=30.0, weight=0.8)
+        cfg = frequency.EnhancementConfig.uniform_bands(64, 1, low_cutoff=35,
+                                                        ramp=30.0, weight=0.8)
         g = profile_g(cfg)
         low = [k for k in range(64) if cfg.split_points[k + 1] <= cfg.low_cutoff]
         high = [k for k in range(64) if cfg.split_points[k + 1] > cfg.low_cutoff]
@@ -131,8 +139,8 @@ class TestScalingFactor:
         # defaults b = 30, low_cutoff = 35, 64 frames: the low ramp turns to a
         # cut past coefficient 30, the high ramp to a boost past 60
         run = cli.RunConfig()
-        cfg = frequency.EnhancementConfig.per_coefficient(
-            run.synth_frames, run.low_cutoff, run.ramp, weight=0.5)
+        cfg = frequency.EnhancementConfig.uniform_bands(
+            run.synth_frames, 1, run.low_cutoff, run.ramp, weight=0.5)
         g = profile_g(cfg)
         assert np.flatnonzero(g == 1.0).tolist() == [30, 60]
         assert np.flatnonzero(g > 1.0).tolist() == [*range(30), 61, 62, 63]
@@ -167,14 +175,10 @@ class TestScalingFactor:
 def test_uniform_bands_sample_the_per_coefficient_profile(length, band_size, cutoff_frac,
                                                           ramp, weight, floor):
     cutoff = int(cutoff_frac * length)
-    fine = frequency.EnhancementConfig.per_coefficient(length, cutoff, ramp, weight,
-                                                       floor=floor)
+    fine = frequency.EnhancementConfig.uniform_bands(length, 1, cutoff, ramp, weight,
+                                                     floor=floor)
+    assert fine.split_points == tuple(range(length + 1))  # band size 1: one per coefficient
     g_fine, dgdw_fine, _ = frequency.scaling_profile(fine)
-    one = frequency.EnhancementConfig.uniform_bands(length, 1, cutoff, ramp, weight,
-                                                    floor=floor)
-    g_one, dgdw_one, _ = frequency.scaling_profile(one)
-    np.testing.assert_array_equal(g_one, g_fine)
-    np.testing.assert_array_equal(dgdw_one, dgdw_fine)
     coarse = frequency.EnhancementConfig.uniform_bands(length, band_size, cutoff, ramp,
                                                        weight, floor=floor)
     g, dgdw, band_index = frequency.scaling_profile(coarse)
@@ -226,7 +230,7 @@ class TestConfigValidation:
             frequency.EnhancementConfig.uniform_bands(8, 0, 2, 30.0)
 
     def test_enhance_rejects_length_mismatch(self):
-        cfg = frequency.EnhancementConfig.per_coefficient(8, 2, 30.0)
+        cfg = frequency.EnhancementConfig.uniform_bands(8, 1, 2, 30.0)
         with pytest.raises(ValueError, match="config partitions 8 coefficients, spectrum has 9"):
             frequency.enhance(np.zeros(9), profile_g(cfg))
 
@@ -235,26 +239,27 @@ class TestEnhance:
     def test_pinned_two_coefficient_example(self):
         # spectrum [0, sqrt(2)] with cutoff 0 (all high), w=0.5, ramp 30:
         # g = [0, 1/60], so only sqrt(2)/60 survives in mode 1
-        cfg = frequency.EnhancementConfig.per_coefficient(2, low_cutoff=0,
-                                                          ramp=30.0, weight=0.5)
+        cfg = frequency.EnhancementConfig.uniform_bands(2, 1, low_cutoff=0,
+                                                        ramp=30.0, weight=0.5)
         out = frequency.enhance(np.array([0.0, math.sqrt(2.0)]), profile_g(cfg))
         np.testing.assert_allclose(out, [0.0, math.sqrt(2.0) / 60.0], atol=1e-15)
 
     def test_all_zero_weights_reproduce_input(self):
         rng = numkit.make_rng(4)
         x = rng.standard_normal((3, 64))
-        cfg = frequency.EnhancementConfig.per_coefficient(64, 35, 30.0, weight=0.0)
-        out = frequency.enhance_sequence(x, cfg)
+        cfg = frequency.EnhancementConfig.uniform_bands(64, 1, 35, 30.0, weight=0.0)
+        out = featurize(x, cfg)
         assert np.max(np.abs(out - x)) < 1e-12
 
     def test_energy_redistribution_identity(self):
         rng = numkit.make_rng(5)
         x = rng.standard_normal(64)
-        cfg = frequency.EnhancementConfig.per_coefficient(64, 35, 30.0, weight=0.7)
+        cfg = frequency.EnhancementConfig.uniform_bands(64, 1, 35, 30.0, weight=0.7)
         g, _, _ = frequency.scaling_profile(cfg)
         coeffs = frequency.dct_forward(x)
         predicted = float(np.sum(g * g * coeffs * coeffs))
-        actual = frequency.signal_energy(frequency.enhance_sequence(x, cfg))
+        out = featurize(x[None], cfg)
+        actual = float(np.sum(out * out))
         assert abs(actual - predicted) / max(predicted, 1e-30) < 1e-9
 
     def test_weight_gradients_match_finite_differences(self):
@@ -265,12 +270,11 @@ class TestEnhance:
             12, band_size=4, low_cutoff=5, ramp=2.0, weight=0.5)
 
         def loss_for(weights):
-            cfg = base.with_weights(weights)
-            out = frequency.enhance_sequence(x, cfg)
+            out = featurize(x, base.with_weights(weights))
             return float(np.sum((out - target) ** 2))
 
         cfg = base
-        out = frequency.enhance_sequence(x, cfg)
+        out = featurize(x, cfg)
         _, dgdw, band_index = frequency.scaling_profile(cfg)
         analytic = frequency.enhance_weight_grads(frequency.dct_forward(x),
                                                   2.0 * (out - target), dgdw, band_index)
@@ -287,9 +291,10 @@ class TestEnhance:
     def test_cached_forward_matches_plain_forward(self):
         rng = numkit.make_rng(7)
         x = rng.standard_normal((3, 16))
-        cfg = frequency.EnhancementConfig.per_coefficient(16, 6, 5.0, weight=0.4)
-        plain = frequency.enhance_sequence(x, cfg)
+        cfg = frequency.EnhancementConfig.uniform_bands(16, 1, 6, 5.0, weight=0.4)
         feat = pipeline.SkeletonFeaturizer(enhancement=cfg, enhance_vectors=True)
+        plain = feat.features([pipeline.FeatureRecord(f"v{i}", 0, "train-seen", vector=row)
+                               for i, row in enumerate(x)])
         cached = feat.from_spectrum(frequency.dct_forward(x))
         np.testing.assert_array_equal(plain, cached)
 
@@ -300,8 +305,8 @@ class TestEnhance:
     ])
     def test_non_finite_coefficient_is_refused(self, bad, mode, weight):
         # enhance leaves the check to idct, which sees the scaled product
-        cfg = frequency.EnhancementConfig.per_coefficient(16, 6, 5.0, weight=weight,
-                                                          mode=mode)
+        cfg = frequency.EnhancementConfig.uniform_bands(16, 1, 6, 5.0, weight=weight,
+                                                        mode=mode)
         x = numkit.make_rng(8).standard_normal((3, 16))
         coeffs = frequency.dct_forward(x)
         coeffs[1, 4] = x[1, 4] = bad
@@ -309,7 +314,7 @@ class TestEnhance:
         with pytest.raises(ValueError, match="spectrum contains non-finite"):
             feat.from_spectrum(coeffs)
         with pytest.raises(ValueError, match="non-finite"):
-            frequency.enhance_sequence(x, cfg)
+            featurize(x, cfg)
 
 
 def reference_weight_grads(coeffs, grad_out, cfg):
@@ -398,10 +403,11 @@ def test_round_trip_property(seed, frames):
        weight=st.floats(0.0, 1.0), cutoff_frac=st.floats(0.0, 0.99))
 def test_redistribution_property(seed, frames, weight, cutoff_frac):
     x = numkit.make_rng(seed).standard_normal(frames)
-    cfg = frequency.EnhancementConfig.per_coefficient(
-        frames, int(cutoff_frac * frames), 30.0, weight=weight)
+    cfg = frequency.EnhancementConfig.uniform_bands(
+        frames, 1, int(cutoff_frac * frames), 30.0, weight=weight)
     g, _, _ = frequency.scaling_profile(cfg)
     coeffs = frequency.dct_forward(x)
     predicted = float(np.sum(g * g * coeffs * coeffs))
-    actual = frequency.signal_energy(frequency.enhance_sequence(x, cfg))
+    out = featurize(x[None], cfg)
+    actual = float(np.sum(out * out))
     assert abs(actual - predicted) <= 1e-9 * max(predicted, 1.0)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqzsl import cli, crossvae, frequency, losses, numkit, pipeline, semantics, synthbench
 from freqzsl.cli import RunConfig
@@ -44,6 +46,16 @@ def identity_vae(skel_dim=2, text_dim=2, latent_dim=2):
         skel_decoder=zero_mlp((latent_dim, skel_dim)),
         text_decoder=zero_mlp((latent_dim, text_dim)),
         latent_dim=latent_dim)
+
+
+def cosine_oracle(x, cfg):
+    """x enhanced along its trailing axis, built from frequency's docstring
+    formula rather than dct_basis: a scalar-loop cosine matrix C, the
+    coefficients x C^T scaled by scaling_profile's g, and back through C."""
+    frames = x.shape[-1]
+    c = np.array([[math.sqrt((2 - (i == 0)) / frames) * math.cos(math.pi * (f + 0.5) * i / frames)
+                   for f in range(frames)] for i in range(frames)])
+    return (x @ c.T) * frequency.scaling_profile(cfg)[0] @ c
 
 
 def vector_record(sid, cid, partition, vec):
@@ -157,29 +169,28 @@ class TestFeaturizer:
         rng = numkit.make_rng(2)
         seq = rng.standard_normal((2, 3, 8))
         rec = pipeline.FeatureRecord("a", 0, "train-seen", sequence=seq)
-        cfg = frequency.EnhancementConfig.per_coefficient(8, 3, 4.0, weight=0.5)
+        cfg = frequency.EnhancementConfig.uniform_bands(8, 1, 3, 4.0, weight=0.5)
         block = pipeline.SkeletonFeaturizer(enhancement=cfg).features([rec])
-        expected = frequency.enhance_sequence(seq, cfg).reshape(-1)
+        expected = cosine_oracle(seq, cfg).reshape(-1)
         np.testing.assert_allclose(block[0], expected, atol=1e-14)
 
     def test_zero_weight_enhancement_is_identity(self):
         rng = numkit.make_rng(3)
         seq = rng.standard_normal((2, 3, 8))
         rec = pipeline.FeatureRecord("a", 0, "train-seen", sequence=seq)
-        cfg = frequency.EnhancementConfig.per_coefficient(8, 3, 4.0, weight=0.0)
+        cfg = frequency.EnhancementConfig.uniform_bands(8, 1, 3, 4.0, weight=0.0)
         block = pipeline.SkeletonFeaturizer(enhancement=cfg).features([rec])
         np.testing.assert_allclose(block[0], seq.reshape(-1), atol=1e-12)
 
     def test_vector_enhancement_is_opt_in(self):
         vec = numkit.make_rng(4).standard_normal(8)
         rec = vector_record("a", 0, "train-seen", vec)
-        cfg = frequency.EnhancementConfig.per_coefficient(8, 3, 4.0, weight=0.5)
+        cfg = frequency.EnhancementConfig.uniform_bands(8, 1, 3, 4.0, weight=0.5)
         plain = pipeline.SkeletonFeaturizer(enhancement=cfg).features([rec])
         np.testing.assert_array_equal(plain[0], vec)
         enhanced = pipeline.SkeletonFeaturizer(enhancement=cfg,
                                                enhance_vectors=True).features([rec])
-        np.testing.assert_allclose(enhanced[0],
-                                   frequency.enhance_sequence(vec, cfg), atol=1e-14)
+        np.testing.assert_allclose(enhanced[0], cosine_oracle(vec, cfg), atol=1e-14)
 
     def test_with_weights_requires_enhancement(self):
         with pytest.raises(ValueError, match="no enhancement"):
@@ -193,13 +204,13 @@ class TestFeaturizer:
 
     def test_from_spectrum_of_spectrum_matches_direct_enhancement(self):
         recs = self.sequence_records(30)
-        cfg = frequency.EnhancementConfig.per_coefficient(16, 9, 6.0, weight=0.7)
+        cfg = frequency.EnhancementConfig.uniform_bands(16, 1, 9, 6.0, weight=0.7)
         cfg = cfg.with_weights(numkit.make_rng(31).uniform(0.0, 1.0, 16))
         feat = pipeline.SkeletonFeaturizer(enhancement=cfg)
         block, coeffs = feat.features_with_cache(recs)
         stacked = np.stack([r.sequence for r in recs])
-        direct = frequency.enhance_sequence(stacked, cfg)
-        np.testing.assert_array_equal(block, direct.reshape(len(recs), -1))
+        direct = cosine_oracle(stacked, cfg).reshape(len(recs), -1)
+        assert np.max(np.abs(block - direct)) <= 1e-12 * np.max(np.abs(direct))
         np.testing.assert_array_equal(coeffs, frequency.dct_forward(stacked))
 
     def test_band_weight_grad_from_cached_rows_matches_batch_transform(self):
@@ -220,7 +231,7 @@ class TestFeaturizer:
 
     def test_reweighted_featurizer_maps_the_same_spectrum(self):
         recs = self.sequence_records(34, n=3)
-        cfg = frequency.EnhancementConfig.per_coefficient(16, 9, 6.0, weight=0.0)
+        cfg = frequency.EnhancementConfig.uniform_bands(16, 1, 9, 6.0, weight=0.0)
         feat = pipeline.SkeletonFeaturizer(enhancement=cfg)
         other = feat.with_weights(np.full(16, 0.8))
         block = other.from_spectrum(feat.spectrum(recs))
@@ -263,6 +274,30 @@ def row_major_softmax_head(latents, y, k, epochs, lr):
         numkit.adam_step(opt, flat, np.concatenate([(diff.T @ latents).ravel(),
                                                     diff.sum(axis=0)]))
     return w, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), frames=st.integers(1, 40),
+       band_frac=st.floats(0.0, 1.0), cutoff_frac=st.floats(0.0, 0.999),
+       ramp=st.floats(1.0, 40.0), mode=st.sampled_from(frequency.MODES),
+       floor=st.sampled_from([0.0, 0.5, 1.0]), n=st.integers(1, 6), sequences=st.booleans())
+def test_features_match_the_cosine_formula_oracle(seed, frames, band_frac, cutoff_frac, ramp,
+                                                  mode, floor, n, sequences):
+    # sequence records, or vector records with enhance_vectors, at random band weights
+    rng = numkit.make_rng(seed)
+    band_size = 1 + int(band_frac * (frames - 1))
+    cfg = frequency.EnhancementConfig.uniform_bands(
+        frames, band_size, int(cutoff_frac * frames), ramp, mode=mode, floor=floor)
+    cfg = cfg.with_weights(rng.uniform(0.0, 1.0, cfg.n_bands))
+    block = rng.standard_normal((n, 3, 2, frames) if sequences else (n, frames))
+    recs = [pipeline.FeatureRecord(f"s{i}", 0, "train-seen",
+                                   **{"sequence" if sequences else "vector": row})
+            for i, row in enumerate(block)]
+    feat = pipeline.SkeletonFeaturizer(cfg, enhance_vectors=not sequences)
+    got = feat.features(recs)
+    want = cosine_oracle(block, cfg).reshape(n, -1)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSoftmaxClassifier:
@@ -419,7 +454,7 @@ class TestStage2:
     def test_inert_enhancement_is_not_trained(self):
         # vector records with enhance_vectors off never pass through the bands
         dataset, table, split = self.small_problem()
-        enh = frequency.EnhancementConfig.per_coefficient(2, 1, 4.0, weight=0.5)
+        enh = frequency.EnhancementConfig.uniform_bands(2, 1, 1, 4.0, weight=0.5)
         _, trained_feat, log = pipeline.run_stage2(
             dataset, table, split, pipeline.SkeletonFeaturizer(enhancement=enh),
             stage2_config(temperature=1.0, stage2_epochs=2, stage2_lr=1e-2, batch_size=16),
@@ -461,7 +496,7 @@ class TestStage2:
         dataset = pipeline.FeatureDataset(recs)
         table = make_semantic_table({0: [3.0, 0.0], 1: [0.0, 3.0], 2: [2.0, 2.0]})
         split = pipeline.SplitSpec((0, 1), (2,))
-        enh = frequency.EnhancementConfig.per_coefficient(8, 3, 4.0, weight=0.5)
+        enh = frequency.EnhancementConfig.uniform_bands(8, 1, 3, 4.0, weight=0.5)
         feat = pipeline.SkeletonFeaturizer(enhancement=enh)
         _, trained_feat, _ = pipeline.run_stage2(
             dataset, table, split, feat,
@@ -485,7 +520,7 @@ class TestStage2:
                                            sequence=np.zeros((2, 1, 16))))
         table = make_semantic_table({0: [3.0, 0.0], 1: [0.0, 3.0], 2: [-3.0, 0.0],
                                      3: [2.0, 2.0]})
-        enh = frequency.EnhancementConfig.per_coefficient(16, 6, 4.0, weight=0.5, floor=1.0)
+        enh = frequency.EnhancementConfig.uniform_bands(16, 1, 6, 4.0, weight=0.5, floor=1.0)
         _, trained_feat, _ = pipeline.run_stage2(
             pipeline.FeatureDataset(recs), table, pipeline.SplitSpec((0, 1, 2), (3,)),
             pipeline.SkeletonFeaturizer(enhancement=enh),
@@ -512,7 +547,7 @@ class TestStage2:
                 recs.append(vector_record(f"c{cid}s{s}", cid, "train-seen", vec))
         recs.append(vector_record("u", 2, "test-unseen", np.zeros(8)))
         table = make_semantic_table({0: [3.0, 0.0], 1: [0.0, 3.0], 2: [2.0, 2.0]})
-        enh = frequency.EnhancementConfig.per_coefficient(8, 3, 4.0, weight=0.5)
+        enh = frequency.EnhancementConfig.uniform_bands(8, 1, 3, 4.0, weight=0.5)
         cfg = stage2_config(temperature=1.0, stage2_epochs=20, stage2_lr=1e-2, batch_size=12,
                             train_weights=True)
 
@@ -556,7 +591,7 @@ class TestStage2:
             monkeypatch.setattr(frequency, "enhance_weight_grads",
                                 lambda *a: np.full_like(real_band(*a), 1e200))
         dataset, table, split = self.small_problem()
-        enh = frequency.EnhancementConfig.per_coefficient(2, 1, 4.0, weight=0.5)
+        enh = frequency.EnhancementConfig.uniform_bands(2, 1, 1, 4.0, weight=0.5)
         kl = 1e300 if where == "kl_weight" else 1.0
         with pytest.raises(ValueError, match=rf"^stage 2 epoch 0 step 0: {part} gradient "
                                              "is non-finite or its square overflows$"):
@@ -605,7 +640,7 @@ class TestStage2:
 
     def test_frozen_weights_stay_put(self):
         dataset, table, split = self.small_problem()
-        enh = frequency.EnhancementConfig.per_coefficient(2, 1, 4.0, weight=0.5)
+        enh = frequency.EnhancementConfig.uniform_bands(2, 1, 1, 4.0, weight=0.5)
         feat = pipeline.SkeletonFeaturizer(enhancement=enh, enhance_vectors=True)
         _, trained_feat, _ = pipeline.run_stage2(
             dataset, table, split, feat,
@@ -613,6 +648,36 @@ class TestStage2:
                           train_weights=False),
             numkit.make_rng(17))
         assert trained_feat.enhancement.weights == (0.5, 0.5)
+
+    def test_frozen_band_weights_are_featurized_once(self, monkeypatch):
+        # with train_weights off the features never change, so the step loop
+        # calls neither idct nor scaling_profile: their counts do not grow with epochs
+        calls = {"idct": 0, "scaling_profile": 0}
+
+        def spy(name):
+            real = getattr(frequency, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(frequency, name, spy(name))
+        dataset, table, split = self.small_problem()
+        enh = frequency.EnhancementConfig.uniform_bands(2, 1, 1, 4.0, weight=0.5)
+        feat = pipeline.SkeletonFeaturizer(enhancement=enh, enhance_vectors=True)
+        counts = []
+        for epochs in (2, 6):
+            before = dict(calls)
+            _, returned, log = pipeline.run_stage2(
+                dataset, table, split, feat,
+                stage2_config(temperature=1.0, stage2_epochs=epochs, stage2_lr=1e-2,
+                              batch_size=8, train_weights=False),
+                numkit.make_rng(17))
+            assert len(log) == epochs and returned is feat
+            counts.append({name: calls[name] - before[name] for name in calls})
+        assert counts == [{"idct": 1, "scaling_profile": 1}] * 2
 
     @pytest.mark.parametrize("train_weights", [True, False])
     def test_adam_reads_the_gradient_stage2_gradient_writes(self, monkeypatch, train_weights):
@@ -632,7 +697,7 @@ class TestStage2:
         monkeypatch.setattr(pipeline, "stage2_gradient", gradient)
         monkeypatch.setattr(numkit, "adam_step", adam)
         dataset, table, split = self.small_problem()
-        enh = frequency.EnhancementConfig.per_coefficient(2, 1, 4.0, weight=0.5)
+        enh = frequency.EnhancementConfig.uniform_bands(2, 1, 1, 4.0, weight=0.5)
         params, _, _ = pipeline.run_stage2(
             dataset, table, split,
             pipeline.SkeletonFeaturizer(enhancement=enh, enhance_vectors=True),
