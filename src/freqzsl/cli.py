@@ -210,7 +210,7 @@ def _check_sizes(cfg: RunConfig, dataset: pipeline.FeatureDataset,
         return
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # -1: not known
     h, layers, ld = cfg.hidden_dim, cfg.hidden_layers, cfg.latent_dim
-    text = sum(v.size for v in next(iter(table.vectors.values()), {}).values())
+    text = sum(v.size for v in next(iter(table.values()), {}).values())
     n = sum((a + 1) * h + (layers - 1) * (h + 1) * h + (h + 1) * b  # a -> h x layers -> b
             for w in (math.prod(dataset.payload_shape), text) for a, b in ((w, 2 * ld), (ld, w)))
     for stage, keys, entries in (
@@ -380,7 +380,8 @@ def loss_bench(cfg: RunConfig, loss_names: list[str],
                noise_rates: list[float], out: Path) -> dict:
     """Train identical pipelines per (loss, rate, seed); cell = unseen accuracy.
 
-    out is created after the config checks, so an unusable one fails before training.
+    out is created after the config checks and the first seed's size check, so an
+    unusable one fails before training and a refused config leaves no out behind.
     Result: {"rates", "losses", "seeds", "mean": {loss: [per rate]},
     "detail": {loss: {rate: [per seed]}}, "config_hash"}.
     """
@@ -399,6 +400,7 @@ def loss_bench(cfg: RunConfig, loss_names: list[str],
         run_seed = cfg.seed + i
         base = dataclasses.replace(cfg, seed=run_seed, synth_label_noise=0.0)
         gen = synthbench.generate(base)  # checks the synth_* relations on the first seed
+        _check_sizes(base, gen.dataset, gen.table, gen.split)
         out.mkdir(parents=True, exist_ok=True)
         for rate in noise_rates:
             noisy = gen.dataset if rate == 0 else synthbench.inject_label_noise(

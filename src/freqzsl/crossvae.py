@@ -26,6 +26,7 @@ and reads them field by field.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
@@ -71,20 +72,13 @@ class VaeParams:
         """Each network's param_arrays(), in NETS order."""
         return [a for net in self.nets().values() for a in net.param_arrays()]
 
-    def split_arrays(self, arrays: list[Array]) -> dict[str, list[Array]]:
-        """A list in param_arrays() order, cut into each network's share."""
-        parts, k = {}, 0
-        for name, net in self.nets().items():
-            n = 2 * len(net.weights)
-            parts[name], k = arrays[k:k + n], k + n
-        if k != len(arrays):
-            raise ValueError("array count mismatch")
-        return parts
-
     def with_arrays(self, arrays: list[Array]) -> "VaeParams":
-        parts = self.split_arrays(arrays)
-        return VaeParams(**{n: net.with_arrays(parts[n]) for n, net in self.nets().items()},
-                         latent_dim=self.latent_dim)
+        rest = iter(arrays)  # in param_arrays() order
+        nets = {name: net.with_arrays(list(itertools.islice(rest, 2 * len(net.weights))))
+                for name, net in self.nets().items()}
+        if next(rest, None) is not None:
+            raise ValueError("array count mismatch")
+        return VaeParams(**nets, latent_dim=self.latent_dim)
 
 
 def init_vae_params(skel_dim: int, text_dim: int, latent_dim: int,
@@ -124,12 +118,11 @@ def posterior(params: VaeParams, net: str, x: Array) -> tuple[Array, Array]:
 
 def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
                 negatives: Array, eps_s: Array, eps_t: Array, cfg: RunConfig,
-                grads_out: list[Array], feature_grads: bool):
+                grads: VaeParams, feature_grads: bool):
     """The joint objective under cfg's loss knobs, and all its gradients, for one batch.
 
-    grads_out holds one array per params.param_arrays() entry, and every
-    parameter gradient is written into its array, which params.split_arrays
-    finds by network. Returns (breakdown, d_f_s): breakdown holds the scalar
+    grads is shaped like params, and every parameter gradient is written
+    into its array. Returns (breakdown, d_f_s): breakdown holds the scalar
     pieces and d_f_s is the gradient w.r.t. the skeleton features, which lets
     a caller chain further back (to trainable frequency weights). The
     alignment loss computes only the skeleton anchor's gradient, the one
@@ -141,7 +134,6 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
     f_t = np.asarray(f_t, dtype=np.float64)
     b = f_s.shape[0]
     ld = params.latent_dim
-    outs = params.split_arrays(grads_out)
 
     out_s, cache_enc_s = _forward(params, "skel_encoder", f_s)
     out_t, cache_enc_t = _forward(params, "text_encoder", f_t)
@@ -175,9 +167,9 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
 
     # decoders: the self-reconstruction rows came from z, the cross rows from mu
     d_dec_s = numkit.mlp_backward(params.skel_decoder, cache_dec_s, dec_s,
-                                  outs["skel_decoder"], grad_in=True)
+                                  grads.skel_decoder, grad_in=True)
     d_dec_t = numkit.mlp_backward(params.text_decoder, cache_dec_t, dec_t,
-                                  outs["text_decoder"], grad_in=True)
+                                  grads.text_decoder, grad_in=True)
     dz_s, d_mu_t_cross = d_dec_s[:b], d_dec_s[b:]
     dz_t, d_mu_s_cross = d_dec_t[:b], d_dec_t[b:]
 
@@ -194,11 +186,11 @@ def stage2_loss(params: VaeParams, f_s: Array, f_t: Array, labels: Array,
     d_f_s = numkit.mlp_backward(
         params.skel_encoder, cache_enc_s,
         np.concatenate([d_mu_s, elbo_s.grads["log_var"] + noise_s], axis=1),
-        outs["skel_encoder"], grad_in=feature_grads)
+        grads.skel_encoder, grad_in=feature_grads)
     numkit.mlp_backward(
         params.text_encoder, cache_enc_t,
         np.concatenate([d_mu_t, elbo_t.grads["log_var"] + noise_t], axis=1),
-        outs["text_encoder"], grad_in=False)
+        grads.text_encoder, grad_in=False)
     if feature_grads:
         # the ELBO's target gradient is minus its reconstruction gradient,
         # still in the decoder rows

@@ -129,20 +129,20 @@ def mlp_forward(params: MlpParams, x: Array) -> tuple[Array, list[Array]]:
 
 
 def mlp_backward(params: MlpParams, inputs: list[Array], grad_out: Array,
-                 out: list[Array], grad_in: bool) -> Array | None:
+                 out: MlpParams, grad_in: bool) -> Array | None:
     """Backprop grad_out (shaped like the forward output) through the stack
     whose layer inputs mlp_forward returned.
 
     Each parameter gradient, its batch rows summed, is written into its
-    array of `out` (arrays shaped like param_arrays()). Returns d(loss)/d(input),
+    array of `out`, an MlpParams shaped like params. Returns d(loss)/d(input),
     or None with grad_in=False, which skips computing it.
     """
     g = grad_out
     n = len(params.weights)
     for l in range(n - 1, -1, -1):
         h_in = inputs[l]
-        np.matmul(g.T, h_in, out=out[2 * l])
-        np.sum(g, axis=0, out=out[2 * l + 1])
+        np.matmul(g.T, h_in, out=out.weights[l])
+        np.sum(g, axis=0, out=out.biases[l])
         if l == 0 and not grad_in:
             return None
         g = g @ params.weights[l]

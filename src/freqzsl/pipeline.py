@@ -18,7 +18,6 @@ records, and no unseen class id can enter a training batch.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -146,32 +145,14 @@ def validate_split(dataset: FeatureDataset, split: SplitSpec) -> None:
 # ---- file formats ----
 
 
-def write_feature_file(path, dataset: FeatureDataset) -> int:
-    """Line-delimited records: sample_id, class_id, partition, vector|sequence."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in dataset.records:
-            obj = {"sample_id": rec.sample_id, "class_id": int(rec.class_id),
-                   "partition": rec.partition}
-            if rec.vector is not None:
-                obj["vector"] = [float(v) for v in rec.vector]
-            else:
-                obj["sequence"] = np.asarray(rec.sequence, dtype=np.float64).tolist()
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-    return len(dataset.records)
-
-
 def load_feature_file(path) -> FeatureDataset:
+    """The records semantics.write_lines writes, each with one payload key."""
     records = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            where = f"line {lineno}"
-            obj = semantics.parse_json(line, where, FeatureFormatError)
-            if type(obj) is dict:  # a record holds one payload key; the other reads as null
-                obj.setdefault("vector", None)
-                obj.setdefault("sequence", None)
-            records.append(semantics.decode(FeatureRecord, obj, where, FeatureFormatError))
+    for where, obj in semantics.read_lines(path, FeatureFormatError):
+        if type(obj) is dict:  # a record holds one payload key; the other reads as null
+            obj.setdefault("vector", None)
+            obj.setdefault("sequence", None)
+        records.append(semantics.decode(FeatureRecord, obj, where, FeatureFormatError))
     return FeatureDataset(records)
 
 
@@ -322,15 +303,15 @@ def encode_latent_means(params: crossvae.VaeParams, featurizer: SkeletonFeaturiz
 def stage2_gradient(params: crossvae.VaeParams, raw: Array | None,
                     featurizer: SkeletonFeaturizer, rows: Array, text: Array, labels: Array,
                     negatives: Array, eps_s: Array, eps_t: Array, cfg: RunConfig,
-                    grads_out: list[Array]) -> dict:
-    """The stage-2 loss breakdown of one batch, and its whole flat gradient.
+                    grads: crossvae.VaeParams, grad_raw: Array | None) -> dict:
+    """The stage-2 loss breakdown of one batch, and its whole gradient.
 
     raw holds the unconstrained band weights when they train, and rows the
     batch's rows of featurizer.spectrum(); else raw is None and rows are rows
     of its features. text holds their fused text features, and negatives,
-    eps_s and eps_t their frozen draws. grads_out holds one array per
-    params.param_arrays() entry, then one for raw if it is given; every
-    entry is overwritten. The weights' slice is the chain dL/dw * w * (1 - w)
+    eps_s and eps_t their frozen draws. Every array of grads, shaped like
+    params, is overwritten, and so is grad_raw, shaped like raw, when raw is
+    given. The weights' gradient is the chain dL/dw * w * (1 - w)
     through the sigmoid squash: the current weights give g and dg/dw by
     frequency.scaling_profile, and frequency.enhance_weight_grads moves the
     feature gradient back to the bands. run_stage2 hands this gradient to
@@ -340,12 +321,11 @@ def stage2_gradient(params: crossvae.VaeParams, raw: Array | None,
         w = frequency.weights_from_raw(raw)
         g, dgdw, band_index = frequency.scaling_profile(featurizer.enhancement, w)
     f_s = rows if raw is None else featurizer.from_spectrum(rows, g)
-    breakdown, d_f_s = crossvae.stage2_loss(
-        params, f_s, text, labels, negatives, eps_s, eps_t, cfg,
-        grads_out if raw is None else grads_out[:-1], feature_grads=raw is not None)
+    breakdown, d_f_s = crossvae.stage2_loss(params, f_s, text, labels, negatives, eps_s,
+                                            eps_t, cfg, grads, feature_grads=raw is not None)
     if raw is not None:
         d_w = frequency.enhance_weight_grads(rows, d_f_s, dgdw, band_index)
-        np.multiply(d_w * w, 1.0 - w, out=grads_out[-1])
+        np.multiply(d_w * w, 1.0 - w, out=grad_raw)
     return breakdown
 
 
@@ -370,8 +350,8 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     one contiguous vector that Adam updates in place; the returned params
     are views into it. A step draws the batch's negatives and noise, and
     stage2_gradient, the one function that training and its gradient check
-    share, writes the whole gradient into a second vector of the same
-    layout, which Adam reads. The payloads are stacked and transformed
+    share, writes the whole gradient into views of a second vector of the
+    same layout, which Adam reads. The payloads are stacked and transformed
     once, so a batch only rescales its rows of the cached spectrum; the
     featurizer this returns gets its gains from the same
     frequency.scaling_profile as every step. When no weight trains, every
@@ -406,13 +386,13 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
     params = params.with_arrays(views[:n_net])
     raw = views[n_net] if trains_weights else None
     grad, grad_views = numkit.flatten(views)  # same layout; every step overwrites it all
-    # where each network's slice of a flat vector ends; the band weights' comes last
-    nets = params.nets()
-    ends = np.cumsum([sum(a.size for a in net.param_arrays()) for net in nets.values()])
+    grads = params.with_arrays(grad_views[:n_net])
+    grad_raw = grad_views[n_net] if trains_weights else None
 
-    def failing_part(vec: Array, ok) -> str:
-        parts = zip((*nets, "band weights"), np.split(vec, ends))
-        return next((name for name, part in parts if not ok(part)), "combined")
+    def failing_part(nets: crossvae.VaeParams, band: Array | None, ok) -> str:
+        parts = [(name, a) for name, net in nets.nets().items() for a in net.param_arrays()]
+        parts += [("band weights", band)] if band is not None else []
+        return next((name for name, a in parts if not ok(a)), "combined")
 
     opt = numkit.AdamState(lr=cfg.stage2_lr)
     n = len(records)
@@ -434,11 +414,12 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
                 with np.errstate(all="ignore"):
                     breakdown = stage2_gradient(params, raw, featurizer, rows_all[idx],
                                                 text_all[idx], labels, negatives, eps_s,
-                                                eps_t, cfg, grad_views)
+                                                eps_t, cfg, grads, grad_raw)
                     try:
                         numkit.adam_step(opt, flat, grad)
                     except ValueError as exc:
-                        part = failing_part(grad, lambda g: math.isfinite(np.dot(g, g)))
+                        part = failing_part(grads, grad_raw,
+                                            lambda g: math.isfinite(np.vdot(g, g)))
                         raise ValueError(f"{part} {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"stage 2 epoch {epoch} step {steps + batches}: {exc}") from exc
@@ -456,7 +437,7 @@ def run_stage2(dataset: FeatureDataset, table: semantics.SemanticTable,
             "class(es) in train-seen), and the alignment loss needs two per batch")
     # a parameter that tanh saturates can pass every step's checks while non-finite
     if not np.isfinite(flat).all():
-        part = failing_part(flat, lambda p: np.isfinite(p).all())
+        part = failing_part(params, raw, lambda p: np.isfinite(p).all())
         raise ValueError(f"stage 2 left non-finite {part} parameters: an Adam step overflowed")
     if raw is not None:
         featurizer = featurizer.with_weights(frequency.weights_from_raw(raw))

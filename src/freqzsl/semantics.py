@@ -10,7 +10,9 @@ Text generation and text encoding are out of scope: the file format is the
 contract.
 
 parse_json and decode here read every input file (features, embeddings,
-split, checkpoint) into its dataclasses, naming a bad item by key path.
+split, checkpoint) into its dataclasses, naming a bad item by key path;
+write_lines and read_lines are the one JSON-lines codec of the feature and
+embedding files.
 """
 from __future__ import annotations
 
@@ -48,17 +50,8 @@ class EmbeddingRecord:
             raise EmbeddingFormatError("vector must be a non-empty number list")
 
 
-@dataclass
-class SemanticTable:
-    """All embeddings keyed by (class, kind)."""
-
-    vectors: dict[int, dict[str, Array]]
-
-    def classes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.vectors))
-
-    def get(self, class_id: int, kind: str) -> Array:
-        return self.vectors[class_id][kind]
+# all embeddings: class id -> kind -> vector
+SemanticTable = dict[int, dict[str, Array]]
 
 
 def parse_json(raw: bytes | BinaryIO, where: str, error: type[ValueError]):
@@ -215,60 +208,66 @@ def write_json(path, obj) -> None:
         fh.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
+def write_lines(path, records: Iterable) -> int:
+    """Write each record dataclass as one sorted-key JSON line of its fields
+    that are not None, arrays and numpy scalars as tolist() gives them;
+    returns the count. The feature and embedding files take this form."""
+    n = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            obj = {k: v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+                   for k, v in vars(rec).items() if v is not None}
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            n += 1
+    return n
+
+
+def read_lines(path, error: type[ValueError]):
+    """(where, parsed) for each non-blank line of a JSON-lines file, by parse_json."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isspace():
+                where = f"line {lineno}"
+                yield where, parse_json(line, where, error)
+
+
 def load_embeddings(path) -> SemanticTable:
     """Parse an embedding file; every class must carry all three kinds.
 
     Raises EmbeddingFormatError naming the offending (class_id, kind) on
     duplicates, missing kinds, or per-kind dimension drift.
     """
-    vectors: dict[int, dict[str, Array]] = {}
+    vectors: SemanticTable = {}
     dims: dict[str, int] = {}
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            where = f"line {lineno}"
-            obj = parse_json(line, where, EmbeddingFormatError)
-            if type(obj) is not dict or set(obj) != {"class_id", "kind", "vector"}:
-                raise EmbeddingFormatError(
-                    f"{where}: record must have exactly class_id, kind, vector")
-            rec = decode(EmbeddingRecord, obj, where, EmbeddingFormatError)
-            per_class = vectors.setdefault(rec.class_id, {})
-            if rec.kind in per_class:
-                raise EmbeddingFormatError(
-                    f"duplicate record for (class {rec.class_id}, kind {rec.kind})")
-            want = dims.setdefault(rec.kind, rec.vector.shape[0])
-            if rec.vector.shape[0] != want:
-                raise EmbeddingFormatError(
-                    f"(class {rec.class_id}, kind {rec.kind}): dim "
-                    f"{rec.vector.shape[0]} != {want} seen earlier for this kind")
-            per_class[rec.kind] = rec.vector
+    for where, obj in read_lines(path, EmbeddingFormatError):
+        if type(obj) is not dict or set(obj) != {"class_id", "kind", "vector"}:
+            raise EmbeddingFormatError(
+                f"{where}: record must have exactly class_id, kind, vector")
+        rec = decode(EmbeddingRecord, obj, where, EmbeddingFormatError)
+        per_class = vectors.setdefault(rec.class_id, {})
+        if rec.kind in per_class:
+            raise EmbeddingFormatError(
+                f"duplicate record for (class {rec.class_id}, kind {rec.kind})")
+        want = dims.setdefault(rec.kind, rec.vector.shape[0])
+        if rec.vector.shape[0] != want:
+            raise EmbeddingFormatError(
+                f"(class {rec.class_id}, kind {rec.kind}): dim "
+                f"{rec.vector.shape[0]} != {want} seen earlier for this kind")
+        per_class[rec.kind] = rec.vector
     if not vectors:
         raise EmbeddingFormatError("embedding file holds no records")
     for cid, per_class in vectors.items():
         for kind in KINDS:
             if kind not in per_class:
                 raise EmbeddingFormatError(f"missing (class {cid}, kind {kind})")
-    return SemanticTable(vectors)
-
-
-def write_embeddings(path, records: Iterable[EmbeddingRecord]) -> int:
-    """Serialize records in the load_embeddings format; returns the count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            obj = {"class_id": int(rec.class_id), "kind": rec.kind,
-                   "vector": [float(v) for v in rec.vector]}
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-            n += 1
-    return n
+    return vectors
 
 
 def fuse(table: SemanticTable, class_id: int) -> Array:
     """Concat AL, LD, GD in that order and scale to unit Euclidean norm."""
-    if class_id not in table.vectors:
+    if class_id not in table:
         raise KeyError(f"class {class_id} has no semantic embeddings")
-    cat = np.concatenate([table.get(class_id, k) for k in KINDS])
+    cat = np.concatenate([table[class_id][k] for k in KINDS])
     norm = float(np.linalg.norm(cat))
     if norm == 0.0:
         raise ValueError(f"class {class_id}: all-zero concatenated embedding")
@@ -277,4 +276,4 @@ def fuse(table: SemanticTable, class_id: int) -> Array:
 
 def fuse_all(table: SemanticTable) -> dict[int, Array]:
     """Fused vector per class, for batch assembly."""
-    return {cid: fuse(table, cid) for cid in table.classes()}
+    return {cid: fuse(table, cid) for cid in sorted(table)}

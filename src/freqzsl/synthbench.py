@@ -112,13 +112,12 @@ def generate(cfg: RunConfig) -> GeneratedDataset:
 
     rng = numkit.make_rng(cfg.seed, _STREAM_SEMANTIC)
     dim = cfg.synth_embed_dim
-    table_vectors: dict[int, dict[str, Array]] = {k: {} for k in range(cfg.synth_classes)}
+    table: semantics.SemanticTable = {k: {} for k in range(cfg.synth_classes)}
     for kind in semantics.KINDS:
         proj = rng.standard_normal((dim, flat_dim)) / math.sqrt(flat_dim)
         for k in range(cfg.synth_classes):
             noise = cfg.synth_semantic_noise_std * rng.standard_normal(dim)
-            table_vectors[k][kind] = proj @ protos[k].reshape(-1) + noise
-    table = semantics.SemanticTable(table_vectors)
+            table[k][kind] = proj @ protos[k].reshape(-1) + noise
 
     if cfg.synth_label_noise > 0:
         dataset = inject_label_noise(dataset, cfg.synth_label_noise,
@@ -171,9 +170,9 @@ def write_benchmark(gen: GeneratedDataset, out_dir, config_hash: str):
     feature_path = out / "features.jsonl"
     embed_path = out / "embeddings.jsonl"
     split_path = out / "split.json"
-    pipeline.write_feature_file(feature_path, gen.dataset)
-    semantics.write_embeddings(embed_path, (
-        semantics.EmbeddingRecord(cid, kind, gen.table.get(cid, kind))
-        for cid in gen.table.classes() for kind in semantics.KINDS))
+    semantics.write_lines(feature_path, gen.dataset.records)
+    semantics.write_lines(embed_path, (
+        semantics.EmbeddingRecord(cid, kind, gen.table[cid][kind])
+        for cid in sorted(gen.table) for kind in semantics.KINDS))
     pipeline.write_split_file(split_path, gen.split, config_hash)
     return feature_path, embed_path, split_path

@@ -215,8 +215,8 @@ def test_criterion_07_gradient_checks():
             # gradients written into views of one flat vector, as training has them
             p = params.with_arrays(arrs)
             _, views = numkit.flatten(arrs)
-            breakdown, _ = crossvae.stage2_loss(
-                p, f_s, f_t, labels, negatives, eps_s, eps_t, stage_cfg, views, True)
+            breakdown, _ = crossvae.stage2_loss(p, f_s, f_t, labels, negatives, eps_s, eps_t,
+                                                stage_cfg, p.with_arrays(views), True)
             return breakdown["total"], views
 
         report = grad_check(stage2_fn, params.param_arrays())

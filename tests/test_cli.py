@@ -502,6 +502,17 @@ class TestSizeBound:
         assert code == 2 and err.count("\n") == 1, err
         assert err.startswith(f"config error: {keys}: ") and "physical memory" in err
 
+    @pytest.mark.skipif(not memory_is_reported(), reason="the OS reports no physical memory")
+    @pytest.mark.usefixtures("no_networks")
+    def test_refused_loss_bench_leaves_no_out_directory(self, tiny_env, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "big.cfg", [x for x in TINY_LINES if not x.startswith(
+            "hidden_dim")] + ["hidden_dim = 1000000000000"])
+        out = tmp_path / "bench"
+        code = cli.main(["loss-bench", "--config", cfg, "--loss", "calibrated",
+                         "--noise-rate", "0", "--out", str(out)])
+        assert code == 2 and "hidden_dim" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_the_stage_2_estimate_is_the_flat_vectors_size(self, tiny_env, monkeypatch):
         # tiny_env's networks, built for real, in four flat float64 vectors
         # fit memory of exactly that size and outgrow one byte less

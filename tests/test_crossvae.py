@@ -30,10 +30,13 @@ def tiny_params(seed=0, skel_dim=4, text_dim=3, latent_dim=2, hidden=(5,)):
 
 def stage2(params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg, feature_grads=True):
     """stage2_loss writing into views of one fresh flat vector, as the trainer
-    passes them: (breakdown, parameter gradients, skeleton-feature gradient)."""
-    _, views = numkit.flatten([np.full_like(a, np.nan) for a in params.param_arrays()])
+    passes them, every entry to be overwritten: (breakdown, parameter gradients
+    in param_arrays() order, skeleton-feature gradient)."""
+    flat, views = numkit.flatten(params.param_arrays())
+    grads = params.with_arrays(views)
+    flat[:] = np.nan
     breakdown, d_f_s = crossvae.stage2_loss(params, f_s, f_t, labels, negatives,
-                                            eps_s, eps_t, cfg, views, feature_grads)
+                                            eps_s, eps_t, cfg, grads, feature_grads)
     return breakdown, views, d_f_s
 
 
@@ -287,8 +290,9 @@ def unfused_stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t, cfg):
     b, ld = f_s.shape[0], params.latent_dim
 
     def backward(net, cache, grad_out):
-        grads = [np.empty_like(a) for a in net.param_arrays()]
-        return grads, numkit.mlp_backward(net, cache, grad_out, grads, True)
+        grads = net.with_arrays([np.zeros_like(a) for a in net.param_arrays()])
+        d_in = numkit.mlp_backward(net, cache, grad_out, grads, True)
+        return grads.param_arrays(), d_in
 
     def elbo(x, recon, mu, lv):
         d = x.shape[1]
@@ -437,7 +441,7 @@ class TestNonFiniteStep:
         grad, grad_views = numkit.flatten(views)
         with pytest.raises(ValueError, match="non-finite"):
             crossvae.stage2_loss(params, f_s, f_t, labels, negatives, eps_s, eps_t,
-                                 RunConfig(), grad_views, True)
+                                 RunConfig(), params.with_arrays(grad_views), True)
             numkit.adam_step(numkit.AdamState(), flat, grad)
         np.testing.assert_array_equal(flat, before)
 
@@ -449,9 +453,8 @@ def tiny_stage2_data(f_s, labels):
             for i, (f, c) in enumerate(zip(f_s, labels))]
     recs.append(pipeline.FeatureRecord("u", 2, "test-unseen", vector=np.zeros(f_s.shape[1])))
     text = {0: [0.0, 2.0, 0.0], 1: [0.0, -2.0, 0.0], 2: [2.0, 0.0, 0.0]}
-    table = semantics.SemanticTable(
-        {c: {"AL": np.asarray(v), "LD": np.ones(1), "GD": np.ones(1)}
-         for c, v in text.items()})
+    table = {c: {"AL": np.asarray(v), "LD": np.ones(1), "GD": np.ones(1)}
+             for c, v in text.items()}
     return pipeline.FeatureDataset(recs), table, pipeline.SplitSpec((0, 1), (2,))
 
 

@@ -37,9 +37,11 @@ def scalar_mlp_forward(params, x):
 
 
 def backward(params, cache, grad_out, grad_in=True):
-    """mlp_backward into freshly allocated arrays: (param grads, input grad)."""
-    grads = [np.empty_like(a) for a in params.param_arrays()]
-    return grads, numkit.mlp_backward(params, cache, grad_out, grads, grad_in)
+    """mlp_backward into freshly allocated arrays: (param grads in
+    param_arrays() order, input grad)."""
+    out = params.with_arrays([np.zeros_like(a) for a in params.param_arrays()])
+    gx = numkit.mlp_backward(params, cache, grad_out, out, grad_in)
+    return out.param_arrays(), gx
 
 
 class TestSigmoid:
@@ -160,14 +162,16 @@ class TestMlpBackward:
         xs = rng.standard_normal((9, 7))
         grad_out = rng.standard_normal((9, 4))
         _, cache = numkit.mlp_forward(params, xs)
-        # views into one flat vector, as a trainer passes them
-        flat, out = numkit.flatten([np.full_like(a, np.nan) for a in params.param_arrays()])
+        # views into one flat vector, as a trainer passes them, each entry to be overwritten
+        flat, views = numkit.flatten(params.param_arrays())
+        out = params.with_arrays(views)
+        flat[:] = np.nan
         got_in = numkit.mlp_backward(params, cache, grad_out, out, True)
         rows = []
         for i in range(9):
             _, cache_i = numkit.mlp_forward(params, xs[i:i + 1])
             rows.append(backward(params, cache_i, grad_out[i:i + 1]))
-        for k, view in enumerate(out):
+        for k, view in enumerate(views):
             np.testing.assert_allclose(view, sum(g[k] for g, _ in rows), rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_in, np.concatenate([gx for _, gx in rows]),
                                    rtol=0, atol=1e-14)

@@ -65,10 +65,9 @@ def vector_record(sid, cid, partition, vec):
 
 def make_semantic_table(class_vectors):
     """Table with AL carrying the class direction and tiny LD/GD fillers."""
-    vectors = {cid: {"AL": np.asarray(v, dtype=np.float64),
-                     "LD": np.array([1.0]), "GD": np.array([1.0])}
-               for cid, v in class_vectors.items()}
-    return semantics.SemanticTable(vectors)
+    return {cid: {"AL": np.asarray(v, dtype=np.float64),
+                  "LD": np.array([1.0]), "GD": np.array([1.0])}
+            for cid, v in class_vectors.items()}
 
 
 class TestRecordsAndFiles:
@@ -103,7 +102,7 @@ class TestRecordsAndFiles:
         recs = [vector_record(f"s{i}", i % 2, "train-seen", rng.standard_normal(3))
                 for i in range(4)]
         path = tmp_path / "features.jsonl"
-        assert pipeline.write_feature_file(path, pipeline.FeatureDataset(recs)) == 4
+        assert semantics.write_lines(path, pipeline.FeatureDataset(recs).records) == 4
         back = pipeline.load_feature_file(path)
         assert [r.sample_id for r in back.records] == [f"s{i}" for i in range(4)]
         for a, b in zip(recs, back.records):
@@ -115,7 +114,7 @@ class TestRecordsAndFiles:
                                        sequence=rng.standard_normal((2, 3, 4)))
                 for i in range(2)]
         path = tmp_path / "features.jsonl"
-        pipeline.write_feature_file(path, pipeline.FeatureDataset(recs))
+        semantics.write_lines(path, pipeline.FeatureDataset(recs).records)
         back = pipeline.load_feature_file(path)
         assert back.kind == "sequence"
         np.testing.assert_allclose(back.records[1].sequence, recs[1].sequence,
@@ -581,7 +580,7 @@ class TestStage2:
 
         def loss(*args, **kwargs):
             out = real_loss(*args, **kwargs)
-            grads = args[8]
+            grads = args[8].param_arrays()
             if where.endswith("array"):
                 grads[0 if where == "first array" else -1][...] = 1e200
             return out
@@ -687,7 +686,9 @@ class TestStage2:
 
         def gradient(*args):
             breakdown = real_gradient(*args)
-            written.append(np.concatenate([g.ravel() for g in args[-1]]))
+            grads, grad_raw = args[-2:]
+            written.append(np.concatenate([g.ravel() for g in grads.param_arrays()]
+                                          + ([] if grad_raw is None else [grad_raw])))
             return breakdown
 
         def adam(state, p, g):
@@ -760,6 +761,7 @@ class TestStage2Gradient:
         flat, views = numkit.flatten(arrays)
         params, raw = params.with_arrays(views[:n_net]), views[n_net]
         grad, grad_views = numkit.flatten(views)
+        grads, grad_raw = params.with_arrays(grad_views[:n_net]), grad_views[n_net]
         assert (len(batch), n_bands, flat.size) == (
             64, 960 if vectors else 64, 154_096 if vectors else 153_200)
         clamped = frequency.scaling_profile(featurizer.enhancement, weights)[0] == cfg.weight_floor
@@ -768,7 +770,8 @@ class TestStage2Gradient:
         def loss_fn(x):
             flat[:] = x
             breakdown = pipeline.stage2_gradient(params, raw, featurizer, rows, text, labels,
-                                                 negatives, eps_s, eps_t, cfg, grad_views)
+                                                 negatives, eps_s, eps_t, cfg, grads,
+                                                 grad_raw)
             return breakdown["total"], grad.copy()
 
         directions = (unit_directions(rng, flat.size, 10)

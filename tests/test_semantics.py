@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from freqzsl import numkit, semantics
+from freqzsl import numkit, pipeline, semantics
 
 
 def write_lines(path, lines):
@@ -30,11 +32,11 @@ class TestLoad:
         records = [semantics.EmbeddingRecord(cid, kind, rng.standard_normal(4))
                    for cid in range(3) for kind in semantics.KINDS]
         path = tmp_path / "emb.jsonl"
-        assert semantics.write_embeddings(path, records) == 9
+        assert semantics.write_lines(path, records) == 9
         table = semantics.load_embeddings(path)
-        assert table.classes() == (0, 1, 2)
+        assert sorted(table) == [0, 1, 2]
         for rec in records:
-            np.testing.assert_allclose(table.get(rec.class_id, rec.kind),
+            np.testing.assert_allclose(table[rec.class_id][rec.kind],
                                        rec.vector, atol=1e-15)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -42,7 +44,7 @@ class TestLoad:
         lines = full_table_lines(1)
         write_lines(path, [lines[0], "", lines[1], "   ", lines[2]])
         table = semantics.load_embeddings(path)
-        assert table.classes() == (0,)
+        assert sorted(table) == [0]
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -150,3 +152,57 @@ class TestFuse:
         for cid, vec in fused.items():
             np.testing.assert_allclose(vec, semantics.fuse(table, cid),
                                        atol=0)
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+CLASS_IDS = st.integers(0, 2 ** 40).flatmap(lambda c: st.sampled_from([c, np.int64(c)]))
+
+
+def float_arrays(shape):
+    return st.lists(FLOATS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))).map(
+        lambda xs: np.asarray(xs, dtype=np.float64).reshape(shape))
+
+
+feature_records = st.one_of(
+    st.builds(lambda sid, cid, part, vec: pipeline.FeatureRecord(sid, cid, part, vector=vec),
+              st.text(), CLASS_IDS, st.sampled_from(pipeline.PARTITIONS),
+              st.integers(1, 5).flatmap(lambda n: float_arrays((n,)))),
+    st.builds(lambda sid, cid, part, seq: pipeline.FeatureRecord(sid, cid, part, sequence=seq),
+              st.text(), CLASS_IDS, st.sampled_from(pipeline.PARTITIONS),
+              st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 4)).flatmap(
+                  float_arrays)))
+embedding_records = st.builds(
+    semantics.EmbeddingRecord, CLASS_IDS, st.sampled_from(semantics.KINDS),
+    st.integers(1, 5).flatmap(lambda n: float_arrays((n,))))
+
+
+def explicit_feature_line(rec):
+    """The dict the feature-file writer spelled out before write_lines."""
+    obj = {"sample_id": rec.sample_id, "class_id": int(rec.class_id),
+           "partition": rec.partition}
+    if rec.vector is not None:
+        obj["vector"] = [float(v) for v in rec.vector]
+    else:
+        obj["sequence"] = np.asarray(rec.sequence, dtype=np.float64).tolist()
+    return obj
+
+
+def explicit_embedding_line(rec):
+    """The dict the embedding-file writer spelled out before write_lines."""
+    return {"class_id": int(rec.class_id), "kind": rec.kind,
+            "vector": [float(v) for v in rec.vector]}
+
+
+class TestWriteLines:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.one_of(
+        st.lists(feature_records.map(lambda r: (r, explicit_feature_line(r))), max_size=4),
+        st.lists(embedding_records.map(lambda r: (r, explicit_embedding_line(r))),
+                 max_size=4)))
+    def test_each_line_is_the_sorted_dump_of_the_explicit_record(self, tmp_path, records):
+        # so no null payload key is written and no numpy scalar reaches json
+        path = tmp_path / "records.jsonl"
+        assert semantics.write_lines(path, (rec for rec, _ in records)) == len(records)
+        want = "".join(json.dumps(obj, sort_keys=True) + "\n" for _, obj in records)
+        assert path.read_text(encoding="utf-8") == want

@@ -154,17 +154,17 @@ class TestGenerate:
 
     def test_semantic_embeddings_cover_all_classes_and_kinds(self):
         gen = synthbench.generate(small_config())
-        assert gen.table.classes() == tuple(range(6))
+        assert sorted(gen.table) == list(range(6))
         for cid in range(6):
             for kind in semantics.KINDS:
-                assert gen.table.get(cid, kind).shape == (8,)
+                assert gen.table[cid][kind].shape == (8,)
 
     def test_semantic_embeddings_track_prototypes(self):
         # noiseless embeddings are linear in the prototype, so two very
         # different prototypes give different embeddings
         gen = synthbench.generate(small_config(synth_semantic_noise_std=0.0))
-        e0 = gen.table.get(0, "AL")
-        e1 = gen.table.get(1, "AL")
+        e0 = gen.table[0]["AL"]
+        e1 = gen.table[1]["AL"]
         assert not np.allclose(e0, e1)
 
 
@@ -274,7 +274,7 @@ class TestWriteBenchmark:
         split = pipeline.load_split_file(spath)
         assert len(dataset.records) == len(gen.dataset.records)
         assert split == gen.split
-        assert table.classes() == gen.table.classes()
+        assert sorted(table) == sorted(gen.table)
         np.testing.assert_allclose(dataset.records[0].sequence,
                                    gen.dataset.records[0].sequence, atol=1e-15)
         pipeline.validate_split(dataset, split)
